@@ -232,7 +232,6 @@ const EQUIVOCATOR_FORGED_WRITER: WriterId = WriterId(8888);
 fn audit_transport() -> TransportConfig {
     TransportConfig {
         connect_timeout: Duration::from_millis(250),
-        op_deadline: Duration::from_secs(3),
         io_timeout: Duration::from_millis(50),
         retry_budget: 1,
         backoff: BackoffPolicy {

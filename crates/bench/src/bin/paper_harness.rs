@@ -413,7 +413,7 @@ fn chaos() {
         format!("{}/{}", r.ops_completed, r.ops_attempted),
         r.reconnects.to_string(),
         r.breaker_transitions.to_string(),
-        r.op_retries.to_string(),
+        r.backoff_waits.to_string(),
         r.faults_injected.to_string(),
         yes_no(r.safe && r.order_violations == 0),
         yes_no(r.schedule_reproducible),
@@ -426,7 +426,7 @@ fn chaos() {
                 "ops",
                 "reconnects",
                 "breaker flips",
-                "op retries",
+                "backoff waits",
                 "faults",
                 "safe",
                 "seed-stable"
@@ -1018,7 +1018,6 @@ fn runtime(flags: &[String]) -> ! {
             "--rate" => cfg.rate = parse("--rate"),
             "--secs" => cfg.secs = parse("--secs"),
             "--reactors" => cfg.reactors = parse("--reactors") as usize,
-            "--threaded-max" => cfg.threaded_max = parse("--threaded-max") as usize,
             _ => {
                 eprintln!("runtime: unknown flag {flag}");
                 std::process::exit(2);
@@ -1028,7 +1027,7 @@ fn runtime(flags: &[String]) -> ! {
     }
 
     println!(
-        "== runtime: latency under load, reactor vs thread-per-connection, rungs {:?} ==",
+        "== runtime: reactor latency under load, rungs {:?} ==",
         cfg.rungs
     );
     let r = runtime_bench::runtime_run(&cfg);
@@ -1037,7 +1036,6 @@ fn runtime(flags: &[String]) -> ! {
         .iter()
         .map(|s| {
             vec![
-                s.runtime.clone(),
                 format!("{}/{}", s.achieved_conns, s.requested_conns),
                 s.sent.to_string(),
                 s.received.to_string(),
@@ -1052,7 +1050,6 @@ fn runtime(flags: &[String]) -> ! {
         "{}",
         table::render(
             &[
-                "runtime",
                 "conns (got/asked)",
                 "sent",
                 "received",

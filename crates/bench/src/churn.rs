@@ -231,7 +231,6 @@ const FABRICATOR: ServerId = ServerId(3);
 fn churn_transport() -> TransportConfig {
     TransportConfig {
         connect_timeout: Duration::from_millis(250),
-        op_deadline: Duration::from_secs(3),
         io_timeout: Duration::from_millis(50),
         retry_budget: 1,
         backoff: BackoffPolicy {

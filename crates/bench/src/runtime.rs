@@ -1,25 +1,25 @@
 //! Runtime saturation scenario: latency under load at high connection
-//! counts, thread-per-connection vs the readiness-driven reactor.
+//! counts on the readiness-driven reactor.
 //!
-//! The tentpole claim behind [`ServerRuntime::Reactor`] is that serving
-//! `C` connections must not cost `O(C)` threads. This scenario measures
-//! it on a live single-replica deployment (`n = 1, f = 0` — quorum
-//! assembly is not under test, the serving runtime is):
+//! The claim behind the reactor is that serving `C` connections must not
+//! cost `O(C)` threads. This scenario measures it on a live single-replica
+//! deployment (`n = 1, f = 0` — quorum assembly is not under test, the
+//! serving runtime is):
 //!
 //! * **open-loop load**: external load-generator *processes* hold a rung
 //!   of `C` idle-ish connections and offer a fixed aggregate request rate
 //!   on a schedule that does not wait for replies — the latency a slow
 //!   server causes cannot slow the offered load down (no coordinated
 //!   omission);
-//! * **rungs** of 1k / 10k / 50k connections; each rung runs against the
-//!   reactor runtime and (up to a thread-budget ceiling) the threaded
-//!   runtime, same wire bytes, same rate;
+//! * **rungs** of 1k / 10k / 50k connections, same wire bytes, same rate;
 //! * **fd clamping**: the container's `RLIM_NOFILE` is a hard wall — a
 //!   rung that does not fit is clamped and reported as requested vs
 //!   achieved rather than silently skipped;
-//! * **verdict**: the reactor must match threaded throughput at the
-//!   smallest rung, beat its p99 at 10k+, and hold its thread count at
-//!   `O(reactors)` while threaded pays two threads per connection.
+//! * **verdict**: every offered request is answered, p99 stays under
+//!   [`P99_BAR_MICROS`] at every rung, and the server's thread count holds
+//!   at `O(reactors)`. (The thread-per-connection runtime this replaced
+//!   measured 3.26 s p99 and ~20k threads at 10k connections; that
+//!   comparison lives in git history, not in the binary.)
 //!
 //! The load generators are child processes of the same binary (the
 //! hidden `runtime-loadgen` subcommand): separate fd tables, separate
@@ -35,7 +35,7 @@ use std::net::TcpStream;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use safereg_common::config::{QuorumConfig, ServerRuntime, TransportConfig};
+use safereg_common::config::{QuorumConfig, TransportConfig};
 use safereg_common::epoch::EpochConfig;
 use safereg_common::ids::{ClientId, ReaderId, ServerId};
 use safereg_common::msg::{ClientToServer, OpId};
@@ -47,6 +47,12 @@ use safereg_transport::poll::{Interest, PollEvent, Poller};
 /// Per-child connection ceiling: keeps every generator comfortably under
 /// its own fd limit and spreads connect/read work across processes.
 const CONNS_PER_CHILD: usize = 6000;
+
+/// The p99 bar every rung must clear: two orders of magnitude above what
+/// the reactor measures at 10k connections on a quiet host (~1 ms), so it
+/// trips on a serving-path regression and not on scheduler noise, and
+/// well over an order under what thread-per-connection measured there.
+pub const P99_BAR_MICROS: u64 = 100_000;
 
 /// Fd headroom reserved for everything that is not a benched connection
 /// (listener, poller, wakers, children's pipes, the binary's own files).
@@ -61,9 +67,6 @@ pub struct RuntimeConfig {
     pub rate: u64,
     /// Measured seconds per run (after the connect ramp).
     pub secs: u64,
-    /// Largest rung the thread-per-connection runtime is asked to hold
-    /// (two threads per connection; beyond this only the reactor runs).
-    pub threaded_max: usize,
     /// Reactor pool size for the benched host.
     pub reactors: usize,
 }
@@ -74,31 +77,26 @@ impl Default for RuntimeConfig {
             rungs: vec![1_000, 10_000, 50_000],
             rate: 2_000,
             secs: 6,
-            threaded_max: 10_000,
             reactors: 2,
         }
     }
 }
 
 impl RuntimeConfig {
-    /// The CI smoke variant: two tiny rungs, both runtimes, ~seconds of
-    /// wall clock.
+    /// The CI smoke variant: one tiny rung, ~seconds of wall clock.
     pub fn quick() -> Self {
         RuntimeConfig {
             rungs: vec![64],
             rate: 400,
             secs: 2,
-            threaded_max: 10_000,
             reactors: 2,
         }
     }
 }
 
-/// One (rung, runtime) measurement.
+/// One rung's measurement.
 #[derive(Debug, Clone)]
 pub struct RunStats {
-    /// `"reactor"` or `"threaded"`.
-    pub runtime: String,
     /// The rung as requested.
     pub requested_conns: usize,
     /// Connections actually held after fd clamping.
@@ -166,10 +164,9 @@ impl RuntimeReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"runtime\":\"{}\",\"requested_conns\":{},\"achieved_conns\":{},\
+                "{{\"requested_conns\":{},\"achieved_conns\":{},\
                  \"sent\":{},\"received\":{},\"ops_per_sec\":{:.1},\"p50_micros\":{},\
                  \"p99_micros\":{},\"max_micros\":{},\"threads_peak\":{}}}",
-                r.runtime,
                 r.requested_conns,
                 r.achieved_conns,
                 r.sent,
@@ -186,8 +183,8 @@ impl RuntimeReport {
     }
 }
 
-/// The single-replica deployment both runtimes serve: quorum assembly is
-/// out of scope, so `n = 1, f = 0` isolates the serving path.
+/// The single-replica deployment under load: quorum assembly is out of
+/// scope, so `n = 1, f = 0` isolates the serving path.
 fn bench_quorum() -> QuorumConfig {
     QuorumConfig::new(1, 0).expect("n = 1, f = 0 is a valid (degenerate) BSR point")
 }
@@ -249,11 +246,10 @@ fn bench_tconfig() -> TransportConfig {
     }
 }
 
-/// Runs one (rung, runtime) cell: spawns the host, fans the connections
-/// out over loadgen child processes, samples the server's thread count,
-/// and merges the children's latency samples.
+/// Runs one rung: spawns the host, fans the connections out over loadgen
+/// child processes, samples the server's thread count, and merges the
+/// children's latency samples.
 fn run_cell(
-    runtime: ServerRuntime,
     requested: usize,
     achieved: usize,
     cfg: &RuntimeConfig,
@@ -262,7 +258,6 @@ fn run_cell(
     let chain = KeyChain::from_master_seed(secret.as_bytes());
     let host = KvServerHost::builder(ServerId(0), bench_quorum(), KvMode::Replicated, chain)
         .config(bench_tconfig())
-        .runtime(runtime)
         .reactors(cfg.reactors)
         .spawn()?;
 
@@ -346,7 +341,6 @@ fn run_cell(
         samples[idx]
     };
     Ok(RunStats {
-        runtime: runtime.label().to_string(),
         requested_conns: requested,
         achieved_conns: held,
         sent,
@@ -377,84 +371,39 @@ pub fn runtime_run(cfg: &RuntimeConfig) -> RuntimeReport {
                 "runtime: rung {requested} clamped to {achieved} by the fd limit ({fd_limit})"
             );
         }
-        for runtime in [ServerRuntime::Reactor, ServerRuntime::Threaded] {
-            if runtime == ServerRuntime::Threaded && requested > cfg.threaded_max {
-                println!(
-                    "runtime: skipping threaded at {requested} conns \
-                     (2 threads/conn exceeds the thread budget; ceiling {})",
-                    cfg.threaded_max
-                );
-                continue;
-            }
-            println!(
-                "runtime: {} at {achieved} conns, {} req/s for {}s ...",
-                runtime.label(),
-                cfg.rate,
-                cfg.secs
-            );
-            let stats = run_cell(runtime, requested, achieved, cfg, "runtime-bench")
-                .unwrap_or_else(|e| panic!("runtime {} rung {requested}: {e}", runtime.label()));
-            runs.push(stats);
-        }
+        println!(
+            "runtime: {achieved} conns, {} req/s for {}s ...",
+            cfg.rate, cfg.secs
+        );
+        let stats = run_cell(requested, achieved, cfg, "runtime-bench")
+            .unwrap_or_else(|e| panic!("runtime rung {requested}: {e}"));
+        runs.push(stats);
     }
 
     let mut failures = Vec::new();
+    // The reactor's whole point: thread count independent of conns.
+    // Budget: pool + accept + main + a generous slack for the harness's
+    // own machinery.
+    let thread_budget = cfg.reactors as u64 + 16;
     for r in &runs {
         if r.achieved_conns == 0 || r.received == 0 {
+            failures.push(format!("{} conns observed no replies", r.requested_conns));
+        }
+        if r.received < r.sent {
             failures.push(format!(
-                "{} at {} conns observed no replies",
-                r.runtime, r.requested_conns
+                "{} conns lost replies: {}/{}",
+                r.requested_conns, r.received, r.sent
             ));
         }
-        if r.sent > 0 && (r.received as f64) < 0.90 * r.sent as f64 {
+        if r.p99_micros > P99_BAR_MICROS {
             failures.push(format!(
-                "{} at {} conns lost replies: {}/{}",
-                r.runtime, r.requested_conns, r.received, r.sent
+                "{} conns p99 {}us over the {P99_BAR_MICROS}us bar",
+                r.requested_conns, r.p99_micros
             ));
         }
-    }
-    // Pairwise checks where both runtimes held the same rung.
-    let paired: Vec<(&RunStats, &RunStats)> = runs
-        .iter()
-        .filter(|r| r.runtime == "reactor")
-        .filter_map(|re| {
-            runs.iter()
-                .find(|th| th.runtime == "threaded" && th.requested_conns == re.requested_conns)
-                .map(|th| (re, th))
-        })
-        .collect();
-    if let Some((re, th)) = paired.first() {
-        // Smallest paired rung: the reactor must not give up throughput.
-        if re.ops_per_sec < 0.95 * th.ops_per_sec {
+        if r.threads_peak > thread_budget {
             failures.push(format!(
-                "reactor throughput {:.0}/s under threaded {:.0}/s at {} conns",
-                re.ops_per_sec, th.ops_per_sec, re.requested_conns
-            ));
-        }
-    }
-    for (re, th) in &paired {
-        if re.requested_conns >= 10_000 && re.p99_micros >= th.p99_micros {
-            failures.push(format!(
-                "reactor p99 {}us not better than threaded {}us at {} conns",
-                re.p99_micros, th.p99_micros, re.requested_conns
-            ));
-        }
-        // Two threads per connection is the threaded runtime's signature.
-        if th.threads_peak < th.achieved_conns as u64 {
-            failures.push(format!(
-                "threaded at {} conns shows only {} threads — not thread-per-connection?",
-                th.requested_conns, th.threads_peak
-            ));
-        }
-    }
-    for r in runs.iter().filter(|r| r.runtime == "reactor") {
-        // The reactor's whole point: thread count independent of conns.
-        // Budget: pool + accept + main + a generous slack for the test
-        // runner's own machinery.
-        let budget = cfg.reactors as u64 + 16;
-        if r.threads_peak > budget {
-            failures.push(format!(
-                "reactor at {} conns used {} threads (budget {budget})",
+                "{} conns used {} threads (budget {thread_budget})",
                 r.requested_conns, r.threads_peak
             ));
         }

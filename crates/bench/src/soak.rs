@@ -294,7 +294,6 @@ const OP_RETRIES: usize = 4;
 fn soak_transport() -> TransportConfig {
     TransportConfig {
         connect_timeout: Duration::from_millis(250),
-        op_deadline: Duration::from_secs(3),
         io_timeout: Duration::from_millis(30),
         retry_budget: 1,
         backoff: BackoffPolicy {

@@ -201,7 +201,6 @@ fn sim_stream(seed: u64, sample_permille: u16) -> String {
 fn trace_transport(sample_permille: u16) -> TransportConfig {
     TransportConfig {
         connect_timeout: Duration::from_millis(250),
-        op_deadline: Duration::from_millis(500),
         io_timeout: Duration::from_millis(30),
         retry_budget: 1,
         backoff: BackoffPolicy {

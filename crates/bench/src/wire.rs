@@ -9,11 +9,10 @@
 //!   `Bytes` wrap per fragment, one contiguous encode (`encode_to` into a
 //!   fresh `Vec`) per envelope, and one sealed-output `Vec` per frame: ~4 heap
 //!   allocations per server, `4n` per write.
-//! * **new** — the encode-once path: all fragments live in a single arena
-//!   `Bytes` (one `Vec` + one `Arc`), each server's payload is an O(1)
-//!   slice, and [`seal_envelope`] allocates only the metadata head
-//!   (the MAC is streamed over `(head, tail)`): `n + 2` allocations per
-//!   write.
+//! * **new** — the deployed encode-once path: all fragments live in a
+//!   single arena `Bytes` (one `Vec` + one `Arc`), each server's payload
+//!   is an O(1) slice, and [`SealedKv::seal`] allocates only the metadata
+//!   head (the MAC is streamed over `(head, tail)`).
 //!
 //! The Reed–Solomon striping itself (one codeword per column) is identical
 //! in both paths and excluded from the measured region — this bench
@@ -21,13 +20,14 @@
 //! math it didn't touch.
 //!
 //! A relay simulation then feeds every new-path frame through the
-//! borrowing [`open_envelope`] and asserts the `wire.bytes_copied` counter
-//! stays flat: the server relay path must never memcpy payload bytes.
+//! borrowing [`KvFrame::open`] — the same open every host and client runs,
+//! and the one that feeds `wire.bytes_copied` — and asserts the counter
+//! stays flat: the serving path must never memcpy payload bytes.
 //!
 //! A final batching leg drives a real TCP cluster and checks the vectored
 //! outbox drain: every flush recorded in `transport.batch.frames` must
 //! respect the [`TransportConfig::max_batch_frames`] ceiling (default 32),
-//! and at least one flush must have happened — a writer loop that stops
+//! and at least one flush must have happened — a reactor that stops
 //! reporting (or stops bounding) its batches fails the bench.
 //!
 //! [`run`] only produces meaningful numbers when [`CountingAlloc`] is
@@ -40,15 +40,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use safereg_common::buf::Bytes;
 use safereg_common::codec::Wire;
+use safereg_common::epoch::ConfigStamp;
 use safereg_common::ids::{ClientId, ServerId, WriterId};
-use safereg_common::msg::{ClientToServer, CodedElement, Envelope, OpId, Payload};
+use safereg_common::msg::{ClientToServer, CodedElement, Envelope, Message, OpId, Payload};
+use safereg_common::shard::ShardId;
 use safereg_common::tag::Tag;
+use safereg_common::trace::TraceCtx;
 use safereg_common::value::Value;
 use safereg_crypto::auth::AuthCodec;
 use safereg_crypto::keychain::KeyChain;
 use safereg_mds::rs::ReedSolomon;
 use safereg_mds::stripe::encode_value;
-use safereg_transport::frame::{open_envelope, seal_envelope};
+use safereg_transport::frame::{KvFrame, SealedKv};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -170,12 +173,35 @@ fn put_envelope(server: usize, element: CodedElement) -> Envelope {
     )
 }
 
+/// The deployed frame around one fan-out envelope: `key` is shared (an O(1)
+/// clone), everything else is fixed-size metadata.
+fn put_frame(key: &Bytes, server: usize, element: CodedElement) -> KvFrame {
+    KvFrame {
+        shard: ShardId(0),
+        trace: TraceCtx::NONE,
+        stamp: ConfigStamp {
+            epoch: 0,
+            digest: 0,
+        },
+        link: None,
+        key: key.clone(),
+        env: put_envelope(server, element),
+    }
+}
+
+/// The sealed payload as a host's socket read delivers it: one buffer,
+/// length prefix stripped.
+fn received(sealed: &SealedKv) -> Bytes {
+    Bytes::from(sealed.to_wire_bytes()).slice(4..)
+}
+
 /// Runs the microbench. See the module docs for what is measured.
 pub fn run() -> WireBenchResult {
     let k = N - 5 * F; // BCSR dimension: k = 1 at the paper's point
     let code = ReedSolomon::new(N, k).expect("valid BCSR point");
     let value = Value::from(vec![0xF0u8; VALUE_BYTES]);
     let chain = KeyChain::from_master_seed(b"wire-bench");
+    let key = Bytes::copy_from_slice(b"wire-bench/key");
 
     // Stripe once, outside the measured region: the RS math is common to
     // both paths. `flat` is the raw fragment arena (element i occupies
@@ -191,9 +217,8 @@ pub fn run() -> WireBenchResult {
     // Warm up key derivation and the obs registry so one-time allocations
     // stay out of the measured deltas.
     for (i, e) in elements.iter().enumerate() {
-        let env = put_envelope(i, e.clone());
-        let sealed = seal_envelope(&chain, &env);
-        let _ = open_envelope(&chain, sealed.to_bytes()).expect("warm-up frame opens");
+        let sealed = SealedKv::seal(&chain, &put_frame(&key, i, e.clone()));
+        let _ = KvFrame::open(&chain, &received(&sealed)).expect("warm-up frame opens");
     }
 
     // Old path: per-server fragment Vec + Bytes wrap + contiguous encode +
@@ -233,22 +258,20 @@ pub fn run() -> WireBenchResult {
                     .try_slice(i * frag..(i + 1) * frag)
                     .expect("arena sized as n*frag"),
             };
-            let env = put_envelope(i, element);
-            new_frames.push(seal_envelope(&chain, &env));
+            new_frames.push(SealedKv::seal(&chain, &put_frame(&key, i, element)));
         }
     }
     let new_allocs = allocations() - before;
 
-    // Relay simulation: every new-path frame is opened with the borrowing
-    // decode; the global copy counter must not move.
+    // Relay simulation: every new-path frame is opened exactly as a host
+    // opens it; the copy counter that open feeds must not move.
     let reg = safereg_obs::global();
     let copied_before = reg.counter(safereg_obs::names::WIRE_BYTES_COPIED).get();
     let mut relay_frames = 0usize;
     for sealed in &new_frames {
-        let env = open_envelope(&chain, sealed.to_bytes()).expect("sealed frame opens");
-        let Envelope { msg, .. } = env;
+        let frame = KvFrame::open(&chain, &received(sealed)).expect("sealed frame opens");
         assert!(
-            matches!(msg, safereg_common::msg::Message::ToServer(_)),
+            matches!(frame.env.msg, Message::ToServer(_)),
             "relay decoded an unexpected message"
         );
         relay_frames += 1;
@@ -277,7 +300,7 @@ pub fn run() -> WireBenchResult {
 }
 
 /// Drives a real `n = 5` TCP cluster through enough traffic that every
-/// host's writer thread flushes batches, then reads back the
+/// host's reactor flushes batches, then reads back the
 /// `transport.batch.frames` histogram. Returns `(ceiling, samples, max)`;
 /// the caller asserts `max ≤ ceiling`. The leg runs after both measured
 /// alloc regions, so its (substantial) heap traffic never skews them.

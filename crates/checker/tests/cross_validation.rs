@@ -2,10 +2,8 @@
 //! every checker, and targeted mutations are flagged by exactly the checker
 //! that owns the broken property.
 //!
-//! The always-on suite generates histories from the deterministic
-//! [`DetRng`] and exhausts all four mutation kinds every round; the
-//! original proptest suite sits behind the off-by-default `proptests`
-//! feature.
+//! The suite generates histories from the deterministic [`DetRng`] and
+//! exhausts all four mutation kinds every round.
 
 use safereg_checker::{
     check_freshness, check_liveness, check_no_new_old_inversion, check_safety, check_write_order,
@@ -118,33 +116,6 @@ fn each_mutation_trips_its_own_checker() {
                 );
                 assert!(!check_no_new_old_inversion(&h).is_empty());
             }
-        }
-    }
-}
-
-/// Original proptest suite; requires re-adding `proptest` as a
-/// dev-dependency (see the `proptests` feature note in Cargo.toml).
-#[cfg(feature = "proptests")]
-mod proptest_suite {
-    use proptest::prelude::*;
-    use safereg_checker::{check_no_new_old_inversion, CheckSummary};
-
-    use super::sequential_history;
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-        #[test]
-        fn sequential_histories_pass_every_checker(
-            ops in proptest::collection::vec((any::<bool>(), any::<u8>()), 1..40),
-        ) {
-            let h = sequential_history(&ops);
-            let summary = CheckSummary::check_all(&h);
-            prop_assert!(summary.is_safe(), "{:?}", summary.safety);
-            prop_assert!(summary.is_fresh(), "{:?}", summary.freshness);
-            prop_assert!(summary.order.is_empty());
-            prop_assert!(summary.liveness.is_empty());
-            prop_assert!(check_no_new_old_inversion(&h).is_empty());
         }
     }
 }

@@ -205,9 +205,8 @@ impl fmt::Display for QuorumConfig {
     }
 }
 
-/// Exponential backoff with bounded jitter, shared by every reconnecting
-/// network layer (the register transport's link supervisors and the KV
-/// transport's lazy reconnects).
+/// Exponential backoff with bounded jitter, pacing the KV transport's
+/// lazy reconnects and the client's retry passes.
 ///
 /// The delay for attempt `a` is `base · 2^a`, capped at `cap`, with up to
 /// `jitter_permille`/1000 of that value added or subtracted depending on a
@@ -271,63 +270,30 @@ impl BackoffPolicy {
     }
 }
 
-/// Which serving runtime a KV host runs its connections on.
-///
-/// `Threaded` is the original thread-per-connection model: one reader
-/// thread plus one writer thread per socket. `Reactor` multiplexes every
-/// connection onto a small pool of readiness-driven event-loop threads
-/// (epoll on Linux, poll elsewhere) with the bounded outboxes drained by
-/// the reactor itself via vectored writes — thread count stays
-/// O(reactors) regardless of connection count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ServerRuntime {
-    /// One reader + one writer thread per accepted connection.
-    Threaded,
-    /// Readiness-driven event loop; N reactor threads share all
-    /// connections (default N = number of shard groups the host serves).
-    #[default]
-    Reactor,
-}
-
-impl ServerRuntime {
-    /// Stable lowercase label for metrics and bench records.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ServerRuntime::Threaded => "threaded",
-            ServerRuntime::Reactor => "reactor",
-        }
-    }
-}
-
 /// Tunables for the real network path: how long to wait for connections
-/// and operations, how much to retry, and how the per-server circuit
-/// breaker behaves. Replaces the hardcoded connect/operation timeouts the
-/// TCP client and KV transport previously used.
+/// and exchanges, how much to retry, how the per-server circuit breaker
+/// behaves, and how hosts bound and drain their reply outboxes.
 ///
-/// Defaults match the old behaviour (5 s connects, 10 s operations) while
-/// enabling the self-healing machinery: two in-operation resends, capped
-/// exponential backoff between reconnect attempts, and a breaker that opens
-/// after three consecutive dead connections.
+/// Defaults: 5 s connects and exchanges, two retry passes per operation,
+/// capped exponential backoff between reconnect attempts, and a breaker
+/// that opens after three consecutive dead connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
     /// TCP connect timeout per attempt.
     pub connect_timeout: Duration,
-    /// End-to-end deadline for one client operation (all retries included).
-    pub op_deadline: Duration,
     /// Per-exchange socket read/write timeout (KV request/response path).
     pub io_timeout: Duration,
-    /// How many times an operation's outstanding envelopes are resent
-    /// within the deadline before giving up (0 = single shot).
+    /// How many extra passes an operation makes over the servers that
+    /// were unreachable or silent before giving up (0 = single shot).
     pub retry_budget: u32,
     /// Reconnect pacing.
     pub backoff: BackoffPolicy,
     /// Consecutive dead connections (refused, or closed before delivering
     /// a single frame) before the breaker opens for that server.
     pub breaker_threshold: u32,
-    /// Capacity of each bounded wire-path queue (per-link outboxes, the
-    /// client's response funnel, the KV host's per-connection writer).
+    /// Capacity of each host connection's bounded reply outbox.
     pub chan_capacity: usize,
-    /// What a full wire-path queue does with the next message; sheds are
+    /// What a full reply outbox does with the next message; sheds are
     /// counted under the `chan.shed` metrics.
     pub shed_policy: crate::sync::channel::ShedPolicy,
     /// Server-side: a connection with no inbound frame for this long is
@@ -347,7 +313,7 @@ pub struct TransportConfig {
     /// per operation by [`crate::trace::TraceCtx::for_op`]; unsampled ops
     /// pay one branch plus the 16 reserved wire bytes per frame.
     pub trace_sample: u16,
-    /// Reactor runtime only: when `true`, per-connection outbox capacity
+    /// When `true`, per-connection outbox capacity
     /// adapts to load — it doubles (up to [`Self::chan_capacity_max`])
     /// after a window with a sustained `chan.shed` rate and halves back
     /// toward [`Self::chan_capacity`] after consecutive quiet windows.
@@ -362,7 +328,6 @@ impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
             connect_timeout: Duration::from_secs(5),
-            op_deadline: Duration::from_secs(10),
             io_timeout: Duration::from_secs(5),
             retry_budget: 2,
             backoff: BackoffPolicy::default(),
@@ -386,7 +351,6 @@ impl TransportConfig {
     pub fn aggressive() -> Self {
         TransportConfig {
             connect_timeout: Duration::from_millis(250),
-            op_deadline: Duration::from_secs(5),
             io_timeout: Duration::from_millis(500),
             retry_budget: 4,
             backoff: BackoffPolicy {
@@ -545,7 +509,6 @@ mod tests {
     fn transport_defaults_match_previous_hardcoded_timeouts() {
         let cfg = TransportConfig::default();
         assert_eq!(cfg.connect_timeout, Duration::from_secs(5));
-        assert_eq!(cfg.op_deadline, Duration::from_secs(10));
         assert!(cfg.retry_budget > 0);
         let fast = TransportConfig::aggressive();
         assert!(fast.connect_timeout < cfg.connect_timeout);
@@ -576,13 +539,6 @@ mod tests {
         // Tracing is opt-in: both presets ship with sampling off.
         assert_eq!(cfg.trace_sample, 0);
         assert_eq!(fast.trace_sample, 0);
-    }
-
-    #[test]
-    fn server_runtime_defaults_to_reactor_with_stable_labels() {
-        assert_eq!(ServerRuntime::default(), ServerRuntime::Reactor);
-        assert_eq!(ServerRuntime::Reactor.label(), "reactor");
-        assert_eq!(ServerRuntime::Threaded.label(), "threaded");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Thin synchronization wrappers over `std::sync`.
 //!
-//! The transports previously pulled in `parking_lot` and `crossbeam` for
-//! locks and channels; the std equivalents are entirely sufficient for the
-//! workspace's coarse-grained use (one lock per server node, one channel
-//! per client), so these wrappers keep the dependency graph hermetic.
+//! The std locks are entirely sufficient for the workspace's
+//! coarse-grained use (one lock per register group), so these wrappers
+//! keep the dependency graph hermetic.
 //!
 //! The one behavioral decision lives here: **lock poisoning is recovered,
-//! not propagated**. A panicking connection thread must not wedge the whole
+//! not propagated**. A panicking thread must not wedge the whole
 //! server — the protocol state machines are sans-io and keep their
 //! invariants by construction, so the data behind a poisoned lock is still
 //! consistent and the remaining threads continue serving.
@@ -81,31 +80,19 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-/// Multi-producer single-consumer channels (the shape the TCP client
-/// uses: one reader thread per server connection funneling into one
-/// receiver).
-///
-/// Two families live here: the std re-export ([`channel::unbounded`]) for
-/// control-plane traffic, and the [`channel::bounded`] variant the wire path
-/// uses — a fixed-capacity queue with an explicit [`channel::ShedPolicy`]
-/// so a slow replica sheds load instead of inflating memory.
+/// Backpressure policy for the wire path's bounded reply outboxes: what
+/// a full queue does with the next message ([`channel::ShedPolicy`]) and
+/// how its capacity breathes with the shed rate
+/// ([`channel::AdaptiveCap`]). The queues themselves live with their one
+/// user, the KV host's reactor.
 pub mod channel {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, PoisonError};
     use std::time::{Duration, Instant};
 
-    pub use std::sync::mpsc::{Receiver, RecvTimeoutError, SendError, Sender, TryRecvError};
-
-    /// Creates an unbounded channel; the [`Sender`] side is cloneable.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        std::sync::mpsc::channel()
-    }
-
-    /// What a full bounded channel does with the next message.
+    /// What a full bounded queue does with the next message.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub enum ShedPolicy {
-        /// Block the sender until space frees up (or the send times out).
-        /// Backpressure propagates to the producer; nothing is lost.
+        /// Stop admitting work until space frees up. Backpressure
+        /// propagates to the producer; nothing is lost.
         #[default]
         Block,
         /// Drop the message being sent. Cheapest; prefers old queued work.
@@ -131,304 +118,6 @@ pub mod channel {
                 ShedPolicy::DropNewest => "drop_newest",
                 ShedPolicy::DropOldest => "drop_oldest",
             }
-        }
-    }
-
-    /// Result of a successful bounded send: whether anything was shed.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum SendOutcome {
-        /// The message was queued; nothing was dropped.
-        Sent,
-        /// The channel was full and the message being sent was dropped
-        /// ([`ShedPolicy::DropNewest`]).
-        ShedNewest,
-        /// The channel was full; the oldest queued message was dropped and
-        /// the new one queued ([`ShedPolicy::DropOldest`]).
-        ShedOldest,
-    }
-
-    impl SendOutcome {
-        /// Returns `true` when a message was dropped.
-        pub fn shed(&self) -> bool {
-            !matches!(self, SendOutcome::Sent)
-        }
-    }
-
-    /// Error from [`BoundedSender::send_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum SendTimeoutError<T> {
-        /// The channel stayed full for the whole timeout
-        /// ([`ShedPolicy::Block`] only); the message is handed back.
-        Timeout(T),
-        /// The receiver is gone; the message is handed back.
-        Disconnected(T),
-    }
-
-    struct Inner<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-        rx_alive: bool,
-        shed: u64,
-    }
-
-    struct Shared<T> {
-        inner: std::sync::Mutex<Inner<T>>,
-        not_empty: Condvar,
-        not_full: Condvar,
-        capacity: std::sync::atomic::AtomicUsize,
-        policy: ShedPolicy,
-    }
-
-    impl<T> Shared<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
-            self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-        }
-    }
-
-    /// Sending half of a bounded channel; cloneable for fan-in.
-    pub struct BoundedSender<T>(Arc<Shared<T>>);
-
-    /// Receiving half of a bounded channel (single consumer).
-    pub struct BoundedReceiver<T>(Arc<Shared<T>>);
-
-    /// Creates a bounded channel holding at most `capacity` messages
-    /// (clamped to ≥ 1), governed by `policy` when full.
-    pub fn bounded<T>(
-        capacity: usize,
-        policy: ShedPolicy,
-    ) -> (BoundedSender<T>, BoundedReceiver<T>) {
-        let shared = Arc::new(Shared {
-            inner: std::sync::Mutex::new(Inner {
-                queue: VecDeque::new(),
-                senders: 1,
-                rx_alive: true,
-                shed: 0,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: std::sync::atomic::AtomicUsize::new(capacity.max(1)),
-            policy,
-        });
-        (BoundedSender(Arc::clone(&shared)), BoundedReceiver(shared))
-    }
-
-    impl<T> BoundedSender<T> {
-        /// Sends `value`, applying the channel's shed policy when full.
-        /// Under [`ShedPolicy::Block`] this waits indefinitely for space.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`SendError`] with the value when the receiver is gone.
-        pub fn send(&self, value: T) -> Result<SendOutcome, SendError<T>> {
-            match self.send_with_deadline(value, None) {
-                Ok(o) => Ok(o),
-                Err(SendTimeoutError::Disconnected(v)) => Err(SendError(v)),
-                // No deadline was given, so Timeout cannot occur.
-                Err(SendTimeoutError::Timeout(_)) => unreachable!("blocking send timed out"),
-            }
-        }
-
-        /// Like [`BoundedSender::send`], but a [`ShedPolicy::Block`] wait
-        /// gives up after `timeout`. The non-blocking policies never wait,
-        /// so the timeout only matters for `Block`.
-        ///
-        /// # Errors
-        ///
-        /// [`SendTimeoutError::Timeout`] when the channel stayed full,
-        /// [`SendTimeoutError::Disconnected`] when the receiver is gone;
-        /// both return the unsent value.
-        pub fn send_timeout(
-            &self,
-            value: T,
-            timeout: Duration,
-        ) -> Result<SendOutcome, SendTimeoutError<T>> {
-            self.send_with_deadline(value, Some(Instant::now() + timeout))
-        }
-
-        fn send_with_deadline(
-            &self,
-            value: T,
-            deadline: Option<Instant>,
-        ) -> Result<SendOutcome, SendTimeoutError<T>> {
-            let shared = &*self.0;
-            let mut inner = shared.lock();
-            loop {
-                if !inner.rx_alive {
-                    return Err(SendTimeoutError::Disconnected(value));
-                }
-                if inner.queue.len() < shared.capacity.load(std::sync::atomic::Ordering::Relaxed) {
-                    inner.queue.push_back(value);
-                    shared.not_empty.notify_one();
-                    return Ok(SendOutcome::Sent);
-                }
-                match shared.policy {
-                    ShedPolicy::DropNewest => {
-                        inner.shed += 1;
-                        return Ok(SendOutcome::ShedNewest);
-                    }
-                    ShedPolicy::DropOldest => {
-                        inner.queue.pop_front();
-                        inner.queue.push_back(value);
-                        inner.shed += 1;
-                        shared.not_empty.notify_one();
-                        return Ok(SendOutcome::ShedOldest);
-                    }
-                    ShedPolicy::Block => match deadline {
-                        None => {
-                            inner = shared
-                                .not_full
-                                .wait(inner)
-                                .unwrap_or_else(PoisonError::into_inner);
-                        }
-                        Some(d) => {
-                            let now = Instant::now();
-                            if now >= d {
-                                return Err(SendTimeoutError::Timeout(value));
-                            }
-                            let (guard, _) = shared
-                                .not_full
-                                .wait_timeout(inner, d - now)
-                                .unwrap_or_else(PoisonError::into_inner);
-                            inner = guard;
-                        }
-                    },
-                }
-            }
-        }
-
-        /// Messages this channel has shed so far.
-        pub fn shed_count(&self) -> u64 {
-            self.0.lock().shed
-        }
-
-        /// Current capacity (may change at runtime via
-        /// [`BoundedSender::set_capacity`]).
-        pub fn capacity(&self) -> usize {
-            self.0.capacity.load(std::sync::atomic::Ordering::Relaxed)
-        }
-
-        /// Resizes the channel in place (clamped to ≥ 1). Growing wakes
-        /// senders blocked on a full queue; shrinking never discards queued
-        /// messages — the queue just stays over-full until drained below
-        /// the new bound.
-        pub fn set_capacity(&self, capacity: usize) {
-            self.0
-                .capacity
-                .store(capacity.max(1), std::sync::atomic::Ordering::Relaxed);
-            self.0.not_full.notify_all();
-        }
-    }
-
-    impl<T> Clone for BoundedSender<T> {
-        fn clone(&self) -> Self {
-            self.0.lock().senders += 1;
-            BoundedSender(Arc::clone(&self.0))
-        }
-    }
-
-    impl<T> Drop for BoundedSender<T> {
-        fn drop(&mut self) {
-            let mut inner = self.0.lock();
-            inner.senders -= 1;
-            if inner.senders == 0 {
-                // Wake a receiver blocked on an empty queue so it observes
-                // the disconnect.
-                self.0.not_empty.notify_all();
-            }
-        }
-    }
-
-    impl<T> BoundedReceiver<T> {
-        /// Receives the next message, blocking while the queue is empty and
-        /// any sender remains. Queued messages are drained before a
-        /// disconnect is reported, matching [`Receiver::recv`].
-        ///
-        /// # Errors
-        ///
-        /// Returns [`std::sync::mpsc::RecvError`] once every sender is gone
-        /// and the queue is empty.
-        pub fn recv(&self) -> Result<T, std::sync::mpsc::RecvError> {
-            let shared = &*self.0;
-            let mut inner = shared.lock();
-            loop {
-                if let Some(v) = inner.queue.pop_front() {
-                    shared.not_full.notify_one();
-                    return Ok(v);
-                }
-                if inner.senders == 0 {
-                    return Err(std::sync::mpsc::RecvError);
-                }
-                inner = shared
-                    .not_empty
-                    .wait(inner)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-
-        /// Receives with a timeout; matches [`Receiver::recv_timeout`]
-        /// semantics (queued messages are drained before a disconnect is
-        /// reported).
-        ///
-        /// # Errors
-        ///
-        /// [`RecvTimeoutError::Timeout`] or
-        /// [`RecvTimeoutError::Disconnected`].
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let shared = &*self.0;
-            let deadline = Instant::now() + timeout;
-            let mut inner = shared.lock();
-            loop {
-                if let Some(v) = inner.queue.pop_front() {
-                    shared.not_full.notify_one();
-                    return Ok(v);
-                }
-                if inner.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (guard, _) = shared
-                    .not_empty
-                    .wait_timeout(inner, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                inner = guard;
-            }
-        }
-
-        /// Non-blocking receive; matches [`Receiver::try_recv`] semantics.
-        ///
-        /// # Errors
-        ///
-        /// [`TryRecvError::Empty`] or [`TryRecvError::Disconnected`].
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let shared = &*self.0;
-            let mut inner = shared.lock();
-            if let Some(v) = inner.queue.pop_front() {
-                shared.not_full.notify_one();
-                return Ok(v);
-            }
-            if inner.senders == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
-        }
-
-        /// Messages this channel has shed so far.
-        pub fn shed_count(&self) -> u64 {
-            self.0.lock().shed
-        }
-    }
-
-    impl<T> Drop for BoundedReceiver<T> {
-        fn drop(&mut self) {
-            let mut inner = self.0.lock();
-            inner.rx_alive = false;
-            // Drop queued messages eagerly and wake blocked senders so they
-            // observe the disconnect instead of waiting forever.
-            inner.queue.clear();
-            self.0.not_full.notify_all();
         }
     }
 
@@ -574,134 +263,6 @@ mod tests {
         })
         .join();
         assert_eq!(*l.read(), 8);
-    }
-
-    #[test]
-    fn channel_supports_fanin_timeout_and_disconnect() {
-        use std::time::Duration;
-        let (tx, rx) = channel::unbounded::<u32>();
-        let tx2 = tx.clone();
-        std::thread::spawn(move || tx2.send(1).unwrap());
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 1);
-        assert!(matches!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(channel::RecvTimeoutError::Timeout)
-        ));
-        drop(tx);
-        assert!(matches!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(channel::RecvTimeoutError::Disconnected)
-        ));
-    }
-
-    #[test]
-    fn bounded_drop_newest_sheds_the_incoming_message() {
-        use channel::{bounded, SendOutcome, ShedPolicy};
-        let (tx, rx) = bounded::<u32>(2, ShedPolicy::DropNewest);
-        assert_eq!(tx.send(1).unwrap(), SendOutcome::Sent);
-        assert_eq!(tx.send(2).unwrap(), SendOutcome::Sent);
-        assert_eq!(tx.send(3).unwrap(), SendOutcome::ShedNewest);
-        assert_eq!(tx.shed_count(), 1);
-        // The queue kept the oldest two.
-        assert_eq!(rx.try_recv().unwrap(), 1);
-        assert_eq!(rx.try_recv().unwrap(), 2);
-        assert!(matches!(rx.try_recv(), Err(channel::TryRecvError::Empty)));
-    }
-
-    #[test]
-    fn bounded_drop_oldest_sheds_the_queued_head() {
-        use channel::{bounded, SendOutcome, ShedPolicy};
-        let (tx, rx) = bounded::<u32>(2, ShedPolicy::DropOldest);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(tx.send(3).unwrap(), SendOutcome::ShedOldest);
-        assert_eq!(rx.shed_count(), 1);
-        // The queue kept the freshest two.
-        assert_eq!(rx.try_recv().unwrap(), 2);
-        assert_eq!(rx.try_recv().unwrap(), 3);
-    }
-
-    #[test]
-    fn bounded_block_applies_backpressure_and_times_out() {
-        use channel::{bounded, SendOutcome, SendTimeoutError, ShedPolicy};
-        use std::time::Duration;
-        let (tx, rx) = bounded::<u32>(1, ShedPolicy::Block);
-        tx.send(1).unwrap();
-        // Full queue + nobody draining: the bounded wait gives the value back.
-        assert!(matches!(
-            tx.send_timeout(2, Duration::from_millis(20)),
-            Err(SendTimeoutError::Timeout(2))
-        ));
-        assert_eq!(tx.shed_count(), 0, "a timed-out Block send is not a shed");
-        // With a consumer draining, the blocking send completes.
-        let tx2 = tx.clone();
-        let h = std::thread::spawn(move || tx2.send(3).unwrap());
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 1);
-        assert_eq!(h.join().unwrap(), SendOutcome::Sent);
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 3);
-    }
-
-    #[test]
-    fn bounded_reports_disconnects_both_ways() {
-        use channel::{bounded, SendTimeoutError, ShedPolicy};
-        use std::time::Duration;
-        // Receiver gone: sends fail, including a Block send mid-wait.
-        let (tx, rx) = bounded::<u32>(1, ShedPolicy::Block);
-        tx.send(1).unwrap();
-        let tx2 = tx.clone();
-        let h = std::thread::spawn(move || tx2.send_timeout(2, Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(30));
-        drop(rx);
-        assert!(matches!(
-            h.join().unwrap(),
-            Err(SendTimeoutError::Disconnected(2))
-        ));
-        assert!(tx.send(3).is_err());
-
-        // Senders gone: queue drains, then Disconnected.
-        let (tx, rx) = bounded::<u32>(4, ShedPolicy::DropNewest);
-        tx.send(7).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv().unwrap(), 7);
-        assert!(rx.recv().is_err());
-        assert!(matches!(
-            rx.recv_timeout(Duration::from_millis(5)),
-            Err(channel::RecvTimeoutError::Disconnected)
-        ));
-    }
-
-    #[test]
-    fn bounded_capacity_can_grow_and_shrink_at_runtime() {
-        use channel::{bounded, SendOutcome, ShedPolicy};
-        let (tx, rx) = bounded::<u32>(1, ShedPolicy::DropNewest);
-        tx.send(1).unwrap();
-        assert_eq!(tx.send(2).unwrap(), SendOutcome::ShedNewest);
-        tx.set_capacity(3);
-        assert_eq!(tx.capacity(), 3);
-        assert_eq!(tx.send(3).unwrap(), SendOutcome::Sent);
-        assert_eq!(tx.send(4).unwrap(), SendOutcome::Sent);
-        // Shrinking below the queue length discards nothing; the queue
-        // drains down to the new bound.
-        tx.set_capacity(1);
-        assert_eq!(tx.send(5).unwrap(), SendOutcome::ShedNewest);
-        assert_eq!(rx.try_recv().unwrap(), 1);
-        assert_eq!(rx.try_recv().unwrap(), 3);
-        assert_eq!(rx.try_recv().unwrap(), 4);
-    }
-
-    #[test]
-    fn bounded_growing_capacity_unblocks_a_blocked_sender() {
-        use channel::{bounded, ShedPolicy};
-        use std::time::Duration;
-        let (tx, rx) = bounded::<u32>(1, ShedPolicy::Block);
-        tx.send(1).unwrap();
-        let tx2 = tx.clone();
-        let h = std::thread::spawn(move || tx2.send(2));
-        std::thread::sleep(Duration::from_millis(30));
-        tx.set_capacity(2);
-        h.join().unwrap().unwrap();
-        assert_eq!(rx.try_recv().unwrap(), 1);
-        assert_eq!(rx.try_recv().unwrap(), 2);
     }
 
     #[test]

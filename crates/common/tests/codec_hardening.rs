@@ -6,10 +6,8 @@
 //! transport uses and the copying [`Wire::decode_from`] — and must agree on
 //! every input, success or failure.
 //!
-//! The always-on suite drives the same properties with the workspace's
-//! deterministic [`DetRng`] (shrinking-free, reproducible from the printed
-//! seed); the original proptest suite is kept behind the off-by-default
-//! `proptests` feature.
+//! The suite drives the properties with the workspace's deterministic
+//! [`DetRng`] (shrinking-free, reproducible from the printed seed).
 
 use safereg_common::buf::Bytes;
 use safereg_common::codec::{Wire, WireError, WireReader};
@@ -102,43 +100,6 @@ fn bit_flips_never_roundtrip_to_a_different_op() {
         // sent (no silent normalization that could confuse op matching).
         if let Ok(decoded) = ClientToServer::from_bytes(&bytes) {
             assert_eq!(decoded.to_bytes(), bytes);
-        }
-    }
-}
-
-/// Original proptest suite; requires re-adding `proptest` as a
-/// dev-dependency (see the `proptests` feature note in Cargo.toml).
-#[cfg(feature = "proptests")]
-mod proptest_suite {
-    use proptest::collection::vec;
-    use proptest::prelude::*;
-
-    use safereg_common::buf::Bytes;
-    use safereg_common::codec::Wire;
-    use safereg_common::msg::{ClientToServer, Envelope, Message, ServerToClient};
-    use safereg_common::tag::Tag;
-    use safereg_common::value::Value;
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
-
-        #[test]
-        fn arbitrary_bytes_never_panic_any_decoder(data in vec(any::<u8>(), 0..256)) {
-            let data = Bytes::from(data);
-            let _ = ClientToServer::from_bytes(&data);
-            let _ = ServerToClient::from_bytes(&data);
-            let _ = Envelope::from_bytes(&data);
-            let _ = Message::from_bytes(&data);
-            let _ = Tag::from_bytes(&data);
-            let _ = Value::from_bytes(&data);
-        }
-
-        #[test]
-        fn successful_decodes_reencode_identically(data in vec(any::<u8>(), 0..256)) {
-            let data = Bytes::from(data);
-            if let Ok(msg) = Message::from_bytes(&data) {
-                prop_assert_eq!(msg.to_bytes(), data);
-            }
         }
     }
 }

@@ -4,9 +4,8 @@
 //! `(n − f)`-quorums; these tests pin the arithmetic facts the lemmas rely
 //! on, over the whole configuration space the workspace supports.
 //!
-//! The always-on suite sweeps the configuration space *exhaustively*
-//! (it is only ~32k points), which strictly dominates the sampled
-//! proptest suite kept behind the off-by-default `proptests` feature.
+//! The suite sweeps the configuration space *exhaustively* (it is only
+//! ~32k points), which strictly dominates any sampled property test.
 
 use safereg_common::config::QuorumConfig;
 
@@ -72,43 +71,6 @@ fn storage_units_are_consistent_exhaustively() {
             let units = cfg.mds_storage_units().unwrap();
             assert!((units - n as f64 / k as f64).abs() < 1e-12);
             assert!(units <= cfg.replication_storage_units());
-        }
-    }
-}
-
-/// Original proptest suite; requires re-adding `proptest` as a
-/// dev-dependency (see the `proptests` feature note in Cargo.toml).
-#[cfg(feature = "proptests")]
-mod proptest_suite {
-    use proptest::prelude::*;
-    use safereg_common::config::QuorumConfig;
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-        #[test]
-        fn quorum_arithmetic_invariants(n in 1usize..=255, f in 0usize..255) {
-            prop_assume!(f < n);
-            let cfg = QuorumConfig::new(n, f).unwrap();
-            prop_assert_eq!(cfg.response_quorum() + cfg.f(), cfg.n());
-            let intersection = 2 * cfg.response_quorum() as isize - cfg.n() as isize;
-            prop_assert_eq!(intersection, cfg.n() as isize - 2 * cfg.f() as isize);
-            if cfg.supports_bsr() {
-                prop_assert!(intersection > 2 * cfg.f() as isize);
-                prop_assert!(intersection - cfg.f() as isize >= cfg.witness_threshold() as isize);
-            }
-        }
-
-        #[test]
-        fn storage_units_are_consistent(f in 1usize..=4, extra in 1usize..40) {
-            let n = 5 * f + extra;
-            prop_assume!(n <= 255);
-            let cfg = QuorumConfig::new(n, f).unwrap();
-            let k = cfg.mds_k().unwrap();
-            prop_assert_eq!(k, extra);
-            let units = cfg.mds_storage_units().unwrap();
-            prop_assert!((units - n as f64 / k as f64).abs() < 1e-12);
-            prop_assert!(units <= cfg.replication_storage_units());
         }
     }
 }

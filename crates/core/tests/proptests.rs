@@ -5,10 +5,8 @@
 //! freedom the asynchronous network has — and assert the protocol-level
 //! postconditions.
 //!
-//! The always-on suite derives every degree of freedom from the
-//! deterministic [`DetRng`] (reproducible from the seeds below,
-//! shrinking-free); the original proptest suite sits behind the
-//! off-by-default `proptests` feature.
+//! The suite derives every degree of freedom from the deterministic
+//! [`DetRng`] (reproducible from the seeds below, shrinking-free).
 
 use safereg_common::config::QuorumConfig;
 use safereg_common::ids::{ClientId, ReaderId, ServerId, WriterId};
@@ -205,72 +203,6 @@ fn reader_never_returns_unwitnessed_data() {
                     "returned {key:?} with only {witnesses} witnesses"
                 );
             }
-        }
-    }
-}
-
-/// Original proptest suite; requires re-adding `proptest` as a
-/// dev-dependency (see the `proptests` feature note in Cargo.toml).
-#[cfg(feature = "proptests")]
-mod proptest_suite {
-    use proptest::prelude::*;
-    use safereg_common::config::QuorumConfig;
-    use safereg_common::ids::{ReaderId, WriterId};
-    use safereg_common::tag::Tag;
-    use safereg_common::value::Value;
-    use safereg_core::client::BsrWriter;
-    use safereg_core::op::ClientOp;
-
-    use super::{cluster, drive};
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-        #[test]
-        fn write_completes_and_increments_under_any_order(
-            order in any::<u64>(),
-            f in 1usize..3,
-            silent_pick in any::<u64>(),
-        ) {
-            let cfg = QuorumConfig::minimal_bsr(f).unwrap();
-            let mut servers = cluster(cfg);
-            let silent = [(silent_pick % cfg.n() as u64) as usize];
-
-            let mut writer = BsrWriter::new(WriterId(0), cfg);
-            let mut op1 = writer.write(Value::from("first"));
-            drive(&mut op1, &mut servers, &silent, order);
-            let t1 = op1.output().expect("write 1 completes").tag();
-            prop_assert_eq!(t1, Tag::new(1, WriterId(0)));
-
-            let mut op2 = writer.write(Value::from("second"));
-            drive(&mut op2, &mut servers, &silent, order.wrapping_add(1));
-            let t2 = op2.output().expect("write 2 completes").tag();
-            prop_assert_eq!(t2, Tag::new(2, WriterId(0)));
-        }
-
-        #[test]
-        fn read_after_write_returns_it_under_any_order(
-            order in any::<u64>(),
-            f in 1usize..3,
-            silent_pick in any::<u64>(),
-        ) {
-            use safereg_core::client::BsrReader;
-            let cfg = QuorumConfig::minimal_bsr(f).unwrap();
-            let mut servers = cluster(cfg);
-            let silent_w = [(silent_pick % cfg.n() as u64) as usize];
-            let silent_r = [((silent_pick >> 8) % cfg.n() as u64) as usize];
-
-            let mut writer = BsrWriter::new(WriterId(1), cfg);
-            let mut w = writer.write(Value::from("durable"));
-            drive(&mut w, &mut servers, &silent_w, order);
-            prop_assert!(w.output().is_some());
-
-            let mut reader = BsrReader::new(ReaderId(0), cfg);
-            let mut r = reader.read();
-            drive(&mut r, &mut servers, &silent_r, order.wrapping_add(7));
-            let out = r.output().expect("read completes");
-            prop_assert_eq!(out.read_value().unwrap().as_bytes(), b"durable");
-            prop_assert_eq!(out.tag(), Tag::new(1, WriterId(1)));
         }
     }
 }

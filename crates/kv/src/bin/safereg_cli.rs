@@ -1,9 +1,9 @@
-//! Command-line client for a `safereg-server` deployment.
+//! Command-line client for a `safereg-kv-server` deployment.
 //!
 //! ```text
 //! # one write (two rounds), then a one-shot read:
-//! safereg-cli --servers 127.0.0.1:7000,127.0.0.1:7001,... --f 1 --secret demo put "hello"
-//! safereg-cli --servers 127.0.0.1:7000,127.0.0.1:7001,... --f 1 --secret demo get
+//! safereg-cli --servers 127.0.0.1:7000,127.0.0.1:7001,... --f 1 --secret demo put greeting "hello"
+//! safereg-cli --servers 127.0.0.1:7000,127.0.0.1:7001,... --f 1 --secret demo get greeting
 //! ```
 //!
 //! The server list's order defines the server ids (first = `s0`). Add
@@ -15,10 +15,8 @@ use std::net::SocketAddr;
 
 use safereg_common::config::QuorumConfig;
 use safereg_common::ids::{ReaderId, ServerId, WriterId};
-use safereg_common::value::Value;
-use safereg_core::client::{BcsrReader, BcsrWriter, BsrReader, BsrWriter};
 use safereg_crypto::keychain::KeyChain;
-use safereg_transport::client::ClusterClient;
+use safereg_kv::{KvClient, TcpKvTransport};
 
 struct Args {
     servers: Vec<SocketAddr>,
@@ -30,14 +28,14 @@ struct Args {
 }
 
 enum Command {
-    Put(String),
-    Get,
+    Put(String, String),
+    Get(String),
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: safereg-cli --servers <a:p,a:p,...> --f <usize> --secret <string> \
-         [--client-id <u16>] [--coded] (put <value> | get)"
+         [--client-id <u16>] [--coded] (put <key> <value> | get <key>)"
     );
     std::process::exit(2)
 }
@@ -63,8 +61,8 @@ fn parse_args() -> Args {
             "--secret" => secret = take(),
             "--client-id" => client_id = take().parse().unwrap_or_else(|_| usage()),
             "--coded" => coded = true,
-            "put" => command = Some(Command::Put(take())),
-            "get" => command = Some(Command::Get),
+            "put" => command = Some(Command::Put(take(), take())),
+            "get" => command = Some(Command::Get(take())),
             _ => usage(),
         }
     }
@@ -90,6 +88,10 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if args.coded && cfg.mds_k().is_none() {
+        eprintln!("invalid configuration: {cfg} admits no [n, n - 5f] code");
+        std::process::exit(2);
+    }
     let addrs: BTreeMap<ServerId, SocketAddr> = args
         .servers
         .iter()
@@ -97,42 +99,25 @@ fn main() {
         .map(|(i, a)| (ServerId(i as u16), *a))
         .collect();
     let chain = KeyChain::from_master_seed(args.secret.as_bytes());
-
-    let result = match args.command {
-        Command::Put(value) => {
-            let id = WriterId(args.client_id);
-            let mut conn =
-                ClusterClient::connect(id.into(), &addrs, chain).unwrap_or_else(|e| fail(&e));
-            if args.coded {
-                let mut writer = BcsrWriter::new(id, cfg).unwrap_or_else(|e| fail(&e));
-                conn.run_op(&mut writer.write(&Value::from(value.as_str())))
-            } else {
-                let mut writer = BsrWriter::new(id, cfg);
-                conn.run_op(&mut writer.write(Value::from(value.as_str())))
-            }
-        }
-        Command::Get => {
-            let id = ReaderId(args.client_id);
-            let mut conn =
-                ClusterClient::connect(id.into(), &addrs, chain).unwrap_or_else(|e| fail(&e));
-            if args.coded {
-                let mut reader = BcsrReader::new(id, cfg).unwrap_or_else(|e| fail(&e));
-                let mut op = reader.read();
-                conn.run_op(&mut op)
-            } else {
-                let mut reader = BsrReader::new(id, cfg);
-                let mut op = reader.read();
-                conn.run_op(&mut op)
-            }
-        }
+    let mut transport = TcpKvTransport::connect(&addrs, chain);
+    let (writer, reader) = (WriterId(args.client_id), ReaderId(args.client_id));
+    let mut client = if args.coded {
+        KvClient::new_coded(cfg, writer, reader)
+    } else {
+        KvClient::new(cfg, writer, reader)
     };
 
-    match result {
-        Ok(out) => match out.read_value() {
-            Some(v) => println!("{}", String::from_utf8_lossy(v.as_bytes())),
-            None => println!("ok: wrote tag {}", out.tag()),
+    match args.command {
+        Command::Put(key, value) => {
+            match client.put(&mut transport, key.as_bytes(), value.into_bytes()) {
+                Ok(tag) => println!("ok: wrote tag {tag}"),
+                Err(e) => fail(&e),
+            }
+        }
+        Command::Get(key) => match client.get(&mut transport, key.as_bytes()) {
+            Ok(v) => println!("{}", String::from_utf8_lossy(v.as_bytes())),
+            Err(e) => fail(&e),
         },
-        Err(e) => fail(&e),
     }
 }
 

@@ -11,11 +11,11 @@
 //! ...
 //! ```
 //!
-//! Pass `--coded` for erasure-coded registers (needs `n ≥ 5f + 1`), and
-//! `--runtime threaded|reactor` to pick the serving runtime (reactor by
-//! default), with `--reactors <k>` sizing the reactor pool.
+//! Pass `--coded` for erasure-coded registers (needs `n ≥ 5f + 1`) and
+//! `--reactors <k>` to size the reactor pool. Talk to the deployment with
+//! `safereg-cli`.
 
-use safereg_common::config::{QuorumConfig, ServerRuntime};
+use safereg_common::config::QuorumConfig;
 use safereg_common::ids::ServerId;
 use safereg_crypto::keychain::KeyChain;
 use safereg_kv::tcp::KvServerHost;
@@ -28,15 +28,13 @@ struct Args {
     listen: String,
     secret: String,
     coded: bool,
-    runtime: ServerRuntime,
     reactors: usize,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: safereg-kv-server --id <u16> --n <usize> --f <usize> \
-         --listen <addr:port> --secret <string> [--coded] \
-         [--runtime threaded|reactor] [--reactors <usize>]"
+         --listen <addr:port> --secret <string> [--coded] [--reactors <usize>]"
     );
     std::process::exit(2)
 }
@@ -49,7 +47,6 @@ fn parse_args() -> Args {
         listen: String::new(),
         secret: String::new(),
         coded: false,
-        runtime: ServerRuntime::default(),
         reactors: 0,
     };
     let mut it = std::env::args().skip(1);
@@ -62,13 +59,6 @@ fn parse_args() -> Args {
             "--listen" => args.listen = take(),
             "--secret" => args.secret = take(),
             "--coded" => args.coded = true,
-            "--runtime" => {
-                args.runtime = match take().as_str() {
-                    "threaded" => ServerRuntime::Threaded,
-                    "reactor" => ServerRuntime::Reactor,
-                    _ => usage(),
-                }
-            }
             "--reactors" => args.reactors = take().parse().unwrap_or_else(|_| usage()),
             _ => usage(),
         }
@@ -104,7 +94,6 @@ fn main() {
     let chain = KeyChain::from_master_seed(args.secret.as_bytes());
     let host = match KvServerHost::builder(sid, cfg, mode, chain)
         .bind(args.listen.as_str())
-        .runtime(args.runtime)
         .reactors(args.reactors)
         .spawn()
     {
@@ -115,10 +104,9 @@ fn main() {
         }
     };
     println!(
-        "safereg-kv-server {sid} serving {} kv store on {} ({cfg}, {} runtime)",
+        "safereg-kv-server {sid} serving {} kv store on {} ({cfg})",
         if args.coded { "coded" } else { "replicated" },
         host.addr(),
-        args.runtime.label(),
     );
     // Serve until killed; the host's accept thread does the work.
     loop {

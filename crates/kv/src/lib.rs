@@ -15,7 +15,8 @@
 //! * [`cluster::InMemKvCluster`] — an in-process deployment with
 //!   crash-fault injection, used by the examples and tests.
 //! * [`tcp::TcpKvCluster`] — the same store on real sockets: per-replica
-//!   TCP hosts and a MAC-authenticated transport.
+//!   reactor-served TCP hosts and a MAC-authenticated transport speaking
+//!   [`safereg_transport::frame`].
 //!
 //! Consistency: each key individually is a Byzantine-tolerant *safe*
 //! register (Definition 1) — reads concurrent with a put may return any
@@ -35,6 +36,6 @@ pub use client::{KvClient, KvError, KvTransport, Unreachable};
 pub use cluster::InMemKvCluster;
 pub use server::{entry_digest, key_digest, KvMode, KvServer};
 pub use tcp::{
-    encode_request, fetch_metrics, ClusterBuilder, KvHostBuilder, KvHostOptions, KvServerHost,
-    TcpKvCluster, TcpKvTransport, METRICS_KEY,
+    encode_request, fetch_metrics, ClusterBuilder, KvHostBuilder, KvServerHost, TcpKvCluster,
+    TcpKvTransport, METRICS_KEY,
 };

@@ -1,26 +1,22 @@
-//! Readiness-driven serving runtime for the KV host.
+//! Readiness-driven serving runtime for the KV host — the one serving
+//! path.
 //!
-//! The thread-per-connection runtime in [`tcp`](crate::tcp) spends two OS
-//! threads per accepted connection (a blocking reader and a writer draining
-//! the bounded outbox). That is simple and fine at tens of connections, but
-//! at thousands the stacks and context switches dominate. This module
-//! multiplexes every accepted connection onto a small pool of *reactors* —
-//! one event loop per hosted shard by default — built on the
+//! Every accepted connection is multiplexed onto a small pool of
+//! *reactors* — one event loop per hosted shard by default — built on the
 //! zero-dependency readiness layer in [`safereg_transport::poll`] (raw
-//! `epoll` on Linux, portable `poll` elsewhere).
+//! `epoll` on Linux, portable `poll` elsewhere), so serving `C`
+//! connections costs `O(reactors)` threads, not `O(C)`.
 //!
 //! Per connection the reactor keeps a read-accumulation buffer feeding the
-//! same borrowing decode as the threaded path, and a bounded outbox of
-//! sealed replies drained with vectored writes (four iovecs per frame:
-//! length prefix, head, zero-copy tail, MAC) directly from the event loop —
-//! no writer threads. Backpressure maps the [`ShedPolicy`] onto readiness:
-//! `Block` parks the connection's read interest while the outbox is full
-//! (frames already buffered stay buffered, nothing is lost), the drop
-//! policies shed from the outbox and count `chan.shed` exactly like the
-//! threaded path. A client that stops draining its socket trips the stall
-//! budget and is evicted; one that goes quiet trips the idle budget — the
-//! same deadline semantics, now enforced by a periodic tick instead of
-//! blocking read/write timeouts.
+//! borrowing frame decode, and a bounded outbox of sealed replies drained
+//! with vectored writes (four iovecs per frame: length prefix, head,
+//! zero-copy tail, MAC) directly from the event loop. Backpressure maps
+//! the [`ShedPolicy`] onto readiness: `Block` parks the connection's read
+//! interest while the outbox is full (frames already buffered stay
+//! buffered, nothing is lost), the drop policies shed from the outbox and
+//! count `chan.shed`. A client that stops draining its socket trips the
+//! stall budget and is evicted; one that goes quiet trips the idle budget
+//! — both enforced by a periodic tick.
 //!
 //! When [`TransportConfig::adaptive_outbox`] is set, each connection's
 //! outbox capacity breathes with its shed rate through
@@ -48,10 +44,11 @@ mod imp {
     use safereg_common::sync::channel::{AdaptiveCap, CapChange, ShedPolicy};
     use safereg_crypto::keychain::KeyChain;
     use safereg_obs::names;
+    use safereg_transport::frame::{frame_len, SealedKv};
     use safereg_transport::poll::{Interest, PollBackend, PollEvent, Poller, Waker};
 
     use crate::server::KvServer;
-    use crate::tcp::{count_eviction, process_sealed_frame, FrameDisposition, SealedKv};
+    use crate::tcp::{count_eviction, process_sealed_frame};
 
     /// How often an otherwise-idle reactor scans its connections for idle
     /// and stall deadline breaches. Short enough to honour the sub-second
@@ -63,10 +60,6 @@ mod imp {
     /// connection's buffer, so the scratch is shared by every connection
     /// of the reactor.
     const SCRATCH: usize = 64 * 1024;
-
-    /// Hard cap on a single inbound frame, matching the threaded path's
-    /// `read_frame` guard.
-    const MAX_FRAME: usize = 64 << 20;
 
     struct Slot {
         inbox: Mutex<VecDeque<TcpStream>>,
@@ -329,19 +322,18 @@ mod imp {
             if avail < 4 {
                 break;
             }
-            let len = u32::from_le_bytes(conn.rbuf[off..off + 4].try_into().unwrap()) as usize;
-            if len > MAX_FRAME {
+            let prefix = conn.rbuf[off..off + 4].try_into().expect("4 bytes");
+            let Ok(len) = frame_len(prefix) else {
                 close = true; // oversized frame: hard close, like read_frame
                 break;
-            }
+            };
             if avail - 4 < len {
                 break;
             }
             let sealed = Bytes::copy_from_slice(&conn.rbuf[off + 4..off + 4 + len]);
             off += 4 + len;
             // A crashed host must never answer a request sent after the
-            // crash — mirror the threaded path's recheck between reading
-            // and responding.
+            // crash: recheck between reading and responding.
             if stop.load(Ordering::SeqCst) {
                 close = true;
                 break;
@@ -353,16 +345,9 @@ mod imp {
                 adaptive,
                 ..
             } = conn;
-            let mut queue = |reply: SealedKv| {
-                queue_outbox(outbox, *front_off, adaptive, tconfig, reply);
-                true
-            };
-            if process_sealed_frame(server, chain, me, &sealed, &mut queue)
-                == FrameDisposition::Close
-            {
-                close = true;
-                break;
-            }
+            let mut queue =
+                |reply: SealedKv| queue_outbox(outbox, *front_off, adaptive, tconfig, reply);
+            process_sealed_frame(server, chain, me, &sealed, &mut queue);
         }
         conn.rbuf.drain(..off);
         (close, served)
@@ -375,17 +360,11 @@ mod imp {
     fn flush_outbox(conn: &mut Conn, tconfig: &TransportConfig) -> bool {
         let max_batch = tconfig.max_batch_frames.max(1);
         while !conn.outbox.is_empty() {
-            let lens: Vec<[u8; 4]> = conn
-                .outbox
-                .iter()
-                .take(max_batch)
-                .map(|s| (s.payload_len() as u32).to_le_bytes())
-                .collect();
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(lens.len() * 4);
-            for (i, (frame, len)) in conn.outbox.iter().take(max_batch).zip(&lens).enumerate() {
-                let parts: [&[u8]; 4] = [len, &frame.head, frame.tail.as_ref(), &frame.mac];
+            let batch = conn.outbox.len().min(max_batch);
+            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(batch * 4);
+            for (i, frame) in conn.outbox.iter().take(batch).enumerate() {
                 let mut skip = if i == 0 { conn.front_off } else { 0 };
-                for part in parts {
+                for part in frame.parts() {
                     if skip >= part.len() {
                         skip -= part.len();
                         continue;
@@ -399,14 +378,10 @@ mod imp {
                 Ok(mut n) => {
                     safereg_obs::global()
                         .histogram(names::TRANSPORT_BATCH_FRAMES)
-                        .record(lens.len() as u64);
+                        .record(batch as u64);
                     conn.stalled_since = None;
                     while n > 0 {
-                        let total = 4 + conn
-                            .outbox
-                            .front()
-                            .expect("bytes imply a frame")
-                            .payload_len();
+                        let total = conn.outbox.front().expect("bytes imply a frame").wire_len();
                         let left = total - conn.front_off;
                         if n >= left {
                             n -= left;
@@ -599,8 +574,9 @@ mod imp {
     }
 }
 
-/// Non-unix stub: [`spawn`](ReactorPool::spawn) always fails and the host
-/// falls back to the threaded runtime before ever calling it.
+/// Non-unix stub: [`spawn`](ReactorPool::spawn) always fails with
+/// [`Unsupported`](std::io::ErrorKind::Unsupported), which the host
+/// builder surfaces — there is no other serving path to fall back to.
 #[cfg(not(unix))]
 pub(crate) struct ReactorPool;
 

@@ -2,8 +2,8 @@
 //!
 //! A replica process hosts one [`ShardGroup`] per shard the
 //! [`ShardMap`] places on it; each group is an independent table of
-//! per-key register states guarded by its **own** lock, so concurrent
-//! connection threads serving different shards never contend — this
+//! per-key register states guarded by its **own** lock, so reactors
+//! serving different shards never contend — this
 //! per-shard locking is what lets throughput scale with the shard count
 //! on one fleet.
 //!

@@ -1,22 +1,20 @@
 //! TCP deployment of the key-value store.
 //!
-//! Frames carry `(key, envelope)` pairs, MAC-authenticated under the same
-//! pairwise link keys the register transport uses. Each request yields at
-//! most one response frame on the same connection (the per-key register
-//! protocol is strict request/response at the server), so the transport is
-//! a simple synchronous exchange — the quorum logic above it supplies the
-//! fault tolerance.
+//! Every message travels as a [`KvFrame`] — `(shard, key, envelope)` plus
+//! trace context, epoch stamp and attestation link, MAC-authenticated
+//! under the pairwise link keys; [`safereg_transport::frame`] owns the
+//! byte layout. Each request yields at most one response frame on the same
+//! connection (the per-key register protocol is strict request/response at
+//! the server), so the client transport is a simple synchronous exchange —
+//! the quorum logic above it supplies the fault tolerance.
 //!
-//! The wire path is zero-copy end to end: requests and replies are encoded
-//! once into `(head, tail)` parts where the tail is an O(1) [`Bytes`] slice
-//! of the value being shipped, the MAC is streamed over the parts, and the
-//! receiving side decodes borrowed views of the frame buffer
-//! ([`Wire::from_bytes`]) so payload bytes are never memcpy'd after the
-//! socket read. Replies leave each server connection through a *bounded*
-//! writer outbox sized by
+//! Hosts serve every accepted connection from a small pool of
+//! readiness-driven reactors ([`crate::reactor`]). Replies leave each
+//! connection through a *bounded* outbox sized by
 //! [`TransportConfig::chan_capacity`](safereg_common::config::TransportConfig);
 //! when a slow client lets it fill, the configured
-//! [`ShedPolicy`] decides whether the serving thread blocks or sheds, and
+//! [`ShedPolicy`](safereg_common::sync::channel::ShedPolicy) decides
+//! whether the reactor parks the connection's read side or sheds, and
 //! every shed increments `chan.shed` plus a per-policy counter in the
 //! metrics dump.
 
@@ -28,17 +26,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use safereg_common::buf::Bytes;
-use safereg_common::codec::{BytesReader, Wire, WireError, WireReader};
-use safereg_common::config::{QuorumConfig, ServerRuntime, TransportConfig};
+use safereg_common::config::{QuorumConfig, TransportConfig};
 use safereg_common::epoch::{ConfigStamp, EpochConfig, Member};
 use safereg_common::ids::{ClientId, NodeId, ReaderId, ServerId, WriterId};
 use safereg_common::msg::{ClientToServer, Envelope, Message, ServerToClient};
 use safereg_common::shard::{ShardId, ShardMap};
-use safereg_common::sync::channel::{bounded, BoundedSender, SendTimeoutError, ShedPolicy};
-use safereg_crypto::auth::AuthCodec;
-use safereg_crypto::chain::ChainLink;
 use safereg_crypto::keychain::KeyChain;
-use safereg_crypto::sha256::DIGEST_LEN;
 
 use safereg_common::msg::{OpId, Payload};
 use safereg_common::tag::Tag;
@@ -49,8 +42,8 @@ use safereg_obs::names;
 use safereg_obs::span::{self, SpanKind};
 use safereg_obs::trace::{wall_micros, MsgClass};
 use safereg_transport::chaos::{ChaosProxy, FaultPlan};
+use safereg_transport::frame::{read_frame, KvFrame, SealedKv};
 use safereg_transport::poll::PollBackend;
-use safereg_transport::write_all_vectored;
 
 use safereg_mds::rs::ReedSolomon;
 use safereg_mds::stripe::encode_value;
@@ -66,155 +59,6 @@ use crate::server::{KvMode, KvServer};
 /// `__safereg/` cannot collide with register state because the admin path
 /// intercepts it before the KV table is consulted.
 pub const METRICS_KEY: &[u8] = b"__safereg/metrics";
-
-/// One shard- and key-addressed message on the wire, carrying its causal
-/// trace context (always present — [`TraceCtx::NONE`] when unsampled — so
-/// the frame layout never depends on sampling and the MAC covers it) and
-/// the sender's [`ConfigStamp`] — the epoch fingerprint a server checks
-/// before dispatching, likewise MAC-covered so a Byzantine network cannot
-/// splice a frame from one epoch into another.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct KvFrame {
-    shard: ShardId,
-    trace: TraceCtx,
-    stamp: ConfigStamp,
-    /// Accountability attestation: servers attach a response-chain link to
-    /// every attestable reply (`TagResp`/`PutAck`/`DataResp`); requests and
-    /// admin/epoch replies carry `None`. MAC-covered like the rest of the
-    /// frame, and additionally self-authenticating under the server's audit
-    /// key, so it stays convincing once lifted out of the frame as evidence.
-    link: Option<ChainLink>,
-    key: Bytes,
-    env: Envelope,
-}
-
-impl Wire for KvFrame {
-    fn encode_to(&self, buf: &mut Vec<u8>) {
-        self.shard.encode_to(buf);
-        self.trace.encode_to(buf);
-        self.stamp.encode_to(buf);
-        self.link.encode_to(buf);
-        self.key.encode_to(buf);
-        self.env.encode_to(buf);
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(KvFrame {
-            shard: ShardId::decode_from(r)?,
-            trace: TraceCtx::decode_from(r)?,
-            stamp: ConfigStamp::decode_from(r)?,
-            link: Option::<ChainLink>::decode_from(r)?,
-            key: Bytes::decode_from(r)?,
-            env: Envelope::decode_from(r)?,
-        })
-    }
-
-    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
-        // Both the key and the envelope payload come out as O(1) slices of
-        // the frame buffer.
-        Ok(KvFrame {
-            shard: ShardId::decode_borrowed(r)?,
-            trace: TraceCtx::decode_borrowed(r)?,
-            stamp: ConfigStamp::decode_borrowed(r)?,
-            link: Option::<ChainLink>::decode_borrowed(r)?,
-            key: Bytes::decode_borrowed(r)?,
-            env: Envelope::decode_borrowed(r)?,
-        })
-    }
-}
-
-impl KvFrame {
-    /// Splits the encoding into a metadata head and the envelope's trailing
-    /// payload (an O(1) slice of the value being shipped, when the message
-    /// carries one). `head ++ tail` equals [`Wire::to_bytes`] byte for byte.
-    fn encode_parts(&self) -> (Vec<u8>, Option<Bytes>) {
-        let (env_head, tail) = self.env.encode_parts();
-        let link_len = 1 + self.link.as_ref().map_or(0, |_| ChainLink::WIRE_LEN);
-        let mut head = Vec::with_capacity(
-            10 + TraceCtx::WIRE_LEN
-                + ConfigStamp::WIRE_LEN
-                + link_len
-                + self.key.len()
-                + env_head.len(),
-        );
-        self.shard.encode_to(&mut head);
-        self.trace.encode_to(&mut head);
-        self.stamp.encode_to(&mut head);
-        self.link.encode_to(&mut head);
-        self.key.encode_to(&mut head);
-        head.extend_from_slice(&env_head);
-        (head, tail)
-    }
-}
-
-/// A KV frame sealed for one link: metadata head, zero-copy payload tail,
-/// and the streaming MAC over both. Written as one length-prefixed wire
-/// frame without ever concatenating the parts.
-pub(crate) struct SealedKv {
-    pub(crate) head: Vec<u8>,
-    pub(crate) tail: Bytes,
-    pub(crate) mac: [u8; DIGEST_LEN],
-}
-
-impl SealedKv {
-    fn seal(codec: &AuthCodec, frame: &KvFrame) -> SealedKv {
-        let (head, tail) = frame.encode_parts();
-        let tail = tail.unwrap_or_default();
-        let mac = codec.mac_of_parts(&[&head, tail.as_ref()]);
-        SealedKv { head, tail, mac }
-    }
-
-    /// Length of the framed payload (head + tail + MAC), i.e. the value of
-    /// the `u32` length prefix.
-    pub(crate) fn payload_len(&self) -> usize {
-        self.head.len() + self.tail.len() + self.mac.len()
-    }
-
-    fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        use std::io::Write;
-        stream.write_all(&(self.payload_len() as u32).to_le_bytes())?;
-        stream.write_all(&self.head)?;
-        stream.write_all(self.tail.as_ref())?;
-        stream.write_all(&self.mac)?;
-        stream.flush()
-    }
-}
-
-/// Flushes a batch of sealed replies with one vectored write: four iovecs
-/// per frame (length prefix, head, zero-copy tail, MAC), no concatenation.
-fn write_batch(stream: &mut TcpStream, batch: &[SealedKv]) -> std::io::Result<()> {
-    use std::io::Write;
-    let lens: Vec<[u8; 4]> = batch
-        .iter()
-        .map(|s| (s.payload_len() as u32).to_le_bytes())
-        .collect();
-    let mut parts: Vec<&[u8]> = Vec::with_capacity(batch.len() * 4);
-    for (sealed, len) in batch.iter().zip(&lens) {
-        parts.push(len);
-        parts.push(&sealed.head);
-        parts.push(sealed.tail.as_ref());
-        parts.push(&sealed.mac);
-    }
-    write_all_vectored(stream, &mut parts)?;
-    stream.flush()
-}
-
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Bytes> {
-    use std::io::Read;
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > (64 << 20) {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            "oversized frame",
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    // One allocation per frame; every decoded field below borrows from it.
-    Ok(Bytes::from(payload))
-}
 
 /// Seals one client→server request exactly as [`TcpKvTransport::exchange`]
 /// would and returns the complete length-prefixed wire bytes, ready to be
@@ -238,14 +82,7 @@ pub fn encode_request(
         key: Bytes::copy_from_slice(key),
         env: Envelope::to_server(from, to, msg.clone()),
     };
-    let codec = AuthCodec::new(chain.pair_key(frame.env.src, frame.env.dst));
-    let sealed = SealedKv::seal(&codec, &frame);
-    let mut out = Vec::with_capacity(4 + sealed.payload_len());
-    out.extend_from_slice(&(sealed.payload_len() as u32).to_le_bytes());
-    out.extend_from_slice(&sealed.head);
-    out.extend_from_slice(sealed.tail.as_ref());
-    out.extend_from_slice(&sealed.mac);
-    out
+    SealedKv::seal(chain, &frame).to_wire_bytes()
 }
 
 /// Counts one slow-client eviction: the aggregate `server.evictions` plus
@@ -259,60 +96,9 @@ pub(crate) fn count_eviction(reason: &str) {
     span::dump_flight("eviction");
 }
 
-/// Queues `reply` on the connection's writer outbox under the configured
-/// shed policy, counting sheds. Returns `false` when the connection should
-/// be torn down: the writer is gone, or (under [`ShedPolicy::Block`]) the
-/// client stalled the outbox past the stall budget and is evicted rather
-/// than allowed to wedge the serving thread indefinitely.
-fn enqueue_reply(tx: &BoundedSender<SealedKv>, reply: SealedKv, config: &TransportConfig) -> bool {
-    let reg = safereg_obs::global();
-    match config.shed_policy {
-        ShedPolicy::Block => match tx.send_timeout(reply, config.stall_timeout) {
-            Ok(_) => true,
-            Err(SendTimeoutError::Timeout(_)) => {
-                // The channel never sheds under Block; a send that cannot
-                // complete within the stall budget means the client has
-                // stopped draining — evict it.
-                reg.counter(safereg_obs::names::CHAN_SHED).inc();
-                reg.counter(&safereg_obs::names::shed_counter(
-                    config.shed_policy.label(),
-                ))
-                .inc();
-                count_eviction("stall");
-                false
-            }
-            Err(SendTimeoutError::Disconnected(_)) => false,
-        },
-        policy => match tx.send(reply) {
-            Ok(outcome) => {
-                if outcome.shed() {
-                    reg.counter(safereg_obs::names::CHAN_SHED).inc();
-                    reg.counter(&safereg_obs::names::shed_counter(policy.label()))
-                        .inc();
-                }
-                true
-            }
-            Err(_) => false,
-        },
-    }
-}
-
-/// What to do with the connection after one inbound frame was handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FrameDisposition {
-    /// Keep serving the connection.
-    Continue,
-    /// Tear the connection down (the reply sink rejected a reply, i.e. the
-    /// client was evicted or the writer is gone).
-    Close,
-}
-
-/// The per-frame serving path shared by both runtimes: authenticate,
-/// admin-intercept, epoch-admit, dispatch, and seal each reply through
-/// `queue_reply`. The thread-per-connection loop passes a closure that
-/// feeds the writer thread's bounded channel; the reactor passes one that
-/// pushes onto the connection's outbox under the shed policy. `queue_reply`
-/// returning `false` means the connection must close.
+/// The per-frame serving path: authenticate, admin-intercept, epoch-admit,
+/// dispatch, and hand each sealed reply to `queue_reply` (the reactor's
+/// outbox push under the shed policy).
 ///
 /// Malformed, forged, misaddressed or short frames are dropped without
 /// closing the connection — Byzantine input is reachable silence, not a
@@ -322,19 +108,12 @@ pub(crate) fn process_sealed_frame(
     chain: &KeyChain,
     me: ServerId,
     sealed: &Bytes,
-    queue_reply: &mut dyn FnMut(SealedKv) -> bool,
-) -> FrameDisposition {
-    // Authenticate: the MAC is keyed by the claimed endpoints of the
-    // inner envelope.
-    if sealed.len() < DIGEST_LEN {
-        return FrameDisposition::Continue;
-    }
-    let payload = sealed.slice(..sealed.len() - DIGEST_LEN);
+    queue_reply: &mut dyn FnMut(SealedKv),
+) {
     // Borrowing decode: the frame's key and value fields are O(1)
     // slices of `sealed`; `wire.bytes_copied` stays at zero here.
-    let frame = match KvFrame::from_bytes(&payload) {
-        Ok(f) => f,
-        Err(_) => return FrameDisposition::Continue,
+    let Ok(frame) = KvFrame::parse(sealed) else {
+        return;
     };
     // Tracing is one branch when the frame is unsampled; when it is,
     // time the MAC verification as the server's `server_decode` phase.
@@ -343,9 +122,8 @@ pub(crate) fn process_sealed_frame(
     } else {
         0
     };
-    let codec = AuthCodec::new(chain.pair_key(frame.env.src, frame.env.dst));
-    if codec.open(sealed.as_ref()).is_err() {
-        return FrameDisposition::Continue; // forged or corrupted: drop, not fatal
+    if frame.verify(chain, sealed).is_err() {
+        return; // forged or corrupted: drop, not fatal
     }
     // The MAC covered the trace bytes, so the context is authentic
     // from here on. The server's spans run one hop below the client's.
@@ -364,16 +142,27 @@ pub(crate) fn process_sealed_frame(
     }
     let (from, msg) = match (&frame.env.src, &frame.env.msg) {
         (NodeId::Client(c), Message::ToServer(m)) => (*c, m),
-        _ => return FrameDisposition::Continue,
+        _ => return,
     };
     if frame.env.dst != NodeId::Server(me) {
-        return FrameDisposition::Continue; // misaddressed
+        return; // misaddressed
     }
     safereg_obs::global()
         .counter(&names::kv_recv_counter(
             MsgClass::of(&frame.env.msg).as_str(),
         ))
         .inc();
+    let seal_reply = |link, resp| {
+        let reply = KvFrame {
+            shard: frame.shard,
+            trace: frame.trace.hopped(Phase::Reply),
+            stamp: frame.stamp,
+            link,
+            key: frame.key.clone(),
+            env: Envelope::to_client(me, from, resp),
+        };
+        SealedKv::seal(chain, &reply)
+    };
     // Admin path: the metrics key is served from the observability
     // registry, never from register state.
     if frame.key.as_slice() == METRICS_KEY {
@@ -385,20 +174,9 @@ pub(crate) fn process_sealed_frame(
                 tag: Tag::ZERO,
                 payload: Payload::Full(Value::from(dump.into_bytes())),
             };
-            let reply = KvFrame {
-                shard: frame.shard,
-                trace: frame.trace.hopped(Phase::Reply),
-                stamp: frame.stamp,
-                link: None,
-                key: frame.key.clone(),
-                env: Envelope::to_client(me, from, resp),
-            };
-            let codec = AuthCodec::new(chain.pair_key(reply.env.src, reply.env.dst));
-            if !queue_reply(SealedKv::seal(&codec, &reply)) {
-                return FrameDisposition::Close;
-            }
+            queue_reply(seal_reply(None, resp));
         }
-        return FrameDisposition::Continue;
+        return;
     }
     // Epoch admission (the admin path above deliberately bypasses it:
     // operators must be able to read metrics from a replica whatever
@@ -413,19 +191,8 @@ pub(crate) fn process_sealed_frame(
             op: msg.op(),
             config: current,
         };
-        let reply = KvFrame {
-            shard: frame.shard,
-            trace: frame.trace.hopped(Phase::Reply),
-            stamp: frame.stamp,
-            link: None,
-            key: frame.key.clone(),
-            env: Envelope::to_client(me, from, resp),
-        };
-        let codec = AuthCodec::new(chain.pair_key(reply.env.src, reply.env.dst));
-        if !queue_reply(SealedKv::seal(&codec, &reply)) {
-            return FrameDisposition::Close;
-        }
-        return FrameDisposition::Continue;
+        queue_reply(seal_reply(None, resp));
+        return;
     }
     // Per-shard dispatch: only the addressed register group's lock is
     // taken, so connections serving different shards run in parallel.
@@ -438,23 +205,14 @@ pub(crate) fn process_sealed_frame(
         // same reply path, so their lies are chain-signed too — the
         // attestation is what later convicts them.
         let link = server.attest(&frame.key, &resp);
-        let reply = KvFrame {
-            shard: frame.shard,
-            trace: frame.trace.hopped(Phase::Reply),
-            stamp: frame.stamp,
-            link,
-            key: frame.key.clone(),
-            env: Envelope::to_client(me, from, resp),
-        };
-        let codec = AuthCodec::new(chain.pair_key(reply.env.src, reply.env.dst));
-        let sealed_reply = SealedKv::seal(&codec, &reply);
+        let sealed_reply = seal_reply(link, resp);
         let outbox_start = if strace.is_sampled() {
             wall_micros()
         } else {
             0
         };
-        let reply_len = sealed_reply.payload_len() as u32;
-        let queued = queue_reply(sealed_reply);
+        let reply_len = sealed_reply.wire_len() as u32;
+        queue_reply(sealed_reply);
         if strace.is_sampled() {
             let now = wall_micros();
             span::record_global(
@@ -466,11 +224,7 @@ pub(crate) fn process_sealed_frame(
                 reply_len,
             );
         }
-        if !queued {
-            return FrameDisposition::Close;
-        }
     }
-    FrameDisposition::Continue
 }
 
 /// Everything optional about how a KV replica is hosted: the transport
@@ -479,34 +233,28 @@ pub(crate) fn process_sealed_frame(
 /// proxy so *accepted* connections drop, delay, corrupt and die on the
 /// server's side of the wire.
 #[derive(Debug, Clone, Default)]
-pub struct KvHostOptions {
+struct KvHostOptions {
     /// Transport policy: outbox capacity, shed policy, idle/stall budgets.
-    pub tconfig: TransportConfig,
+    tconfig: TransportConfig,
     /// The role this replica plays ([`ByzRole::Correct`] by default) —
     /// applied to every hosted register group; rotate individual shards
     /// afterwards with [`KvServerHost::set_shard_role`].
-    pub role: ByzRole,
+    role: ByzRole,
     /// Seed for the role's fault stream (fabricated tags, forged values).
-    pub byz_seed: u64,
+    byz_seed: u64,
     /// When set, the advertised address is a seeded [`ChaosProxy`] in front
     /// of the real listener, injecting this plan on the accept side.
-    pub chaos: Option<FaultPlan>,
+    chaos: Option<FaultPlan>,
     /// Shard placement: the replica hosts one register group per shard
     /// placed on it. `None` hosts the single pre-sharding group over the
     /// whole fleet.
-    pub shards: Option<ShardMap>,
-    /// Which serving runtime drains accepted connections:
-    /// [`ServerRuntime::Reactor`] (the default) multiplexes them onto a
-    /// small pool of readiness-driven event loops;
-    /// [`ServerRuntime::Threaded`] spawns a reader and a writer thread per
-    /// connection.
-    pub runtime: ServerRuntime,
-    /// Reactor pool size under [`ServerRuntime::Reactor`]; `0` (the
-    /// default) sizes the pool to the number of shards this replica hosts.
-    pub reactors: usize,
+    shards: Option<ShardMap>,
+    /// Reactor pool size; `0` (the default) sizes the pool to the number
+    /// of shards this replica hosts.
+    reactors: usize,
     /// Readiness backend for the reactor pool (`epoll` on Linux, portable
     /// `poll` elsewhere or when forced for tests).
-    pub poll_backend: PollBackend,
+    poll_backend: PollBackend,
 }
 
 /// A KV replica served over TCP.
@@ -517,23 +265,20 @@ pub struct KvServerHost {
     /// The real listener address (used to unblock the accept loop on stop).
     listen_addr: SocketAddr,
     role: ByzRole,
-    /// The hosted replica, shared with every connection thread; kept here
-    /// so per-shard roles can be rotated live.
+    /// The hosted replica, shared with every reactor; kept here so
+    /// per-shard roles can be rotated live.
     server: Arc<KvServer>,
     stop: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    /// The reactor pool draining accepted connections under
-    /// [`ServerRuntime::Reactor`]; `None` under the threaded runtime.
-    pool: Option<ReactorPool>,
+    /// The reactor pool draining accepted connections.
+    pool: ReactorPool,
     chaos: Option<ChaosProxy>,
 }
 
-/// Builder for a [`KvServerHost`] — the one spawn path. Collapses the old
-/// `spawn` / `spawn_with` / `spawn_on` / `spawn_on_with` / `spawn_opts`
-/// constructor zoo into chained setters over [`KvHostOptions`].
+/// Builder for a [`KvServerHost`] — the one spawn path.
 ///
 /// ```no_run
-/// # use safereg_common::config::{QuorumConfig, ServerRuntime};
+/// # use safereg_common::config::QuorumConfig;
 /// # use safereg_common::ids::ServerId;
 /// # use safereg_crypto::keychain::KeyChain;
 /// # use safereg_kv::server::KvMode;
@@ -541,7 +286,7 @@ pub struct KvServerHost {
 /// let cfg = QuorumConfig::minimal_bsr(1)?;
 /// let chain = KeyChain::from_master_seed(b"demo");
 /// let host = KvServerHost::builder(ServerId(0), cfg, KvMode::Replicated, chain)
-///     .runtime(ServerRuntime::Reactor)
+///     .bind("127.0.0.1:7100")
 ///     .spawn()?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -593,12 +338,6 @@ impl KvHostBuilder {
         self
     }
 
-    /// Selects the serving runtime (reactor pool vs thread per connection).
-    pub fn runtime(mut self, runtime: ServerRuntime) -> Self {
-        self.opts.runtime = runtime;
-        self
-    }
-
     /// Reactor pool size (`0` = one reactor per hosted shard).
     pub fn reactors(mut self, reactors: usize) -> Self {
         self.opts.reactors = reactors;
@@ -616,7 +355,8 @@ impl KvHostBuilder {
     /// # Errors
     ///
     /// Propagates bind errors from the listener or the proxy, and backend
-    /// creation errors from the reactor pool.
+    /// creation errors from the reactor pool — on targets without unix
+    /// readiness APIs that is always [`ErrorKind::Unsupported`].
     pub fn spawn(self) -> std::io::Result<KvServerHost> {
         KvServerHost::spawn_inner(
             self.id, self.cfg, self.mode, self.chain, self.bind?, self.opts,
@@ -652,103 +392,11 @@ impl KvServerHost {
         }
     }
 
-    /// Spawns a replica on an ephemeral loopback port with the default
-    /// [`TransportConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use KvServerHost::builder(..).spawn()")]
-    pub fn spawn(
-        id: ServerId,
-        cfg: QuorumConfig,
-        mode: KvMode,
-        chain: KeyChain,
-    ) -> std::io::Result<Self> {
-        Self::builder(id, cfg, mode, chain).spawn()
-    }
-
-    /// Spawns a replica on an ephemeral loopback port with an explicit
-    /// transport policy (reply-outbox capacity and shed policy).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use KvServerHost::builder(..).config(tconfig).spawn()")]
-    pub fn spawn_with(
-        id: ServerId,
-        cfg: QuorumConfig,
-        mode: KvMode,
-        chain: KeyChain,
-        tconfig: TransportConfig,
-    ) -> std::io::Result<Self> {
-        Self::builder(id, cfg, mode, chain).config(tconfig).spawn()
-    }
-
-    /// Spawns a replica on a caller-chosen address (the `safereg-kv-server`
-    /// daemon path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use KvServerHost::builder(..).bind(addr).spawn()")]
-    pub fn spawn_on(
-        id: ServerId,
-        cfg: QuorumConfig,
-        mode: KvMode,
-        chain: KeyChain,
-        bind: impl std::net::ToSocketAddrs,
-    ) -> std::io::Result<Self> {
-        Self::builder(id, cfg, mode, chain).bind(bind).spawn()
-    }
-
-    /// Spawns a replica on a caller-chosen address with an explicit
-    /// transport policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use KvServerHost::builder(..).bind(addr).config(tconfig).spawn()")]
-    pub fn spawn_on_with(
-        id: ServerId,
-        cfg: QuorumConfig,
-        mode: KvMode,
-        chain: KeyChain,
-        bind: impl std::net::ToSocketAddrs,
-        tconfig: TransportConfig,
-    ) -> std::io::Result<Self> {
-        Self::builder(id, cfg, mode, chain)
-            .bind(bind)
-            .config(tconfig)
-            .spawn()
-    }
-
-    /// Spawns a replica with the full option set: transport policy, role,
-    /// and optional server-side chaos.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors from the listener or the proxy.
-    #[deprecated(note = "use KvServerHost::builder(..) with chained setters")]
-    pub fn spawn_opts(
-        id: ServerId,
-        cfg: QuorumConfig,
-        mode: KvMode,
-        chain: KeyChain,
-        bind: impl std::net::ToSocketAddrs,
-        opts: KvHostOptions,
-    ) -> std::io::Result<Self> {
-        Self::spawn_inner(id, cfg, mode, chain, bind_first(&bind)?, opts)
-    }
-
-    /// The one real spawn path (the builder and every shim funnel here).
-    /// With chaos, the real listener binds ephemerally and a seeded
-    /// [`ChaosProxy`] binds `bind` in front of it — the advertised
-    /// [`addr`](Self::addr) is the proxy, so every accepted connection runs
-    /// through the fault plan. Under [`ServerRuntime::Reactor`] the accept
-    /// loop hands connections off to a readiness-driven reactor pool;
-    /// under [`ServerRuntime::Threaded`] it spawns a serving thread (plus a
-    /// writer thread) per connection.
+    /// The one real spawn path. With chaos, the real listener binds
+    /// ephemerally and a seeded [`ChaosProxy`] binds `bind` in front of it
+    /// — the advertised [`addr`](Self::addr) is the proxy, so every
+    /// accepted connection runs through the fault plan. The accept loop
+    /// hands connections off to a readiness-driven reactor pool.
     fn spawn_inner(
         id: ServerId,
         cfg: QuorumConfig,
@@ -830,8 +478,6 @@ impl KvServerHost {
         for s in map.fleet() {
             reg.gauge(&names::audit_suspicion_gauge(s.0));
         }
-        // Reactor-runtime series, registered whatever the runtime so the
-        // dump schema does not depend on how the replica is served.
         reg.gauge(names::REACTOR_THREADS);
         reg.gauge(names::REACTOR_CONNS);
         reg.counter(names::REACTOR_EVENTS);
@@ -840,36 +486,23 @@ impl KvServerHost {
         reg.counter(names::CHAN_ADAPTIVE_GROW);
         reg.counter(names::CHAN_ADAPTIVE_SHRINK);
 
-        // The reactor pool needs raw-fd readiness APIs; on targets without
-        // them the host silently degrades to thread-per-connection.
-        let runtime = if cfg!(unix) {
-            opts.runtime
+        let reactors = if opts.reactors > 0 {
+            opts.reactors
         } else {
-            ServerRuntime::Threaded
+            server.shards().len().max(1)
         };
-        let pool = match runtime {
-            ServerRuntime::Threaded => None,
-            ServerRuntime::Reactor => {
-                let reactors = if opts.reactors > 0 {
-                    opts.reactors
-                } else {
-                    server.shards().len().max(1)
-                };
-                Some(ReactorPool::spawn(
-                    reactors,
-                    opts.poll_backend,
-                    Arc::clone(&server),
-                    chain.clone(),
-                    id,
-                    tconfig,
-                    Arc::clone(&stop),
-                )?)
-            }
-        };
+        let pool = ReactorPool::spawn(
+            reactors,
+            opts.poll_backend,
+            Arc::clone(&server),
+            chain,
+            id,
+            tconfig,
+            Arc::clone(&stop),
+        )?;
 
-        let host_server = Arc::clone(&server);
         let accept_stop = Arc::clone(&stop);
-        let accept_pool = pool.as_ref().map(ReactorPool::handle);
+        let accept_pool = pool.handle();
         let accept_thread = std::thread::Builder::new()
             .name(format!("safereg-kv-{addr}"))
             .spawn(move || {
@@ -885,21 +518,11 @@ impl KvServerHost {
                     // Nagle against the client's delayed ACK turns every
                     // exchange into a ~40 ms stall, so send eagerly.
                     let _ = stream.set_nodelay(true);
-                    match &accept_pool {
-                        // Accept-and-hand-off: the listener stays a plain
-                        // blocking accept loop (so the chaos proxy and the
-                        // stop dance keep working) and each connection is
-                        // round-robined onto a reactor's inbox.
-                        Some(pool) => pool.dispatch(stream),
-                        None => {
-                            let server = Arc::clone(&server);
-                            let stop = Arc::clone(&accept_stop);
-                            let chain = chain.clone();
-                            let _ = std::thread::Builder::new()
-                                .name("safereg-kv-conn".into())
-                                .spawn(move || serve(stream, server, chain, stop, id, tconfig));
-                        }
-                    }
+                    // Accept-and-hand-off: the listener stays a plain
+                    // blocking accept loop (so the chaos proxy and the
+                    // stop dance keep working) and each connection is
+                    // round-robined onto a reactor's inbox.
+                    accept_pool.dispatch(stream);
                 }
             })
             .expect("spawn kv accept thread");
@@ -907,7 +530,7 @@ impl KvServerHost {
             addr,
             listen_addr,
             role: opts.role,
-            server: host_server,
+            server,
             stop,
             accept_thread: Some(accept_thread),
             pool,
@@ -1009,9 +632,7 @@ impl KvServerHost {
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
-        if let Some(mut pool) = self.pool.take() {
-            pool.shutdown();
-        }
+        self.pool.shutdown();
     }
 }
 
@@ -1026,98 +647,6 @@ fn bind_first(bind: &impl std::net::ToSocketAddrs) -> std::io::Result<SocketAddr
 impl Drop for KvServerHost {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn serve(
-    mut stream: TcpStream,
-    server: Arc<KvServer>,
-    chain: KeyChain,
-    stop: Arc<AtomicBool>,
-    me: ServerId,
-    tconfig: TransportConfig,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    // Replies leave through a bounded outbox drained by a writer thread, so
-    // a client that stops reading exerts backpressure here (or gets shed,
-    // per policy) instead of wedging the serving loop on a full socket.
-    let (reply_tx, reply_rx) = bounded::<SealedKv>(tconfig.chan_capacity, tconfig.shed_policy);
-    let writer_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let stall_timeout = tconfig.stall_timeout;
-    let max_batch = tconfig.max_batch_frames.max(1);
-    let writer = std::thread::Builder::new()
-        .name("safereg-kv-writer".into())
-        .spawn(move || {
-            let mut stream = writer_stream;
-            // A client that stops draining its socket stalls the writer; a
-            // bounded write budget turns that into an eviction instead of a
-            // thread parked forever.
-            let _ = stream.set_write_timeout(Some(stall_timeout));
-            while let Ok(first) = reply_rx.recv() {
-                // Opportunistically drain queued replies into one vectored
-                // write: fan-in bursts (quorum reads hitting many keys)
-                // amortise to a syscall per batch instead of per frame.
-                let mut batch = vec![first];
-                while batch.len() < max_batch {
-                    match reply_rx.try_recv() {
-                        Ok(next) => batch.push(next),
-                        Err(_) => break,
-                    }
-                }
-                safereg_obs::global()
-                    .histogram(names::TRANSPORT_BATCH_FRAMES)
-                    .record(batch.len() as u64);
-                match write_batch(&mut stream, &batch) {
-                    Ok(()) => {}
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-                    {
-                        count_eviction("stall");
-                        return;
-                    }
-                    Err(_) => return,
-                }
-            }
-        });
-    if writer.is_err() {
-        return;
-    }
-    let idle_timeout = tconfig.idle_timeout;
-    let mut last_inbound = std::time::Instant::now();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let sealed = match read_frame(&mut stream) {
-            Ok(f) => {
-                last_inbound = std::time::Instant::now();
-                f
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if last_inbound.elapsed() >= idle_timeout {
-                    // The client went quiet past the idle budget: reclaim
-                    // the connection thread rather than poll forever.
-                    count_eviction("idle");
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        // A crashed host must never answer a request sent after the crash:
-        // the flag is set before the client's next frame, so recheck it
-        // between reading and responding.
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut queue = |reply: SealedKv| enqueue_reply(&reply_tx, reply, &tconfig);
-        match process_sealed_frame(&server, &chain, me, &sealed, &mut queue) {
-            FrameDisposition::Continue => {}
-            FrameDisposition::Close => return,
-        }
     }
 }
 
@@ -1180,7 +709,7 @@ impl KvLink {
             let reg = safereg_obs::global();
             reg.counter(safereg_obs::names::KV_BREAKER_TRANSITIONS)
                 .inc();
-            reg.gauge(&safereg_obs::names::link_state_gauge("kv", server.0))
+            reg.gauge(&safereg_obs::names::link_state_gauge(server.0))
                 .set(u64::from(new));
         }
     }
@@ -1244,7 +773,7 @@ impl TcpKvTransport {
                 let _ = s.set_nodelay(true);
             }
             safereg_obs::global()
-                .gauge(&safereg_obs::names::link_state_gauge("kv", sid.0))
+                .gauge(&safereg_obs::names::link_state_gauge(sid.0))
                 .set(u64::from(STATE_CLOSED));
             links.insert(
                 *sid,
@@ -1398,8 +927,7 @@ impl KvTransport for TcpKvTransport {
         // Encode once into (head, tail) parts — the tail is a slice of the
         // value being put, never a re-buffered copy — and MAC them in
         // streaming fashion.
-        let codec = AuthCodec::new(self.chain.pair_key(frame.env.src, frame.env.dst));
-        let sealed = SealedKv::seal(&codec, &frame);
+        let sealed = SealedKv::seal(&self.chain, &frame);
         let stream = self
             .links
             .get_mut(&to)
@@ -1420,27 +948,14 @@ impl KvTransport for TcpKvTransport {
             link.failures = 0;
             link.set_state(to, STATE_CLOSED);
         }
-        if sealed.len() < DIGEST_LEN {
-            return Ok(Vec::new());
-        }
-        let payload = sealed.slice(..sealed.len() - DIGEST_LEN);
-        // Borrowing decode: the returned value aliases the frame buffer.
-        let reply = match KvFrame::from_bytes(&payload) {
-            Ok(f) => f,
-            Err(_) => {
-                self.note_suspect(to);
-                return Ok(Vec::new());
-            }
-        };
-        if AuthCodec::new(self.chain.pair_key(reply.env.src, reply.env.dst))
-            .open(sealed.as_ref())
-            .is_err()
-        {
-            // Forged or wire-corrupted: deliberately *not* evidence — the
-            // network can do this to a correct replica's frames.
+        // Borrowing open: the returned value aliases the frame buffer.
+        let Ok(reply) = KvFrame::open(&self.chain, &sealed) else {
+            // Malformed, forged or wire-corrupted: deliberately *not*
+            // evidence — the network can do this to a correct replica's
+            // frames.
             self.note_suspect(to);
             return Ok(Vec::new());
-        }
+        };
         if reply.shard != shard || reply.key.as_ref() != key || reply.env.src != NodeId::Server(to)
         {
             self.note_suspect(to);
@@ -1484,7 +999,7 @@ impl KvTransport for TcpKvTransport {
                 }
                 None => {
                     safereg_obs::global()
-                        .gauge(&safereg_obs::names::link_state_gauge("kv", m.id.0))
+                        .gauge(&safereg_obs::names::link_state_gauge(m.id.0))
                         .set(u64::from(STATE_CLOSED));
                     self.links.insert(
                         m.id,
@@ -1569,17 +1084,14 @@ pub struct TcpKvCluster {
     /// The server-side fault plan every replica is fronted with, if any;
     /// restarts respawn the proxy with the same plan on the old address.
     plan: Option<FaultPlan>,
-    /// The serving runtime every host (including respawns and joiners)
-    /// runs under, with its pool sizing and readiness backend.
-    runtime: ServerRuntime,
+    /// Pool sizing and readiness backend every host (including respawns
+    /// and joiners) runs its reactors with.
     reactors: usize,
     poll_backend: PollBackend,
     hosts: BTreeMap<ServerId, KvServerHost>,
 }
 
-/// Builder for a [`TcpKvCluster`] — the one start path. Collapses the old
-/// `start` / `start_with` / `start_chaos` / `start_sharded` constructor
-/// family into chained setters.
+/// Builder for a [`TcpKvCluster`] — the one start path.
 ///
 /// Exactly one of [`quorum`](Self::quorum) (single pre-sharding group) or
 /// [`shards`](Self::shards) (explicit placement, including `m < n`
@@ -1604,7 +1116,6 @@ pub struct ClusterBuilder {
     tconfig: TransportConfig,
     plan: Option<FaultPlan>,
     roles: BTreeMap<ServerId, (ByzRole, u64)>,
-    runtime: ServerRuntime,
     reactors: usize,
     poll_backend: PollBackend,
 }
@@ -1643,12 +1154,6 @@ impl ClusterBuilder {
     /// for different replicas.
     pub fn role(mut self, sid: ServerId, role: ByzRole, byz_seed: u64) -> Self {
         self.roles.insert(sid, (role, byz_seed));
-        self
-    }
-
-    /// Selects the serving runtime for every host (respawns inherit it).
-    pub fn runtime(mut self, runtime: ServerRuntime) -> Self {
-        self.runtime = runtime;
         self
     }
 
@@ -1703,7 +1208,6 @@ impl ClusterBuilder {
                         byz_seed,
                         chaos: self.plan.clone(),
                         shards: Some(map.clone()),
-                        runtime: self.runtime,
                         reactors: self.reactors,
                         poll_backend: self.poll_backend,
                     },
@@ -1724,7 +1228,6 @@ impl ClusterBuilder {
             mode: self.mode,
             config,
             plan: self.plan,
-            runtime: self.runtime,
             reactors: self.reactors,
             poll_backend: self.poll_backend,
             hosts,
@@ -1743,82 +1246,9 @@ impl TcpKvCluster {
             tconfig: TransportConfig::default(),
             plan: None,
             roles: BTreeMap::new(),
-            runtime: ServerRuntime::default(),
             reactors: 0,
             poll_backend: PollBackend::default(),
         }
-    }
-
-    /// Starts `n` replicas in the given mode with the default
-    /// [`TransportConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use TcpKvCluster::builder(mode, seed).quorum(cfg).start()")]
-    pub fn start(cfg: QuorumConfig, mode: KvMode, master_seed: &[u8]) -> std::io::Result<Self> {
-        Self::builder(mode, master_seed).quorum(cfg).start()
-    }
-
-    /// Starts `n` replicas with an explicit transport policy governing each
-    /// replica's per-connection reply outbox (capacity and shed policy).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use TcpKvCluster::builder(..).quorum(cfg).config(tconfig).start()")]
-    pub fn start_with(
-        cfg: QuorumConfig,
-        mode: KvMode,
-        master_seed: &[u8],
-        tconfig: TransportConfig,
-    ) -> std::io::Result<Self> {
-        Self::builder(mode, master_seed)
-            .quorum(cfg)
-            .config(tconfig)
-            .start()
-    }
-
-    /// Starts `n` replicas with every listener fronted by a seeded
-    /// server-side [`ChaosProxy`] injecting `plan` on accepted connections.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use TcpKvCluster::builder(..).quorum(cfg).chaos(plan).start()")]
-    pub fn start_chaos(
-        cfg: QuorumConfig,
-        mode: KvMode,
-        master_seed: &[u8],
-        tconfig: TransportConfig,
-        plan: FaultPlan,
-    ) -> std::io::Result<Self> {
-        Self::builder(mode, master_seed)
-            .quorum(cfg)
-            .config(tconfig)
-            .chaos(plan)
-            .start()
-    }
-
-    /// Starts one host per fleet server of `map`, each serving a register
-    /// group per shard placed on it, optionally chaos-fronted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors.
-    #[deprecated(note = "use TcpKvCluster::builder(..).shards(map).start()")]
-    pub fn start_sharded(
-        map: ShardMap,
-        mode: KvMode,
-        master_seed: &[u8],
-        tconfig: TransportConfig,
-        plan: Option<FaultPlan>,
-    ) -> std::io::Result<Self> {
-        let mut b = Self::builder(mode, master_seed).shards(map).config(tconfig);
-        if let Some(plan) = plan {
-            b = b.chaos(plan);
-        }
-        b.start()
     }
 
     /// The per-shard deployment configuration.
@@ -2033,7 +1463,6 @@ impl TcpKvCluster {
                 byz_seed: seed,
                 chaos: self.plan.clone(),
                 shards: Some(self.map.clone()),
-                runtime: self.runtime,
                 reactors: self.reactors,
                 poll_backend: self.poll_backend,
             },
@@ -2199,7 +1628,6 @@ impl TcpKvCluster {
                         tconfig: self.tconfig,
                         chaos: self.plan.clone(),
                         shards: Some(new_map.clone()),
-                        runtime: self.runtime,
                         reactors: self.reactors,
                         poll_backend: self.poll_backend,
                         ..KvHostOptions::default()
@@ -2607,6 +2035,7 @@ mod tests {
     fn every_shed_policy_serves_a_roundtrip() {
         // The bounded reply outbox must be transparent when it never
         // fills: each policy serves the same put/get sequence.
+        use safereg_common::sync::channel::ShedPolicy;
         for (i, policy) in ShedPolicy::ALL.iter().enumerate() {
             let tconfig = TransportConfig {
                 chan_capacity: 2,

@@ -27,7 +27,6 @@ const OP_RETRIES: usize = 8;
 fn chaos_transport() -> TransportConfig {
     TransportConfig {
         connect_timeout: Duration::from_millis(250),
-        op_deadline: Duration::from_secs(3),
         io_timeout: Duration::from_millis(50),
         retry_budget: 1,
         backoff: BackoffPolicy {

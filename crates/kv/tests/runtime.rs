@@ -1,14 +1,13 @@
-//! Reactor-runtime integration tests: the readiness-driven serving path
-//! (`ServerRuntime::Reactor`, the default) must behave exactly like the
-//! thread-per-connection runtime under chaos, backpressure and idleness,
-//! and the builder API must be a faithful replacement for the deprecated
-//! `spawn*`/`start*` constructors.
+//! Reactor integration tests: the readiness-driven serving path under
+//! backpressure, shed storms, `m < n` placement and the portable poll
+//! backend. (Chaos over the reactor lives in the root `tests/chaos_torture.rs`;
+//! idle eviction in `tcp.rs`' unit tests.)
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use safereg_common::config::{QuorumConfig, ServerRuntime, TransportConfig};
+use safereg_common::config::{QuorumConfig, TransportConfig};
 use safereg_common::epoch::EpochConfig;
 use safereg_common::ids::{ClientId, ReaderId, ServerId, WriterId};
 use safereg_common::msg::{ClientToServer, OpId};
@@ -17,7 +16,6 @@ use safereg_common::sync::channel::ShedPolicy;
 use safereg_crypto::keychain::KeyChain;
 use safereg_kv::{encode_request, KvClient, KvMode, KvServerHost, TcpKvCluster};
 use safereg_obs::names;
-use safereg_transport::chaos::{ChaosNet, FaultPlan, FaultSpec};
 use safereg_transport::poll::PollBackend;
 
 fn roundtrip(cluster: &TcpKvCluster, who: u16, key: &[u8], value: &str) {
@@ -30,92 +28,13 @@ fn roundtrip(cluster: &TcpKvCluster, who: u16, key: &[u8], value: &str) {
     );
 }
 
-/// The deprecated constructors and the builders they delegate to must be
-/// behaviourally interchangeable: same wire protocol, same chain, same
-/// roundtrip result. (This test is the one sanctioned caller of the shims;
-/// production code is held to the builder by a CI grep gate.)
+/// Exactly one of `.quorum()` / `.shards()` is required.
 #[test]
-#[allow(deprecated)]
-fn builders_are_equivalent_to_deprecated_constructors() {
-    let cfg = QuorumConfig::minimal_bsr(1).unwrap();
-
-    let via_shim = TcpKvCluster::start(cfg, KvMode::Replicated, b"rt-equiv").unwrap();
-    roundtrip(&via_shim, 1, b"equiv", "via shim");
-    drop(via_shim);
-
-    let via_builder = TcpKvCluster::builder(KvMode::Replicated, b"rt-equiv")
-        .quorum(cfg)
-        .start()
-        .unwrap();
-    roundtrip(&via_builder, 1, b"equiv", "via builder");
-    drop(via_builder);
-
-    // Single-host parity: a shim-spawned and a builder-spawned replica
-    // accept the same sealed frames.
-    let chain = KeyChain::from_master_seed(b"rt-equiv-host");
-    let a = KvServerHost::spawn(ServerId(0), cfg, KvMode::Replicated, chain.clone()).unwrap();
-    let b = KvServerHost::builder(ServerId(0), cfg, KvMode::Replicated, chain)
-        .spawn()
-        .unwrap();
-    assert_ne!(a.addr(), b.addr());
-
-    // A builder with neither quorum nor shards must refuse to start.
-    let err = TcpKvCluster::builder(KvMode::Replicated, b"rt-equiv")
+fn builder_without_quorum_or_shards_refuses_to_start() {
+    let err = TcpKvCluster::builder(KvMode::Replicated, b"rt-empty")
         .start()
         .unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-}
-
-/// Chaos over the reactor runtime: with every link fronted by a fault
-/// proxy, one replica severed and then blackholed (`<= f`), the register
-/// must keep serving and the reactor must report the connections it
-/// adopted.
-#[test]
-fn reactor_cluster_survives_sever_and_blackhole() {
-    let cfg = QuorumConfig::minimal_bsr(1).unwrap();
-    let cluster = TcpKvCluster::builder(KvMode::Replicated, b"rt-chaos")
-        .quorum(cfg)
-        .runtime(ServerRuntime::Reactor)
-        .start()
-        .unwrap();
-    let plan = FaultPlan::new(0x0EAC_0EAC, FaultSpec::calm());
-    let net = ChaosNet::wrap(&cluster.addrs(), &plan).unwrap();
-    let mut transport = safereg_kv::TcpKvTransport::connect_with(
-        &net.addrs(),
-        cluster.chain().clone(),
-        TransportConfig::aggressive(),
-    );
-    let mut client = KvClient::new(cfg, WriterId(3), ReaderId(3));
-    client.set_policy(TransportConfig::aggressive());
-
-    client.put(&mut transport, b"chaos", "calm").unwrap();
-
-    // Cut one replica's established sessions outright.
-    net.sever(ServerId(4));
-    client.put(&mut transport, b"chaos", "severed").unwrap();
-    assert_eq!(
-        client.get(&mut transport, b"chaos").unwrap().as_bytes(),
-        b"severed"
-    );
-
-    // Blackhole the same replica: new sessions connect but deliver nothing.
-    net.set_blackhole(ServerId(4), true);
-    client.put(&mut transport, b"chaos", "blackholed").unwrap();
-    assert_eq!(
-        client.get(&mut transport, b"chaos").unwrap().as_bytes(),
-        b"blackholed"
-    );
-    net.set_blackhole(ServerId(4), false);
-
-    let reg = safereg_obs::global();
-    assert!(
-        reg.gauge(names::REACTOR_THREADS).get() > 0,
-        "reactor threads must be live while the cluster serves"
-    );
-    assert!(
-        reg.counter(names::REACTOR_HANDOFFS).get() > 0,
-        "accepted connections must have been handed to reactors"
-    );
 }
 
 /// Builds the wire bytes of one authenticated `QueryData` request against
@@ -156,7 +75,6 @@ fn slow_reader_is_stall_evicted_by_the_reactor() {
     let chain = KeyChain::from_master_seed(b"rt-stall");
     let host = KvServerHost::builder(ServerId(0), cfg, KvMode::Replicated, chain.clone())
         .config(tconfig)
-        .runtime(ServerRuntime::Reactor)
         .spawn()
         .unwrap();
     let addrs: std::collections::BTreeMap<ServerId, std::net::SocketAddr> =
@@ -194,41 +112,6 @@ fn slow_reader_is_stall_evicted_by_the_reactor() {
     );
 }
 
-/// Idle eviction must survive the move to nonblocking sockets: a silent
-/// connection is closed once the idle budget elapses, on the reactor path
-/// specifically.
-#[test]
-fn idle_connection_is_evicted_on_the_reactor_path() {
-    let tconfig = TransportConfig {
-        idle_timeout: Duration::from_millis(250),
-        ..TransportConfig::default()
-    };
-    let cfg = QuorumConfig::minimal_bsr(1).unwrap();
-    let chain = KeyChain::from_master_seed(b"rt-idle");
-    let host = KvServerHost::builder(ServerId(0), cfg, KvMode::Replicated, chain)
-        .config(tconfig)
-        .runtime(ServerRuntime::Reactor)
-        .spawn()
-        .unwrap();
-    let before = safereg_obs::global()
-        .counter(&names::eviction_counter("idle"))
-        .get();
-    let mut conn = TcpStream::connect(host.addr()).unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut buf = [0u8; 1];
-    assert_eq!(
-        conn.read(&mut buf).unwrap(),
-        0,
-        "server closed the idle link"
-    );
-    assert!(
-        safereg_obs::global()
-            .counter(&names::eviction_counter("idle"))
-            .get()
-            > before
-    );
-}
-
 /// Under a sustained shed storm the adaptive outbox must grow its
 /// capacity (and count doing so): flood a tiny `DropNewest` outbox from a
 /// client that never reads.
@@ -247,7 +130,6 @@ fn adaptive_outbox_grows_under_a_shed_storm() {
     let chain = KeyChain::from_master_seed(b"rt-adaptive");
     let host = KvServerHost::builder(ServerId(0), cfg, KvMode::Replicated, chain.clone())
         .config(tconfig)
-        .runtime(ServerRuntime::Reactor)
         .spawn()
         .unwrap();
 
@@ -294,7 +176,6 @@ fn m_of_n_sharded_cluster_roundtrips_on_the_reactor() {
     let map = ShardMap::with_replicas(0x5AFE_0008, 4, fleet, 5, 1).unwrap();
     let cluster = TcpKvCluster::builder(KvMode::Replicated, b"rt-mofn")
         .shards(map.clone())
-        .runtime(ServerRuntime::Reactor)
         .start()
         .unwrap();
     let mut transport = cluster.transport();

@@ -4,10 +4,9 @@
 //! Reed–Solomon code under randomized error/erasure patterns, and the
 //! striping layer's roundtrip over arbitrary byte strings.
 //!
-//! The always-on suite is driven by the deterministic [`DetRng`]
-//! (reproducible, shrinking-free); the GF(2⁸) laws are checked
-//! exhaustively where the domain is small enough. The original proptest
-//! suite sits behind the off-by-default `proptests` feature.
+//! The suite is driven by the deterministic [`DetRng`] (reproducible,
+//! shrinking-free); the GF(2⁸) laws are checked exhaustively where the
+//! domain is small enough.
 
 use safereg_common::rng::DetRng;
 use safereg_common::value::Value;
@@ -163,49 +162,5 @@ fn stripe_survives_f_erasures_and_2f_errors() {
         }
         let got = decode_elements(&code, fresh.len(), &rx).unwrap();
         assert_eq!(got, fresh);
-    }
-}
-
-/// Original proptest suite; requires re-adding `proptest` as a
-/// dev-dependency (see the `proptests` feature note in Cargo.toml).
-#[cfg(feature = "proptests")]
-mod proptest_suite {
-    use proptest::collection::vec;
-    use proptest::prelude::*;
-
-    use safereg_common::value::Value;
-    use safereg_mds::gf256;
-    use safereg_mds::rs::ReedSolomon;
-    use safereg_mds::stripe::{decode_elements, encode_value, ElementView};
-
-    proptest! {
-        #[test]
-        fn gf256_mul_is_commutative_and_associative(a: u8, b: u8, c: u8) {
-            prop_assert_eq!(gf256::mul(a, b), gf256::mul(b, a));
-            prop_assert_eq!(
-                gf256::mul(a, gf256::mul(b, c)),
-                gf256::mul(gf256::mul(a, b), c)
-            );
-        }
-
-        #[test]
-        fn gf256_distributes(a: u8, b: u8, c: u8) {
-            prop_assert_eq!(
-                gf256::mul(a, gf256::add(b, c)),
-                gf256::add(gf256::mul(a, b), gf256::mul(a, c))
-            );
-        }
-
-        #[test]
-        fn stripe_roundtrip_any_length(data in vec(any::<u8>(), 0..200), f in 1usize..3) {
-            let n = 5 * f + 3;
-            let k = n - 5 * f;
-            let code = ReedSolomon::new(n, k).unwrap();
-            let v = Value::from(data.clone());
-            let elements = encode_value(&code, &v);
-            let views: Vec<ElementView<'_>> = elements.iter().map(ElementView::of).collect();
-            let back = decode_elements(&code, v.len(), &views).unwrap();
-            prop_assert_eq!(back, v);
-        }
     }
 }

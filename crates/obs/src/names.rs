@@ -1,28 +1,11 @@
 //! Well-known metric names for the self-healing network path.
 //!
-//! The resilience layer spans three crates (`transport`, `kv`, and the
-//! chaos tooling in `safereg-transport::chaos`); pinning the metric names
+//! The resilience layer spans two crates (`kv` and the chaos tooling in
+//! `safereg-transport::chaos`); pinning the metric names
 //! here keeps the producers and every consumer (tests, `scripts/ci.sh`,
 //! the `__safereg/metrics` admin key) in agreement without string
 //! duplication. All of these flow through the process-wide
 //! [`crate::global`] registry.
-
-/// Register-transport link supervisors: successful reconnections after a
-/// connection was lost or refused (the initial connect does not count).
-pub const TRANSPORT_RECONNECTS: &str = "transport.reconnects";
-
-/// Register-transport circuit breaker state changes
-/// (Closed → Open → HalfOpen → Closed …), summed over all servers.
-pub const TRANSPORT_BREAKER_TRANSITIONS: &str = "transport.breaker.transitions";
-
-/// Histogram of backoff waits (milliseconds) between reconnect attempts.
-pub const TRANSPORT_BACKOFF_WAIT_MS: &str = "transport.backoff.wait_ms";
-
-/// In-operation envelope resends performed by `ClusterClient::run_op`.
-pub const TRANSPORT_OP_RETRIES: &str = "transport.op.retries";
-
-/// Outgoing frames dropped because the link was down or its breaker open.
-pub const TRANSPORT_SEND_DROPPED: &str = "transport.send.dropped_link_down";
 
 /// KV transport: successful lazy reconnections.
 pub const KV_RECONNECTS: &str = "kv.reconnects";
@@ -72,10 +55,10 @@ pub const CHAOS_FORWARDED: &str = "chaos.frames.forwarded";
 /// `.killed`).
 pub const CHAOS_FAULT_PREFIX: &str = "chaos.frames";
 
-/// Per-server link health gauge name (`0` Closed/healthy, `1` HalfOpen,
-/// `2` Open). `prefix` is `"transport"` or `"kv"`.
-pub fn link_state_gauge(prefix: &str, server: u16) -> String {
-    format!("{prefix}.link.state.s{server}")
+/// Per-server KV link health gauge name (`0` Closed/healthy,
+/// `1` HalfOpen, `2` Open).
+pub fn link_state_gauge(server: u16) -> String {
+    format!("kv.link.state.s{server}")
 }
 
 /// Per-policy shed counter name (`chan.shed.block`, `chan.shed.drop_newest`,
@@ -242,11 +225,7 @@ pub fn slow_cause_exemplar(cause: &str) -> String {
 mod tests {
     #[test]
     fn gauge_names_are_stable() {
-        assert_eq!(
-            super::link_state_gauge("transport", 3),
-            "transport.link.state.s3"
-        );
-        assert_eq!(super::link_state_gauge("kv", 0), "kv.link.state.s0");
+        assert_eq!(super::link_state_gauge(3), "kv.link.state.s3");
     }
 
     #[test]

@@ -17,11 +17,9 @@
 //! guarantee mirrors the simulator's "same seed, same adversary", not
 //! "same seed, same execution".
 //!
-//! The proxies speak the transport's raw framing (`u32` little-endian
+//! The proxies speak [`crate::frame`]'s framing (`u32` little-endian
 //! length + payload) and never authenticate anything: corruption is
-//! *supposed* to reach the peer and be rejected by its MAC check. Both the
-//! register transport and the KV transport use this framing, so one proxy
-//! serves both stacks.
+//! *supposed* to reach the peer and be rejected by its MAC check.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -33,14 +31,12 @@ use std::time::Duration;
 
 use safereg_common::buf::Bytes;
 use safereg_common::ids::ServerId;
-use safereg_common::msg::Envelope;
 use safereg_common::rng::DetRng;
 use safereg_common::sync::Mutex;
-use safereg_common::trace::TraceCtx;
 use safereg_obs::names;
 use safereg_obs::trace::MsgClass;
 
-use safereg_common::codec::Wire;
+use crate::frame::{frame_len, FrameError, KvFrame};
 
 /// What the proxy does to one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,22 +282,13 @@ impl FaultSchedule {
     }
 }
 
-/// Best-effort classification of a raw frame payload: sealed register
-/// frames carry a 16-byte trace context then the envelope; KV frames
-/// carry a shard id and key first, which the envelope decode rejects, so
-/// those (and garbage) classify as `None`.
+/// Best-effort classification of a raw frame payload through the one
+/// frame decoder (keyless — the proxy never verifies MACs); garbage
+/// classifies as `None`.
 fn classify(payload: &Bytes) -> Option<MsgClass> {
-    if payload.len() < 32 + TraceCtx::WIRE_LEN {
-        return None;
-    }
-    let body = payload.slice(..payload.len() - 32);
-    let mut r = safereg_common::codec::BytesReader::new(&body);
-    TraceCtx::decode_borrowed(&mut r).ok()?;
-    let env = Envelope::decode_borrowed(&mut r).ok()?;
-    if !r.is_empty() {
-        return None;
-    }
-    Some(MsgClass::of(&env.msg))
+    KvFrame::parse(payload)
+        .ok()
+        .map(|frame| MsgClass::of(&frame.env.msg))
 }
 
 /// Incremental frame parser over the raw `u32`-length-prefixed stream.
@@ -318,17 +305,19 @@ impl FrameBuf {
 
     /// Extracts the next complete frame payload, if buffered, as an
     /// immutable [`Bytes`] the fault actions can slice without copying.
-    fn extract(&mut self) -> Option<Bytes> {
-        if self.buf.len() < 4 {
-            return None;
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+    /// An oversized length prefix is an error: no endpoint would accept
+    /// the frame, so the proxy must not buffer towards it either.
+    fn extract(&mut self) -> Result<Option<Bytes>, FrameError> {
+        let Some(prefix) = self.buf.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = frame_len(*prefix)?;
         if self.buf.len() < 4 + len {
-            return None;
+            return Ok(None);
         }
         let payload = Bytes::from(self.buf[4..4 + len].to_vec());
         self.buf.drain(..4 + len);
-        Some(payload)
+        Ok(Some(payload))
     }
 }
 
@@ -514,8 +503,17 @@ fn relay(
         let _ = dst.shutdown(Shutdown::Both);
     };
     loop {
-        while let Some(payload) = fb.extract() {
-            let class = classify(&payload);
+        loop {
+            let payload = match fb.extract() {
+                Ok(Some(payload)) => payload,
+                Ok(None) => break,
+                Err(_) => {
+                    teardown(&src, &dst);
+                    return;
+                }
+            };
+            // Only a class-filtered plan needs the frame decoded.
+            let class = sched.spec.classes.as_ref().and_then(|_| classify(&payload));
             let action = sched.next_action(class);
             if action == FaultAction::Forward {
                 reg.counter(names::CHAOS_FORWARDED).inc();
@@ -755,7 +753,7 @@ mod tests {
         let mut got = Vec::new();
         for b in wire {
             fb.buf.push(b);
-            while let Some(f) = fb.extract() {
+            while let Some(f) = fb.extract().unwrap() {
                 got.push(f);
             }
         }
@@ -766,6 +764,8 @@ mod tests {
                 Bytes::copy_from_slice(b"xy")
             ]
         );
+        fb.buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(fb.extract(), Err(FrameError::TooLarge { .. })));
     }
 
     #[test]

@@ -1,69 +1,61 @@
-//! Length-prefixed, MAC-authenticated frames over zero-copy [`Bytes`].
+//! The wire frame: length-prefixed, MAC-authenticated, zero-copy.
 //!
-//! Wire layout per frame: `u32` little-endian length, then `length` bytes
-//! of payload. For authenticated envelope exchange the payload is
-//! `encode(trace) || encode(envelope) || HMAC(pair_key(src, dst), …)` —
-//! a fixed 16-byte [`TraceCtx`] ahead of the envelope head, both under
-//! the MAC — sealed by [`seal_envelope_traced`] into a [`SealedFrame`]
-//! and opened by [`open_envelope_traced`], which derive the link key from
-//! the envelope's own endpoints. A frame whose MAC does not verify under
-//! the claimed endpoints' key is rejected, which is exactly the
-//! authentication guarantee the paper's model assumes — and because the
-//! trace context sits under the same MAC, a Byzantine relay can no more
-//! forge causality than payloads. The untraced [`seal_envelope`] /
-//! [`open_envelope`] wrappers carry [`TraceCtx::NONE`] (16 zero bytes).
+//! Every byte the deployment puts on a socket has this layout, and this
+//! module is the only code that knows it:
+//!
+//! ```text
+//! u32 LE length | shard | trace | stamp | link? | key | envelope | HMAC
+//! ```
+//!
+//! A [`KvFrame`] is one shard- and key-addressed [`Envelope`] together
+//! with the metadata that rides under the same MAC: the sender's causal
+//! [`TraceCtx`] (always present — [`TraceCtx::NONE`] when unsampled — so
+//! the layout never depends on sampling), its [`ConfigStamp`] (the epoch
+//! fingerprint a server checks before dispatching, so a Byzantine network
+//! cannot splice a frame from one epoch into another) and, on attestable
+//! replies, the server's [`ChainLink`]. The MAC is keyed by the pair key
+//! of the envelope's *claimed* endpoints — a forger who lacks that key
+//! cannot produce a frame that verifies, which is exactly the
+//! authenticated point-to-point channel the paper's model assumes (§II-A).
 //!
 //! # Zero-copy discipline
 //!
-//! Sealing never materializes the full frame: [`Envelope::encode_parts`]
-//! splits the encoding into a small serialized head and an O(1) clone of
-//! the payload's [`Bytes`] tail, the MAC is streamed over both parts
-//! ([`AuthCodec::mac_of_parts`]), and [`write_frame`] hands the header,
-//! head, tail and MAC to the socket as a vectored write. Opening borrows:
-//! [`read_frame`] returns the payload as [`Bytes`] and
-//! [`open_envelope`] decodes it with the borrowing decoder, so payload
-//! fields are O(1) slices of the received buffer. The
-//! [`wire.bytes_copied`](safereg_obs::names::WIRE_BYTES_COPIED) counter
-//! observes any payload memcpy the copying fallback performs; on this path
-//! it stays at zero.
+//! Sealing never materializes the frame: [`Envelope::encode_parts`] splits
+//! the encoding into a small serialized head and an O(1) clone of the
+//! payload's [`Bytes`] tail, the MAC is streamed over both parts, and
+//! [`SealedKv::write_to`] hands prefix, head, tail and MAC to the socket
+//! as one vectored write (the reactor does the same for a whole outbox
+//! from [`SealedKv::parts`]). Opening borrows: [`read_frame`] returns
+//! the payload as [`Bytes`] and [`KvFrame::parse`] decodes key and value
+//! as O(1) slices of it. Any payload byte a decode does copy lands on the
+//! [`wire.bytes_copied`](names::WIRE_BYTES_COPIED) counter, which
+//! therefore stays at zero on this path.
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::sync::{Arc, OnceLock};
 
 use safereg_common::buf::Bytes;
-use safereg_common::codec::{payload_bytes_copied, BytesReader, Wire, WireError};
+use safereg_common::codec::{payload_bytes_copied, BytesReader, Wire, WireError, MAX_FIELD_LEN};
+use safereg_common::epoch::ConfigStamp;
 use safereg_common::msg::Envelope;
+use safereg_common::shard::ShardId;
 use safereg_common::trace::TraceCtx;
 use safereg_crypto::auth::{AuthCodec, AuthError};
+use safereg_crypto::chain::ChainLink;
 use safereg_crypto::keychain::KeyChain;
 use safereg_crypto::sha256::DIGEST_LEN;
-use safereg_obs::metrics::{Counter, Histogram};
+use safereg_obs::metrics::Counter;
 use safereg_obs::names;
 
-/// Cached handles into the global registry so the per-frame hot path
-/// pays one atomic instead of a name lookup.
-fn seal_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| safereg_obs::global().histogram("transport.frame.seal_us"))
-}
+/// Room a frame needs above its largest legal payload field: shard id,
+/// trace context, config stamp, chain link, key, envelope head and MAC.
+const FRAME_OVERHEAD: usize = 64 << 10;
 
-fn open_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| safereg_obs::global().histogram("transport.frame.open_us"))
-}
-
-fn auth_fail_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| safereg_obs::global().counter("transport.frame.auth_fail"))
-}
-
-fn bytes_copied_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| safereg_obs::global().counter(names::WIRE_BYTES_COPIED))
-}
-
-/// Maximum accepted frame length (64 MiB + MAC headroom).
-pub const MAX_FRAME: usize = (64 << 20) + 64;
+/// Largest frame any reader accepts: a maximal legal value
+/// ([`MAX_FIELD_LEN`]) plus [`FRAME_OVERHEAD`]. The blocking reader, the
+/// reactor and the chaos proxy all check their length prefix against this
+/// one bound through [`frame_len`].
+pub const MAX_FRAME: usize = MAX_FIELD_LEN + FRAME_OVERHEAD;
 
 /// Errors while reading or authenticating frames.
 #[derive(Debug)]
@@ -75,7 +67,7 @@ pub enum FrameError {
         /// Claimed length.
         claimed: usize,
     },
-    /// The payload failed to decode as an envelope.
+    /// The payload failed to decode.
     Codec(WireError),
     /// The MAC did not verify for the claimed endpoints.
     Auth(AuthError),
@@ -86,7 +78,7 @@ impl std::fmt::Display for FrameError {
         match self {
             FrameError::Io(e) => write!(f, "socket error: {e}"),
             FrameError::TooLarge { claimed } => write!(f, "frame of {claimed} bytes refused"),
-            FrameError::Codec(e) => write!(f, "malformed envelope: {e}"),
+            FrameError::Codec(e) => write!(f, "malformed frame: {e}"),
             FrameError::Auth(e) => write!(f, "authentication failure: {e}"),
         }
     }
@@ -100,240 +92,225 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Writes one frame whose payload is the concatenation of `parts`,
-/// without joining them into a contiguous buffer first: the length
-/// header and every part go to the socket as one vectored write.
+/// Decodes a frame's length prefix, refusing anything above [`MAX_FRAME`]
+/// before a single byte is allocated for it.
 ///
 /// # Errors
 ///
-/// Propagates socket errors.
-pub fn write_frame<W: Write, B: AsRef<[u8]>>(w: &mut W, parts: &[B]) -> Result<(), FrameError> {
-    let len: usize = parts.iter().map(|p| p.as_ref().len()).sum();
-    let header = (len as u32).to_le_bytes();
-    let mut slices: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
-    slices.push(&header);
-    slices.extend(parts.iter().map(AsRef::as_ref));
-    write_all_vectored(w, &mut slices)?;
-    w.flush()?;
-    Ok(())
+/// [`FrameError::TooLarge`] past the ceiling.
+pub fn frame_len(prefix: [u8; 4]) -> Result<usize, FrameError> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > MAX_FRAME {
+        return Err(FrameError::TooLarge { claimed: len });
+    }
+    Ok(len)
 }
 
-/// Drives `Write::write_vectored` to completion across short writes,
-/// advancing through `parts` in place. Public so other wire layers (the KV
-/// host's batched reply drain) can flush multi-frame batches with one
-/// vectored write instead of a `write_all` per part.
-///
-/// # Errors
-///
-/// Propagates socket errors; a zero-length vectored write becomes
-/// [`ErrorKind::WriteZero`].
-pub fn write_all_vectored<W: Write>(w: &mut W, parts: &mut [&[u8]]) -> std::io::Result<()> {
-    let mut idx = 0;
-    while idx < parts.len() {
-        if parts[idx].is_empty() {
-            idx += 1;
-            continue;
-        }
-        let bufs: Vec<IoSlice<'_>> = parts[idx..].iter().map(|p| IoSlice::new(p)).collect();
-        let mut n = match w.write_vectored(&bufs) {
+/// Drives `Write::write_vectored` to completion across short writes. A
+/// zero-length vectored write becomes [`ErrorKind::WriteZero`].
+fn write_all_vectored<W: Write>(w: &mut W, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    // Drop leading empty buffers so an all-empty input is not a WriteZero.
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
             Ok(0) => {
                 return Err(std::io::Error::new(
                     ErrorKind::WriteZero,
                     "failed to write whole frame",
                 ))
             }
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
-        };
-        while idx < parts.len() && n >= parts[idx].len() {
-            n -= parts[idx].len();
-            idx += 1;
-        }
-        if idx < parts.len() {
-            parts[idx] = &parts[idx][n..];
         }
     }
     Ok(())
 }
 
-/// Reads one frame, returning its payload as an immutable [`Bytes`]
-/// buffer ready for O(1) slicing by the decode path.
+/// Reads one frame, returning its payload (MAC included) as an immutable
+/// [`Bytes`] buffer every decoded field then borrows from.
 ///
 /// # Errors
 ///
 /// Propagates socket errors; refuses frames larger than [`MAX_FRAME`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Bytes, FrameError> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::TooLarge { claimed: len });
-    }
-    let mut payload = vec![0u8; len];
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
+    let mut payload = vec![0u8; frame_len(prefix)?];
     r.read_exact(&mut payload)?;
     Ok(Bytes::from(payload))
 }
 
-/// An envelope sealed for one link: the serialized head, the payload
-/// tail (an O(1) clone of the sender's value buffer) and the MAC over
-/// their concatenation.
-///
-/// The three parts are kept separate so the frame can be written
-/// vectored and resent any number of times without re-encoding or
-/// re-MACing; [`SealedFrame::write_to`] is the hot-path sink.
+fn bytes_copied_counter() -> &'static Arc<Counter> {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| safereg_obs::global().counter(names::WIRE_BYTES_COPIED))
+}
+
+/// One shard- and key-addressed message with its MAC-covered metadata.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KvFrame {
+    /// The register group the key hashes to.
+    pub shard: ShardId,
+    /// The sender's causal trace context.
+    pub trace: TraceCtx,
+    /// The sender's epoch fingerprint.
+    pub stamp: ConfigStamp,
+    /// Accountability attestation: servers attach a response-chain link to
+    /// every attestable reply; requests and admin/epoch replies carry
+    /// `None`. Self-authenticating under the server's audit key, so it
+    /// stays convincing once lifted out of the frame as evidence.
+    pub link: Option<ChainLink>,
+    /// The key the envelope's register operation addresses.
+    pub key: Bytes,
+    /// The protocol message and its endpoints.
+    pub env: Envelope,
+}
+
+impl KvFrame {
+    /// Splits the encoding into a metadata head and the envelope's trailing
+    /// payload (an O(1) slice of the value being shipped, when the message
+    /// carries one).
+    fn encode_parts(&self) -> (Vec<u8>, Bytes) {
+        let (env_head, tail) = self.env.encode_parts();
+        let link_len = 1 + self.link.as_ref().map_or(0, |_| ChainLink::WIRE_LEN);
+        let mut head = Vec::with_capacity(
+            10 + TraceCtx::WIRE_LEN
+                + ConfigStamp::WIRE_LEN
+                + link_len
+                + self.key.len()
+                + env_head.len(),
+        );
+        self.shard.encode_to(&mut head);
+        self.trace.encode_to(&mut head);
+        self.stamp.encode_to(&mut head);
+        self.link.encode_to(&mut head);
+        self.key.encode_to(&mut head);
+        head.extend_from_slice(&env_head);
+        (head, tail.unwrap_or_default())
+    }
+
+    fn decode(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
+        Ok(KvFrame {
+            shard: ShardId::decode_borrowed(r)?,
+            trace: TraceCtx::decode_borrowed(r)?,
+            stamp: ConfigStamp::decode_borrowed(r)?,
+            link: Option::<ChainLink>::decode_borrowed(r)?,
+            key: Bytes::decode_borrowed(r)?,
+            env: Envelope::decode_borrowed(r)?,
+        })
+    }
+
+    /// Decodes a frame payload as [`read_frame`] returned it, **without**
+    /// verifying its MAC — what a keyless relay can learn about a frame.
+    /// Key and value come out as O(1) slices of `sealed`.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Auth`] when too short to hold a MAC,
+    /// [`FrameError::Codec`] for malformed or trailing bytes.
+    pub fn parse(sealed: &Bytes) -> Result<KvFrame, FrameError> {
+        if sealed.len() < DIGEST_LEN {
+            return Err(FrameError::Auth(AuthError::TooShort { len: sealed.len() }));
+        }
+        let body = sealed.slice(..sealed.len() - DIGEST_LEN);
+        let copied_before = payload_bytes_copied();
+        let mut r = BytesReader::new(&body);
+        let frame = KvFrame::decode(&mut r);
+        // Global delta: a concurrent copying decode elsewhere can only
+        // inflate it, never hide a copy — safe for a "must be zero" gate.
+        let copied = payload_bytes_copied() - copied_before;
+        if copied > 0 {
+            bytes_copied_counter().add(copied);
+        }
+        let frame = frame.map_err(FrameError::Codec)?;
+        if !r.is_empty() {
+            return Err(FrameError::Codec(WireError::TrailingBytes {
+                count: r.remaining(),
+            }));
+        }
+        Ok(frame)
+    }
+
+    /// Verifies `sealed` (the buffer this frame was parsed from) under the
+    /// pair key of the frame's claimed endpoints.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Auth`] on a forged, corrupted or mis-keyed frame.
+    pub fn verify(&self, chain: &KeyChain, sealed: &Bytes) -> Result<(), FrameError> {
+        AuthCodec::new(chain.pair_key(self.env.src, self.env.dst))
+            .open(sealed.as_ref())
+            .map(|_| ())
+            .map_err(FrameError::Auth)
+    }
+
+    /// [`parse`](Self::parse) then [`verify`](Self::verify): the frame is
+    /// authentic on `Ok`.
+    ///
+    /// # Errors
+    ///
+    /// As [`parse`](Self::parse) and [`verify`](Self::verify).
+    pub fn open(chain: &KeyChain, sealed: &Bytes) -> Result<KvFrame, FrameError> {
+        let frame = KvFrame::parse(sealed)?;
+        frame.verify(chain, sealed)?;
+        Ok(frame)
+    }
+}
+
+/// A [`KvFrame`] sealed for its link: length prefix, metadata head,
+/// zero-copy payload tail, and the streaming MAC over head and tail. The
+/// parts stay separate so the frame is written vectored and never
+/// concatenated.
 #[derive(Debug, Clone)]
-pub struct SealedFrame {
+pub struct SealedKv {
+    prefix: [u8; 4],
     head: Vec<u8>,
     tail: Bytes,
     mac: [u8; DIGEST_LEN],
 }
 
-impl SealedFrame {
-    /// Total payload length of the frame (head + tail + MAC), i.e. the
-    /// value the `u32` length header carries.
-    pub fn payload_len(&self) -> usize {
-        self.head.len() + self.tail.len() + DIGEST_LEN
-    }
-
-    /// Writes a batch of sealed frames as one vectored write — four iovecs
-    /// per frame (length header, head, zero-copy tail, MAC) — so an outbox
-    /// drained in bursts costs a syscall per batch, not per frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn write_batch<W: Write, F: std::borrow::Borrow<SealedFrame>>(
-        w: &mut W,
-        frames: &[F],
-    ) -> Result<(), FrameError> {
-        let headers: Vec<[u8; 4]> = frames
-            .iter()
-            .map(|f| (f.borrow().payload_len() as u32).to_le_bytes())
-            .collect();
-        let mut slices: Vec<&[u8]> = Vec::with_capacity(frames.len() * 4);
-        for (frame, header) in frames.iter().zip(&headers) {
-            let frame = frame.borrow();
-            slices.push(header);
-            slices.push(&frame.head);
-            slices.push(frame.tail.as_ref());
-            slices.push(&frame.mac);
+impl SealedKv {
+    /// Seals `frame` under the pair key of its envelope's endpoints.
+    pub fn seal(chain: &KeyChain, frame: &KvFrame) -> SealedKv {
+        let (head, tail) = frame.encode_parts();
+        let mac = AuthCodec::new(chain.pair_key(frame.env.src, frame.env.dst))
+            .mac_of_parts(&[&head, tail.as_ref()]);
+        let len = head.len() + tail.len() + DIGEST_LEN;
+        SealedKv {
+            prefix: (len as u32).to_le_bytes(),
+            head,
+            tail,
+            mac,
         }
-        write_all_vectored(w, &mut slices)?;
-        w.flush()?;
-        Ok(())
     }
 
-    /// Writes the frame as one vectored write: header, head, tail, MAC.
+    /// Bytes the frame occupies on the wire, length prefix included.
+    pub fn wire_len(&self) -> usize {
+        4 + self.head.len() + self.tail.len() + DIGEST_LEN
+    }
+
+    /// The four wire parts in order: prefix, head, tail, MAC.
+    pub fn parts(&self) -> [&[u8]; 4] {
+        [&self.prefix, &self.head, self.tail.as_ref(), &self.mac]
+    }
+
+    /// Writes the frame as one vectored write (prefix, head, tail, MAC),
+    /// never concatenating the parts.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), FrameError> {
-        write_frame(w, &[&self.head[..], self.tail.as_ref(), &self.mac[..]])
+    pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+        write_all_vectored(w, &mut self.parts().map(IoSlice::new))?;
+        w.flush()
     }
 
-    /// Materializes the sealed payload contiguously (tests, proxies).
-    /// The hot path never calls this — it writes the parts directly.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut joined = Vec::with_capacity(self.payload_len());
-        joined.extend_from_slice(&self.head);
-        joined.extend_from_slice(self.tail.as_ref());
-        joined.extend_from_slice(&self.mac);
-        Bytes::from(joined)
+    /// Materializes the complete wire bytes contiguously — for load
+    /// generators that pre-seal a request once and replay it, and for
+    /// tests. The serving path never calls this.
+    pub fn to_wire_bytes(&self) -> Vec<u8> {
+        self.parts().concat()
     }
-}
-
-/// Seals an untraced envelope: [`seal_envelope_traced`] with
-/// [`TraceCtx::NONE`] (one branch downstream, 16 zero bytes on the wire).
-pub fn seal_envelope(chain: &KeyChain, env: &Envelope) -> SealedFrame {
-    seal_envelope_traced(chain, env, TraceCtx::NONE)
-}
-
-/// Seals an envelope under the link key of its `(src, dst)` pair, with
-/// the sender's trace context ahead of the envelope head.
-///
-/// The encoding is split by [`Envelope::encode_parts`]: the payload tail
-/// is an O(1) clone of the envelope's value buffer, never copied, and the
-/// MAC is streamed over `trace ++ head ++ tail` without concatenating
-/// them — the trace context is MAC-covered for free.
-pub fn seal_envelope_traced(chain: &KeyChain, env: &Envelope, trace: TraceCtx) -> SealedFrame {
-    let start = std::time::Instant::now();
-    let (env_head, tail) = env.encode_parts();
-    let tail = tail.unwrap_or_default();
-    let mut head = Vec::with_capacity(TraceCtx::WIRE_LEN + env_head.len());
-    trace.encode_to(&mut head);
-    head.extend_from_slice(&env_head);
-    let mac =
-        AuthCodec::new(chain.pair_key(env.src, env.dst)).mac_of_parts(&[&head, tail.as_ref()]);
-    seal_hist().record(start.elapsed().as_micros() as u64);
-    SealedFrame { head, tail, mac }
-}
-
-/// Opens a sealed envelope: decodes with the borrowing decoder (payload
-/// fields are O(1) slices of `frame`), then verifies the MAC under the
-/// key of the *claimed* endpoints — a forger who lacks that pair key
-/// cannot produce a frame that passes.
-///
-/// Accepts anything convertible into [`Bytes`]; pass `&Bytes` (an O(1)
-/// clone) to keep the relay path copy-free. Any payload bytes the decode
-/// does copy are surfaced on the
-/// [`wire.bytes_copied`](names::WIRE_BYTES_COPIED) counter.
-///
-/// # Errors
-///
-/// [`FrameError::Codec`] for malformed bytes, [`FrameError::Auth`] for MAC
-/// failures.
-pub fn open_envelope(chain: &KeyChain, frame: impl Into<Bytes>) -> Result<Envelope, FrameError> {
-    open_envelope_traced(chain, frame).map(|(env, _)| env)
-}
-
-/// As [`open_envelope`], additionally returning the MAC-verified trace
-/// context the sender stamped into the frame head.
-///
-/// # Errors
-///
-/// [`FrameError::Codec`] for malformed bytes, [`FrameError::Auth`] for MAC
-/// failures.
-pub fn open_envelope_traced(
-    chain: &KeyChain,
-    frame: impl Into<Bytes>,
-) -> Result<(Envelope, TraceCtx), FrameError> {
-    let frame = frame.into();
-    let start = std::time::Instant::now();
-    let copied_before = payload_bytes_copied();
-    let result = open_envelope_inner(chain, &frame);
-    // Global delta: exact on the wire path, where only this open runs; a
-    // concurrent copying decode elsewhere can only inflate it, never hide
-    // a copy — safe for a "must be zero" gate.
-    bytes_copied_counter().add(payload_bytes_copied() - copied_before);
-    open_hist().record(start.elapsed().as_micros() as u64);
-    if matches!(result, Err(FrameError::Auth(_))) {
-        auth_fail_counter().inc();
-    }
-    result
-}
-
-fn open_envelope_inner(
-    chain: &KeyChain,
-    frame: &Bytes,
-) -> Result<(Envelope, TraceCtx), FrameError> {
-    if frame.len() < DIGEST_LEN {
-        return Err(FrameError::Auth(AuthError::TooShort { len: frame.len() }));
-    }
-    let payload = frame.slice(..frame.len() - DIGEST_LEN);
-    let mut r = BytesReader::new(&payload);
-    let trace = TraceCtx::decode_borrowed(&mut r).map_err(FrameError::Codec)?;
-    let env = Envelope::decode_borrowed(&mut r).map_err(FrameError::Codec)?;
-    if !r.is_empty() {
-        return Err(FrameError::Codec(WireError::TrailingBytes {
-            count: r.remaining(),
-        }));
-    }
-    AuthCodec::new(chain.pair_key(env.src, env.dst))
-        .open(frame.as_ref())
-        .map_err(FrameError::Auth)?;
-    Ok((env, trace))
 }
 
 #[cfg(test)]
@@ -344,24 +321,67 @@ mod tests {
     use safereg_common::tag::Tag;
     use safereg_common::value::Value;
 
-    fn env() -> Envelope {
-        Envelope::to_server(
-            ClientId::Reader(ReaderId(1)),
-            ServerId(0),
+    fn frame_of(msg: ClientToServer, from: impl Into<ClientId>) -> KvFrame {
+        KvFrame {
+            shard: ShardId(3),
+            trace: TraceCtx::NONE,
+            stamp: ConfigStamp {
+                epoch: 2,
+                digest: 0x00D1_6E57,
+            },
+            link: None,
+            key: Bytes::copy_from_slice(b"k"),
+            env: Envelope::to_server(from.into(), ServerId(0), msg),
+        }
+    }
+
+    fn query() -> KvFrame {
+        frame_of(
             ClientToServer::QueryData {
                 op: OpId::new(ReaderId(1), 7),
             },
+            ReaderId(1),
         )
     }
 
+    fn put(value: Value) -> KvFrame {
+        frame_of(
+            ClientToServer::PutData {
+                op: OpId::new(WriterId(0), 1),
+                tag: Tag::new(1, WriterId(0)),
+                payload: Payload::Full(value),
+            },
+            WriterId(0),
+        )
+    }
+
+    /// The sealed payload as a reader would see it (prefix stripped).
+    fn payload_of(sealed: &SealedKv) -> Bytes {
+        Bytes::from(sealed.to_wire_bytes()).slice(4..)
+    }
+
     #[test]
-    fn frame_roundtrip_over_a_buffer() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &[&b"hello"[..]]).unwrap();
-        write_frame(&mut buf, &[&b"wor"[..], &b""[..], &b"ld!"[..]]).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut cursor).unwrap().as_ref(), b"hello");
-        assert_eq!(read_frame(&mut cursor).unwrap().as_ref(), b"world!");
+    fn length_check_accepts_at_the_ceiling_and_rejects_above() {
+        // A maximal legal value plus its real head and MAC must fit…
+        let value = Value::from("v");
+        let sealed = SealedKv::seal(&KeyChain::from_master_seed(b"seed"), &put(value.clone()));
+        let maximal = MAX_FIELD_LEN + (sealed.wire_len() - 4 - value.len());
+        assert_eq!(frame_len((maximal as u32).to_le_bytes()).unwrap(), maximal);
+        // …the ceiling itself is accepted…
+        assert_eq!(
+            frame_len((MAX_FRAME as u32).to_le_bytes()).unwrap(),
+            MAX_FRAME
+        );
+        // …and one byte more is refused before anything is allocated.
+        assert!(matches!(
+            frame_len((MAX_FRAME as u32 + 1).to_le_bytes()),
+            Err(FrameError::TooLarge { claimed }) if claimed == MAX_FRAME + 1
+        ));
+        let mut cursor = std::io::Cursor::new(u32::MAX.to_le_bytes().to_vec());
+        assert!(matches!(
+            read_frame(&mut cursor),
+            Err(FrameError::TooLarge { .. })
+        ));
     }
 
     #[test]
@@ -381,177 +401,132 @@ mod tests {
             }
         }
         let mut w = OneByte(Vec::new());
-        write_frame(&mut w, &[&b"ab"[..], &b"cde"[..]]).unwrap();
-        let mut cursor = std::io::Cursor::new(w.0);
-        assert_eq!(read_frame(&mut cursor).unwrap().as_ref(), b"abcde");
+        let parts: [&[u8]; 4] = [b"", b"ab", b"", b"cde"];
+        write_all_vectored(&mut w, &mut parts.map(IoSlice::new)).unwrap();
+        assert_eq!(w.0, b"abcde");
     }
 
     #[test]
-    fn oversized_frames_are_refused() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(u32::MAX).to_le_bytes());
-        let mut cursor = std::io::Cursor::new(buf);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameError::TooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn sealed_envelope_roundtrips() {
+    fn sealed_frames_roundtrip_through_write_and_read() {
         let chain = KeyChain::from_master_seed(b"seed");
-        let sealed = seal_envelope(&chain, &env());
-        let frame = sealed.to_bytes();
-        assert_eq!(frame.len(), sealed.payload_len());
-        let back = open_envelope(&chain, &frame).unwrap();
-        assert_eq!(back, env());
-    }
-
-    #[test]
-    fn write_to_emits_the_same_bytes_as_to_bytes() {
-        let chain = KeyChain::from_master_seed(b"seed");
-        let sealed = seal_envelope(&chain, &env());
+        let (a, b) = (query(), put(Value::from("v")));
+        let (sa, sb) = (SealedKv::seal(&chain, &a), SealedKv::seal(&chain, &b));
         let mut wire = Vec::new();
-        sealed.write_to(&mut wire).unwrap();
+        for sealed in [&sa, &sb, &sa] {
+            sealed.write_to(&mut wire).unwrap();
+        }
+        assert_eq!(wire.len(), 2 * sa.wire_len() + sb.wire_len());
+        assert_eq!(&wire[..sa.wire_len()], &sa.to_wire_bytes()[..]);
         let mut cursor = std::io::Cursor::new(wire);
-        assert_eq!(read_frame(&mut cursor).unwrap(), sealed.to_bytes());
+        for want in [&a, &b, &a] {
+            let sealed = read_frame(&mut cursor).unwrap();
+            assert_eq!(&KvFrame::open(&chain, &sealed).unwrap(), want);
+        }
     }
 
     #[test]
-    fn sealing_shares_the_payload_buffer() {
-        // The sealed tail aliases the value's allocation: encode-once,
-        // slice-per-destination.
+    fn sealing_shares_and_opening_borrows_the_payload_buffer() {
         let chain = KeyChain::from_master_seed(b"seed");
-        let value = Value::from(vec![7u8; 512]);
-        let payload_ptr = value.bytes().as_ref().as_ptr();
-        let e = Envelope::to_server(
-            ClientId::Writer(WriterId(0)),
-            ServerId(0),
-            ClientToServer::PutData {
-                op: OpId::new(WriterId(0), 1),
-                tag: Tag::new(1, WriterId(0)),
-                payload: Payload::Full(value),
-            },
+        let value = Value::from(vec![7u8; 4096]);
+        let sealed = SealedKv::seal(&chain, &put(value.clone()));
+        // Encode-once: the sealed tail aliases the value's allocation.
+        assert_eq!(
+            sealed.tail.as_ref().as_ptr(),
+            value.bytes().as_ref().as_ptr()
         );
-        let sealed = seal_envelope(&chain, &e);
-        assert_eq!(sealed.tail.as_ref().as_ptr(), payload_ptr);
-        let back = open_envelope(&chain, sealed.to_bytes()).unwrap();
-        assert_eq!(back, e);
-    }
 
-    #[test]
-    fn opening_copies_no_payload_bytes() {
-        let chain = KeyChain::from_master_seed(b"seed");
-        let e = Envelope::to_server(
-            ClientId::Writer(WriterId(0)),
-            ServerId(0),
-            ClientToServer::PutData {
-                op: OpId::new(WriterId(0), 1),
-                tag: Tag::new(1, WriterId(0)),
-                payload: Payload::Full(Value::from(vec![9u8; 4096])),
-            },
-        );
-        let frame = seal_envelope(&chain, &e).to_bytes();
+        let payload = payload_of(&sealed);
         let before = payload_bytes_copied();
-        let back = open_envelope(&chain, &frame).unwrap();
+        let back = KvFrame::open(&chain, &payload).unwrap();
         assert_eq!(payload_bytes_copied(), before, "open must not memcpy");
-        // And the decoded payload aliases the received frame.
-        match back.msg {
+        match back.env.msg {
             Message::ToServer(ClientToServer::PutData {
                 payload: Payload::Full(v),
                 ..
             }) => {
-                let frame_range = frame.as_ref().as_ptr() as usize
-                    ..frame.as_ref().as_ptr() as usize + frame.len();
-                assert!(frame_range.contains(&(v.bytes().as_ref().as_ptr() as usize)));
+                let start = payload.as_ref().as_ptr() as usize;
+                let at = v.bytes().as_ref().as_ptr() as usize;
+                assert!((start..start + payload.len()).contains(&at));
             }
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
-    fn tampered_envelope_is_rejected() {
-        let chain = KeyChain::from_master_seed(b"seed");
-        let mut frame = seal_envelope(&chain, &env()).to_bytes().to_vec();
-        frame[4] ^= 0xFF;
-        assert!(matches!(
-            open_envelope(&chain, frame),
-            Err(FrameError::Auth(_)) | Err(FrameError::Codec(_))
-        ));
-    }
-
-    #[test]
-    fn wrong_keychain_is_rejected() {
+    fn parse_needs_no_key_but_open_does() {
         let chain = KeyChain::from_master_seed(b"seed");
         let other = KeyChain::from_master_seed(b"other");
-        let frame = seal_envelope(&chain, &env()).to_bytes();
+        let payload = payload_of(&SealedKv::seal(&chain, &query()));
+        assert_eq!(KvFrame::parse(&payload).unwrap(), query());
         assert!(matches!(
-            open_envelope(&other, &frame),
+            KvFrame::open(&other, &payload),
             Err(FrameError::Auth(_))
+        ));
+        assert!(matches!(
+            KvFrame::parse(&payload.slice(..DIGEST_LEN - 1)),
+            Err(FrameError::Auth(AuthError::TooShort { .. }))
         ));
     }
 
     #[test]
-    fn spoofed_source_fails_authentication() {
-        // A malicious server re-labels an envelope as coming from another
-        // process; the MAC was made under the wrong pair key and fails.
+    fn every_mac_covered_byte_is_tamper_evident() {
+        // Shard, trace, stamp, link flag, key and envelope all sit under
+        // the MAC: flipping any byte must be rejected, never silently
+        // mis-routed or mis-attributed.
         let chain = KeyChain::from_master_seed(b"seed");
-        let mut e = env();
-        let frame = seal_envelope(&chain, &e).to_bytes();
-        // Forge: claim the same payload came from server 5 instead.
-        e.src = ServerId(5).into();
-        let mut forged = Vec::new();
-        TraceCtx::NONE.encode_to(&mut forged);
-        e.encode_to(&mut forged);
-        forged.extend_from_slice(&frame.as_ref()[frame.len() - DIGEST_LEN..]); // reuse old MAC
-        assert!(matches!(
-            open_envelope(&chain, forged),
-            Err(FrameError::Auth(_))
-        ));
-    }
-
-    #[test]
-    fn trace_context_roundtrips_under_the_mac() {
-        let chain = KeyChain::from_master_seed(b"seed");
-        let trace = TraceCtx {
-            id: 0xABCD_EF01_2345_6789,
-            op_seq: 7,
-            phase: safereg_common::trace::Phase::Rpc as u8,
-            hop: 1,
-        };
-        let sealed = seal_envelope_traced(&chain, &env(), trace);
-        let (back, got) = open_envelope_traced(&chain, sealed.to_bytes()).unwrap();
-        assert_eq!(back, env());
-        assert_eq!(got, trace);
-        // The untraced wrapper carries NONE and still interoperates.
-        let (_, none) =
-            open_envelope_traced(&chain, seal_envelope(&chain, &env()).to_bytes()).unwrap();
-        assert_eq!(none, TraceCtx::NONE);
-    }
-
-    #[test]
-    fn tampered_trace_context_fails_authentication() {
-        // The trace bytes sit under the MAC: flipping any of the 16
-        // head bytes must be rejected, not silently mis-attributed.
-        let chain = KeyChain::from_master_seed(b"seed");
-        let trace = TraceCtx {
+        let mut frame = query();
+        frame.trace = TraceCtx {
             id: 99,
             op_seq: 1,
             phase: 0,
             hop: 0,
         };
-        for byte in 0..TraceCtx::WIRE_LEN {
-            let mut frame = seal_envelope_traced(&chain, &env(), trace)
-                .to_bytes()
-                .to_vec();
-            frame[byte] ^= 0x40;
+        let clean = payload_of(&SealedKv::seal(&chain, &frame)).to_vec();
+        for byte in 0..clean.len() {
+            let mut tampered = clean.clone();
+            tampered[byte] ^= 0x40;
             assert!(
-                matches!(
-                    open_envelope(&chain, frame),
-                    Err(FrameError::Auth(_)) | Err(FrameError::Codec(_))
-                ),
-                "flipped trace byte {byte} must not verify"
+                KvFrame::open(&chain, &Bytes::from(tampered)).is_err(),
+                "flipped byte {byte} must not verify"
             );
         }
+    }
+
+    #[test]
+    fn spoofed_source_fails_authentication() {
+        // A malicious relay re-labels a frame as coming from another
+        // client; the MAC was made under the original pair key and fails.
+        let chain = KeyChain::from_master_seed(b"seed");
+        let genuine = payload_of(&SealedKv::seal(&chain, &query()));
+        let mut forged = query();
+        forged.env.src = ClientId::Reader(ReaderId(5)).into();
+        let (mut bytes, _) = forged.encode_parts();
+        bytes.extend_from_slice(&genuine.as_ref()[genuine.len() - DIGEST_LEN..]);
+        assert!(matches!(
+            KvFrame::open(&chain, &Bytes::from(bytes)),
+            Err(FrameError::Auth(_))
+        ));
+    }
+
+    #[test]
+    fn trace_and_link_ride_under_the_mac() {
+        use safereg_crypto::chain::{LinkKind, ResponseChain};
+        let chain = KeyChain::from_master_seed(b"seed");
+        let mut frame = query();
+        frame.trace = TraceCtx {
+            id: 0xABCD_EF01_2345_6789,
+            op_seq: 7,
+            phase: safereg_common::trace::Phase::Rpc as u8,
+            hop: 1,
+        };
+        frame.link = Some(ResponseChain::new(&chain, ServerId(0), 1).append(
+            OpId::new(ReaderId(1), 7),
+            LinkKind::PutAck,
+            11,
+            Tag::new(1, WriterId(0)),
+            13,
+        ));
+        let back = KvFrame::open(&chain, &payload_of(&SealedKv::seal(&chain, &frame))).unwrap();
+        assert_eq!(back, frame);
     }
 }

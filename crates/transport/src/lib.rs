@@ -1,56 +1,30 @@
-//! Real-socket deployment of the `safereg` protocols.
+//! The network layer under the `safereg` deployment: the paper's
+//! authenticated point-to-point channels (§II-A) and the machinery that
+//! carries them.
 //!
-//! The same sans-io state machines that run on the simulator run here over
-//! TCP: [`frame`] provides length-prefixed, HMAC-authenticated framing of
-//! wire-encoded [`safereg_common::msg::Envelope`]s (the paper's
-//! authenticated channels, §II-A); [`server`] hosts a
-//! [`safereg_core::server::ServerNode`] behind a listener with one thread
-//! per connection; [`client`] connects a client to every server and drives
-//! any [`safereg_core::op::ClientOp`] to completion; [`cluster`] spins up a
-//! whole in-process cluster on loopback for examples and tests; [`chaos`]
-//! is the simulator's fault bestiary ported to real sockets — seeded,
-//! reproducible proxies that drop, delay, corrupt, truncate and kill
-//! connections so the client's supervisors, retries and circuit breakers
-//! can be exercised deterministically.
+//! * [`frame`] — *the* wire format: length-prefixed, HMAC-authenticated,
+//!   zero-copy [`frame::KvFrame`]s, sealed into [`frame::SealedKv`] parts
+//!   for vectored writes and opened with a borrowing decode. Nothing else
+//!   in the workspace knows the byte layout.
+//! * [`poll`] — a zero-dependency readiness layer (raw `epoll` on Linux,
+//!   portable `poll(2)` elsewhere) the KV host's reactors run on.
+//! * [`chaos`] — the simulator's fault bestiary ported to real sockets:
+//!   seeded, reproducible proxies that drop, delay, corrupt, truncate and
+//!   kill connections so reconnects, retries and circuit breakers can be
+//!   exercised deterministically.
 //!
-//! The RB baseline is deliberately not given a TCP runtime — it exists to
-//! be *measured against* under controlled delays, which the simulator does
-//! better; see DESIGN.md.
-//!
-//! # Examples
-//!
-//! ```no_run
-//! use safereg_common::{config::QuorumConfig, ids::{ReaderId, WriterId}, value::Value};
-//! use safereg_core::client::{BsrReader, BsrWriter};
-//! use safereg_transport::cluster::LocalCluster;
-//!
-//! let cfg = QuorumConfig::minimal_bsr(1)?;
-//! let cluster = LocalCluster::start(cfg, b"demo-secret")?;
-//!
-//! let mut writer_client = cluster.client(WriterId(0))?;
-//! let mut writer = BsrWriter::new(WriterId(0), cfg);
-//! writer_client.run_op(&mut writer.write(Value::from("over tcp")))?;
-//!
-//! let mut reader_client = cluster.client(ReaderId(0))?;
-//! let mut reader = BsrReader::new(ReaderId(0), cfg);
-//! let mut read = reader.read();
-//! let out = reader_client.run_op(&mut read)?;
-//! assert_eq!(out.read_value().unwrap().as_bytes(), b"over tcp");
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
+//! Serving, clients and cluster orchestration live in `safereg-kv`
+//! (`KvServerHost`, `TcpKvTransport`, `TcpKvCluster`) — a single register
+//! is a KV store with one key. The RB baseline is deliberately not given a
+//! TCP runtime: it exists to be *measured against* under controlled
+//! delays, which the simulator does better; see DESIGN.md.
 
 pub mod chaos;
-pub mod client;
-pub mod cluster;
 pub mod frame;
 pub mod poll;
-pub mod server;
 
 pub use chaos::{
     ChaosNet, ChaosProxy, Direction, FaultAction, FaultPlan, FaultSchedule, FaultSpec,
 };
-pub use client::{ClientError, ClusterClient, FaultClass};
-pub use cluster::LocalCluster;
-pub use frame::{read_frame, write_all_vectored, write_frame, FrameError};
+pub use frame::{read_frame, FrameError, KvFrame, SealedKv, MAX_FRAME};
 pub use poll::{Interest, PollBackend, PollEvent, Poller, Waker};
-pub use server::ServerHost;

@@ -1,23 +1,12 @@
-//! Integration tests for the self-healing client against chaos proxies:
-//! deterministic fault schedules, reconnect after sever, breaker trip and
-//! recovery around a blackhole.
+//! The determinism contract of the chaos layer, from outside the crate.
 
-use std::time::{Duration, Instant};
-
-use safereg_common::config::{QuorumConfig, TransportConfig};
-use safereg_common::ids::{ReaderId, ServerId, WriterId};
-use safereg_common::value::Value;
-use safereg_core::client::{BsrReader, BsrWriter};
-use safereg_obs::names;
-use safereg_transport::chaos::{ChaosNet, Direction, FaultPlan, FaultSpec};
-use safereg_transport::client::ClusterClient;
-use safereg_transport::cluster::LocalCluster;
+use safereg_common::ids::ServerId;
+use safereg_transport::chaos::{Direction, FaultPlan, FaultSpec};
 
 #[test]
 fn identical_seeds_reproduce_identical_schedules() {
-    // The determinism contract of the whole chaos layer: a plan is a pure
-    // function of its seed, across every (server, connection, direction)
-    // stream.
+    // A plan is a pure function of its seed, across every (server,
+    // connection, direction) stream.
     let a = FaultPlan::new(0xDEAD_BEEF, FaultSpec::mild());
     let b = FaultPlan::new(0xDEAD_BEEF, FaultSpec::mild());
     for sid in 0..5u16 {
@@ -35,138 +24,5 @@ fn identical_seeds_reproduce_identical_schedules() {
         a.fingerprint(ServerId(0), 0, Direction::ClientToServer, 512),
         c.fingerprint(ServerId(0), 0, Direction::ClientToServer, 512),
         "a different seed yields a different adversary"
-    );
-}
-
-/// Drives writes and reads through calm proxies while servers are severed
-/// and blackholed, asserting the supervisors reconnect, the breaker trips
-/// Open and closes again, and no operation is ever lost.
-#[test]
-fn register_ops_survive_sever_and_blackhole() {
-    let reg = safereg_obs::global();
-    let reconnects_before = reg.counter(names::TRANSPORT_RECONNECTS).get();
-    let transitions_before = reg.counter(names::TRANSPORT_BREAKER_TRANSITIONS).get();
-
-    let cfg = QuorumConfig::minimal_bsr(1).unwrap();
-    let cluster = LocalCluster::start(cfg, b"chaos-it").unwrap();
-    // Calm spec: the only faults are the targeted sever/blackhole below,
-    // so every op outcome is fully predictable.
-    let plan = FaultPlan::new(7, FaultSpec::calm());
-    let net = ChaosNet::wrap(&cluster.addrs(), &plan).unwrap();
-
-    let config = TransportConfig::aggressive();
-    let mut wc = ClusterClient::connect_with(
-        WriterId(0).into(),
-        &net.addrs(),
-        cluster.chain().clone(),
-        config,
-    )
-    .unwrap();
-    let mut rc = ClusterClient::connect_with(
-        ReaderId(0).into(),
-        &net.addrs(),
-        cluster.chain().clone(),
-        config,
-    )
-    .unwrap();
-    let mut writer = BsrWriter::new(WriterId(0), cfg);
-    let mut reader = BsrReader::new(ReaderId(0), cfg);
-
-    wc.run_op(&mut writer.write(Value::from("before faults")))
-        .unwrap();
-
-    // Kill every live connection: the supervisors must reconnect and the
-    // next operations must not notice (beyond a retry slice at worst).
-    net.sever(ServerId(0));
-    net.sever(ServerId(1));
-    wc.run_op(&mut writer.write(Value::from("after sever")))
-        .unwrap();
-    let mut read = reader.read();
-    let out = rc.run_op(&mut read).unwrap();
-    assert_eq!(out.read_value().unwrap().as_bytes(), b"after sever");
-    assert!(
-        reg.counter(names::TRANSPORT_RECONNECTS).get() > reconnects_before,
-        "severed links must have been re-established"
-    );
-
-    // Blackhole one server (<= f): sessions die before delivering a frame,
-    // so its breaker must trip Open while ops keep completing on the
-    // remaining n - f = 4 servers.
-    net.set_blackhole(ServerId(2), true);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while wc.link_state(ServerId(2)) != Some(2) {
-        assert!(
-            Instant::now() < deadline,
-            "breaker never opened for the blackholed server"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    wc.run_op(&mut writer.write(Value::from("during blackhole")))
-        .unwrap();
-    let mut read = reader.read();
-    let out = rc.run_op(&mut read).unwrap();
-    assert_eq!(out.read_value().unwrap().as_bytes(), b"during blackhole");
-    assert!(
-        reg.counter(names::TRANSPORT_BREAKER_TRANSITIONS).get() > transitions_before,
-        "the blackhole must have moved a breaker"
-    );
-
-    // Restore the server: the breaker may only close once a real frame is
-    // delivered, which needs traffic — keep reading until it heals.
-    net.set_blackhole(ServerId(2), false);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while wc.link_state(ServerId(2)) != Some(0) {
-        assert!(
-            Instant::now() < deadline,
-            "breaker never closed after the blackhole lifted"
-        );
-        wc.run_op(&mut writer.write(Value::from("healing")))
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert_eq!(wc.healthy_links(), 5, "all links healthy after recovery");
-}
-
-/// The retry-budget path under an actively hostile link: with the severe
-/// fault spec (heavy loss, frequent kills) first-round envelopes get lost
-/// constantly; only deadline-sliced resends let operations complete. Every
-/// op must still finish and the resend counter must move.
-#[test]
-fn retry_slices_mask_heavy_frame_loss() {
-    let reg = safereg_obs::global();
-    let retries_before = reg.counter(names::TRANSPORT_OP_RETRIES).get();
-
-    let cfg = QuorumConfig::minimal_bsr(1).unwrap();
-    let cluster = LocalCluster::start(cfg, b"chaos-retry").unwrap();
-    let plan = FaultPlan::new(11, FaultSpec::severe());
-    let net = ChaosNet::wrap(&cluster.addrs(), &plan).unwrap();
-
-    let mut config = TransportConfig::aggressive();
-    config.op_deadline = Duration::from_secs(5);
-    config.retry_budget = 8;
-    let mut wc = ClusterClient::connect_with(
-        WriterId(3).into(),
-        &net.addrs(),
-        cluster.chain().clone(),
-        config,
-    )
-    .unwrap();
-    let mut writer = BsrWriter::new(WriterId(3), cfg);
-
-    for i in 0..10 {
-        let value = Value::from(format!("lossy-{i}").into_bytes());
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            match wc.run_op(&mut writer.write(value.clone())) {
-                Ok(_) => break,
-                Err(e) if e.is_retriable() && attempts < 5 => continue,
-                Err(e) => panic!("write {i} never completed: {e}"),
-            }
-        }
-    }
-    assert!(
-        reg.counter(names::TRANSPORT_OP_RETRIES).get() > retries_before,
-        "severe loss must have forced at least one in-op resend"
     );
 }

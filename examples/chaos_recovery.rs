@@ -1,6 +1,6 @@
-//! Self-healing in action: a TCP register cluster behind seeded chaos
-//! proxies, with a server severed, a server blackholed, and everything
-//! recovering — narrated by the breaker states and healing counters.
+//! Self-healing in action: a TCP cluster behind seeded chaos proxies, with
+//! a server severed, a server blackholed, and everything recovering —
+//! narrated by the breaker states and healing counters.
 //!
 //! The fault plan is a pure function of its seed: run this twice and the
 //! proxies roll the identical drop/delay/corrupt/truncate/kill schedule.
@@ -13,16 +13,15 @@ use std::time::{Duration, Instant};
 
 use safereg::common::config::{QuorumConfig, TransportConfig};
 use safereg::common::ids::{ReaderId, ServerId, WriterId};
-use safereg::common::value::Value;
-use safereg::core::client::{BsrReader, BsrWriter};
+use safereg::kv::{KvClient, KvMode, TcpKvCluster, TcpKvTransport};
 use safereg::obs::names;
 use safereg::transport::chaos::{ChaosNet, FaultPlan, FaultSpec};
-use safereg::transport::client::ClusterClient;
-use safereg::transport::cluster::LocalCluster;
 
-fn breaker_states(client: &ClusterClient, n: u16) -> String {
+const KEY: &[u8] = b"register";
+
+fn breaker_states(transport: &TcpKvTransport, n: u16) -> String {
     (0..n)
-        .map(|s| match client.link_state(ServerId(s)) {
+        .map(|s| match transport.link_state(ServerId(s)) {
             Some(0) => 'C', // Closed: healthy
             Some(1) => 'H', // HalfOpen: probing
             Some(2) => 'O', // Open: shedding
@@ -33,10 +32,12 @@ fn breaker_states(client: &ClusterClient, n: u16) -> String {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reg = safereg::obs::global();
-    let reconnects_before = reg.counter(names::TRANSPORT_RECONNECTS).get();
+    let reconnects_before = reg.counter(names::KV_RECONNECTS).get();
 
     let cfg = QuorumConfig::minimal_bsr(1)?;
-    let cluster = LocalCluster::start(cfg, b"chaos-demo")?;
+    let cluster = TcpKvCluster::builder(KvMode::Replicated, b"chaos-demo")
+        .quorum(cfg)
+        .start()?;
 
     // A mildly hostile, seeded adversary in front of every server.
     let plan = FaultPlan::new(0xC0FFEE, FaultSpec::mild());
@@ -44,65 +45,56 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("cluster {cfg} wrapped in chaos proxies (seed 0xC0FFEE, mild faults)");
 
     let config = TransportConfig::aggressive();
-    let mut wc = ClusterClient::connect_with(
-        WriterId(0).into(),
-        &net.addrs(),
-        cluster.chain().clone(),
-        config,
-    )?;
-    let mut rc = ClusterClient::connect_with(
-        ReaderId(0).into(),
-        &net.addrs(),
-        cluster.chain().clone(),
-        config,
-    )?;
-    let mut writer = BsrWriter::new(WriterId(0), cfg);
-    let mut reader = BsrReader::new(ReaderId(0), cfg);
+    let mut transport = TcpKvTransport::connect_with(&net.addrs(), cluster.chain().clone(), config);
+    let mut client = KvClient::new(cfg, WriterId(0), ReaderId(0));
+    client.set_policy(config);
 
-    wc.run_op(&mut writer.write(Value::from("calm seas")))?;
-    println!("write ok      breakers={}", breaker_states(&wc, 5));
+    client.put(&mut transport, KEY, "calm seas")?;
+    println!("write ok      breakers={}", breaker_states(&transport, 5));
 
-    // Kill every live connection to s1: supervisors reconnect behind the
-    // next operation's back.
+    // Kill every live connection to s1: the next exchange finds the link
+    // dead, the quorum carries on without it, and a later one reconnects.
     net.sever(ServerId(1));
-    wc.run_op(&mut writer.write(Value::from("severed s1")))?;
-    let out = rc.run_op(&mut reader.read())?;
+    client.put(&mut transport, KEY, "severed s1")?;
+    let value = client.get(&mut transport, KEY)?;
     println!(
         "post-sever    breakers={}  read -> {:?}",
-        breaker_states(&wc, 5),
-        String::from_utf8_lossy(out.read_value().unwrap().as_bytes())
+        breaker_states(&transport, 5),
+        String::from_utf8_lossy(value.as_bytes())
     );
 
     // Blackhole s2 (<= f down): connects succeed, frames vanish. Sessions
     // die undelivered until the breaker trips Open and sheds the traffic.
+    // Reconnects are lazy — they happen inside an exchange — so traffic is
+    // what moves the breaker.
     net.set_blackhole(ServerId(2), true);
     let deadline = Instant::now() + Duration::from_secs(10);
-    while wc.link_state(ServerId(2)) != Some(2) && Instant::now() < deadline {
+    while transport.link_state(ServerId(2)) != Some(2) && Instant::now() < deadline {
+        client.put(&mut transport, KEY, "during blackhole")?;
         std::thread::sleep(Duration::from_millis(20));
     }
-    wc.run_op(&mut writer.write(Value::from("during blackhole")))?;
-    let out = rc.run_op(&mut reader.read())?;
+    let value = client.get(&mut transport, KEY)?;
     println!(
         "blackhole s2  breakers={}  read -> {:?}",
-        breaker_states(&wc, 5),
-        String::from_utf8_lossy(out.read_value().unwrap().as_bytes())
+        breaker_states(&transport, 5),
+        String::from_utf8_lossy(value.as_bytes())
     );
 
     // Lift it: the breaker only closes once a real authenticated frame is
     // delivered, so keep a little traffic flowing while it heals.
     net.set_blackhole(ServerId(2), false);
     let deadline = Instant::now() + Duration::from_secs(10);
-    while wc.link_state(ServerId(2)) != Some(0) && Instant::now() < deadline {
-        wc.run_op(&mut writer.write(Value::from("healing")))?;
+    while transport.link_state(ServerId(2)) != Some(0) && Instant::now() < deadline {
+        client.put(&mut transport, KEY, "healing")?;
         std::thread::sleep(Duration::from_millis(20));
     }
     println!(
-        "healed        breakers={}  healthy_links={}",
-        breaker_states(&wc, 5),
-        wc.healthy_links()
+        "healed        breakers={}  live sockets={}",
+        breaker_states(&transport, 5),
+        transport.live_sockets()
     );
 
-    let reconnects = reg.counter(names::TRANSPORT_RECONNECTS).get() - reconnects_before;
-    println!("supervisors reconnected {reconnects} times; no operation was lost");
+    let reconnects = reg.counter(names::KV_RECONNECTS).get() - reconnects_before;
+    println!("the transport reconnected {reconnects} times; no operation was lost");
     Ok(())
 }

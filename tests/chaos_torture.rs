@@ -1,10 +1,12 @@
 //! Chaos torture: the KV store over real TCP behind seeded fault-injection
-//! proxies, with `≤ f` replicas killed and restarted mid-run. Every
-//! completed operation must still satisfy the checker's per-key safety
-//! predicates, and the metrics must show the transport actually healed
-//! (reconnects happened) rather than the run getting lucky.
+//! proxies — mild and severe frame loss, replicas severed, blackholed,
+//! killed and restarted (`≤ f` at a time), faults aimed at one message
+//! class. Every completed operation must still satisfy the checker's
+//! per-key safety predicates, and the metrics must show the transport
+//! actually healed (reconnects, breaker flips, backoff waits) rather than
+//! the run getting lucky.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use safereg::checker::CheckSummary;
 use safereg::common::config::{QuorumConfig, TransportConfig};
@@ -14,7 +16,7 @@ use safereg::common::msg::OpId;
 use safereg::common::value::Value;
 use safereg::kv::{KvClient, KvMode, TcpKvCluster, TcpKvTransport};
 use safereg::obs::names;
-use safereg::obs::trace::wall_micros;
+use safereg::obs::trace::{wall_micros, MsgClass};
 use safereg::transport::chaos::{ChaosNet, FaultPlan, FaultSpec};
 
 /// An aggressive-but-sane policy for the torture run: fast reconnects and
@@ -26,71 +28,63 @@ fn torture_policy() -> TransportConfig {
     config
 }
 
-#[test]
-fn kv_ops_survive_chaos_with_server_kill_and_restart() {
-    let reg = safereg::obs::global();
-    let reconnects_before = reg.counter(names::KV_RECONNECTS).get();
+/// One torture input: who runs it, against what adversary, for how long.
+struct Torture<'a> {
+    /// Master seed of the deployment; also labels panics.
+    name: &'a str,
+    /// Writer/reader id of the single sequential client.
+    who: u16,
+    plan: FaultPlan,
+    /// Host-side transport policy (outbox capacity, shed policy).
+    host: TransportConfig,
+    /// Client-side transport and retry policy.
+    client: TransportConfig,
+    rounds: usize,
+    keys: &'a [&'a [u8]],
+    /// Whole-operation attempts before the run gives up on an op.
+    attempts: usize,
+}
 
+/// Runs `t`: every round puts then gets every key through chaos proxies,
+/// after `inject(round, ..)` has applied that round's targeted faults, and
+/// checks each key's history (each key is its own register). Returns the
+/// still-live deployment for follow-up assertions.
+fn torture(
+    t: &Torture<'_>,
+    mut inject: impl FnMut(usize, &mut TcpKvCluster, &ChaosNet),
+) -> (TcpKvCluster, ChaosNet, TcpKvTransport) {
     let cfg = QuorumConfig::minimal_bsr(1).unwrap();
-    let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-chaos")
+    let mut cluster = TcpKvCluster::builder(KvMode::Replicated, t.name.as_bytes())
         .quorum(cfg)
+        .config(t.host)
         .start()
         .unwrap();
-    // Mild chaos on every link, plus a hard kill/restart of one replica
-    // (<= f = 1) injected below.
-    let plan = FaultPlan::new(0x7041_7041, FaultSpec::mild());
-    let net = ChaosNet::wrap(&cluster.addrs(), &plan).unwrap();
+    let net = ChaosNet::wrap(&cluster.addrs(), &t.plan).unwrap();
     let mut transport =
-        TcpKvTransport::connect_with(&net.addrs(), cluster.chain().clone(), torture_policy());
+        TcpKvTransport::connect_with(&net.addrs(), cluster.chain().clone(), t.client);
+    let mut client = KvClient::new(cfg, WriterId(t.who), ReaderId(t.who));
+    client.set_policy(t.client);
 
-    let mut client = KvClient::new(cfg, WriterId(0), ReaderId(0));
-    client.set_policy(torture_policy());
-
-    // Per-key histories: each key is its own register, so the checker's
-    // safety predicate applies per key.
-    let mut histories: Vec<History> = (0..3).map(|_| History::new()).collect();
-    let keys: [&[u8]; 3] = [b"alpha", b"beta", b"gamma"];
-
-    let rounds = 8usize;
-    for i in 0..rounds {
-        match i {
-            // Kill one replica's connections outright.
-            2 => net.sever(ServerId(4)),
-            // Kill and restart the replica process itself (state lost —
-            // a crash-recover server the register model tolerates for
-            // <= f replicas); its proxy reconnects to the new listener
-            // on the same address.
-            4 => {
-                cluster.crash(ServerId(4));
-                cluster.restart(ServerId(4), KvMode::Replicated).unwrap();
-            }
-            _ => {}
-        }
-        for (k, key) in keys.iter().enumerate() {
-            let value =
-                Value::from(format!("{}-gen{i}", String::from_utf8_lossy(key)).into_bytes());
-            let op = OpId::new(
-                ClientId::Writer(WriterId(0)),
-                (i * keys.len() + k) as u64 + 1,
+    let mut histories: Vec<History> = t.keys.iter().map(|_| History::new()).collect();
+    for i in 0..t.rounds {
+        inject(i, &mut cluster, &net);
+        for (k, key) in t.keys.iter().enumerate() {
+            let seq = (i * t.keys.len() + k) as u64 + 1;
+            let value = Value::from(
+                format!("{}-{}-gen{i}", t.name, String::from_utf8_lossy(key)).into_bytes(),
             );
+            let op = OpId::new(ClientId::Writer(WriterId(t.who)), seq);
             let h = histories[k].begin_write(op, value.clone(), wall_micros());
-            let tag = client
-                .put(&mut transport, key, value)
-                .unwrap_or_else(|e| panic!("put {key:?} round {i} failed: {e}"));
+            let tag = (0..t.attempts)
+                .find_map(|_| client.put(&mut transport, key, value.clone()).ok())
+                .unwrap_or_else(|| panic!("[{}] put {key:?} round {i} never completed", t.name));
             histories[k].complete_write(h, tag, wall_micros());
 
-            let op = OpId::new(
-                ClientId::Reader(ReaderId(0)),
-                (i * keys.len() + k) as u64 + 1,
-            );
+            let op = OpId::new(ClientId::Reader(ReaderId(t.who)), seq);
             let h = histories[k].begin_read(op, wall_micros());
-            let got = client
-                .get(&mut transport, key)
-                .unwrap_or_else(|e| panic!("get {key:?} round {i} failed: {e}"));
-            // Tags are not surfaced by the KV API; recover the written tag
-            // for the history from the read value itself (sequential
-            // client: the read must return the just-written value or a
-            // newer one for this key — checker verifies).
+            let (got, tag) = (0..t.attempts)
+                .find_map(|_| client.get_with_tag(&mut transport, key).ok())
+                .unwrap_or_else(|| panic!("[{}] get {key:?} round {i} never completed", t.name));
             histories[k].complete_read(h, got, tag, wall_micros());
         }
     }
@@ -99,18 +93,94 @@ fn kv_ops_survive_chaos_with_server_kill_and_restart() {
         let summary = CheckSummary::check_all(history);
         assert!(
             summary.is_safe(),
-            "key {k}: chaos run violated register safety: {:?}",
+            "[{}] key {k}: chaos run violated register safety: {:?}",
+            t.name,
             summary.safety
         );
         assert!(
             summary.order.is_empty(),
-            "key {k}: write order violated: {:?}",
+            "[{}] key {k}: write order violated: {:?}",
+            t.name,
             summary.order
         );
     }
+    (cluster, net, transport)
+}
+
+/// Severs s4's connections in `sever_round`, then kills and restarts the
+/// replica process itself in `restart_round` (state lost and pulled back —
+/// the crash-recover server the register model tolerates for `≤ f`
+/// replicas); its proxy reconnects to the new listener on the same
+/// address.
+fn sever_then_restart(
+    sever_round: usize,
+    restart_round: usize,
+) -> impl FnMut(usize, &mut TcpKvCluster, &ChaosNet) {
+    move |round, cluster, net| {
+        if round == sever_round {
+            net.sever(ServerId(4));
+        } else if round == restart_round {
+            cluster.crash(ServerId(4));
+            cluster.restart(ServerId(4), KvMode::Replicated).unwrap();
+        }
+    }
+}
+
+#[test]
+fn kv_ops_survive_chaos_with_server_kill_and_restart() {
+    let reg = safereg::obs::global();
+    let reconnects_before = reg.counter(names::KV_RECONNECTS).get();
+    torture(
+        &Torture {
+            name: "kv-chaos",
+            who: 0,
+            plan: FaultPlan::new(0x7041_7041, FaultSpec::mild()),
+            host: TransportConfig::default(),
+            client: torture_policy(),
+            rounds: 8,
+            keys: &[b"alpha", b"beta", b"gamma"],
+            attempts: 1,
+        },
+        sever_then_restart(2, 4),
+    );
     assert!(
         reg.counter(names::KV_RECONNECTS).get() > reconnects_before,
         "the kill/restart must have forced kv reconnects"
+    );
+}
+
+/// The retry path under an actively hostile link: with the severe fault
+/// spec (heavy loss, frequent kills) first-pass exchanges fail constantly;
+/// only backed-off retry passes over the failed servers let operations
+/// complete. Every op must still finish safely and the backoff histogram
+/// must move.
+#[test]
+fn retry_passes_mask_heavy_frame_loss() {
+    let reg = safereg::obs::global();
+    let waits_before = reg.histogram(names::KV_BACKOFF_WAIT_MS).count();
+    let unreachable_before = reg.counter(names::KV_EXCHANGE_UNREACHABLE).get();
+    let mut client = TransportConfig::aggressive();
+    client.retry_budget = 8;
+    torture(
+        &Torture {
+            name: "kv-lossy",
+            who: 3,
+            plan: FaultPlan::new(11, FaultSpec::severe()),
+            host: TransportConfig::default(),
+            client,
+            rounds: 4,
+            keys: &[b"lossy"],
+            attempts: 5,
+        },
+        |_, _, _| {},
+    );
+    assert!(
+        reg.counter(names::KV_EXCHANGE_UNREACHABLE).get() > unreachable_before,
+        "severe loss must have failed at least one exchange"
+    );
+    assert!(
+        reg.histogram(names::KV_BACKOFF_WAIT_MS).count() > waits_before,
+        "failed exchanges must have been backed off and retried"
     );
 }
 
@@ -126,83 +196,26 @@ fn every_shed_policy_survives_chaos_torture() {
     use safereg::kv::fetch_metrics;
 
     for (p, policy) in ShedPolicy::ALL.iter().enumerate() {
-        let tconfig = TransportConfig {
-            // A 4-deep outbox: small enough that shedding is plausible
-            // under chaos, large enough that the strict request/response
-            // exchange never deadlocks.
-            chan_capacity: 4,
-            shed_policy: *policy,
-            ..torture_policy()
-        };
-        let cfg = QuorumConfig::minimal_bsr(1).unwrap();
-        let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-shed-chaos")
-            .quorum(cfg)
-            .config(tconfig)
-            .start()
-            .unwrap();
-        let plan = FaultPlan::new(0x5EED_0000 + p as u64, FaultSpec::mild());
-        let net = ChaosNet::wrap(&cluster.addrs(), &plan).unwrap();
-        let mut transport =
-            TcpKvTransport::connect_with(&net.addrs(), cluster.chain().clone(), torture_policy());
-
-        let mut client = KvClient::new(cfg, WriterId(p as u16), ReaderId(p as u16));
-        client.set_policy(torture_policy());
-
-        let mut histories: Vec<History> = (0..2).map(|_| History::new()).collect();
-        let keys: [&[u8]; 2] = [b"alpha", b"beta"];
-
-        let rounds = 4usize;
-        for i in 0..rounds {
-            match i {
-                1 => net.sever(ServerId(4)),
-                2 => {
-                    cluster.crash(ServerId(4));
-                    cluster.restart(ServerId(4), KvMode::Replicated).unwrap();
-                }
-                _ => {}
-            }
-            for (k, key) in keys.iter().enumerate() {
-                let value = Value::from(
-                    format!("{}-{}-gen{i}", policy.label(), String::from_utf8_lossy(key))
-                        .into_bytes(),
-                );
-                let op = OpId::new(
-                    ClientId::Writer(WriterId(p as u16)),
-                    (i * keys.len() + k) as u64 + 1,
-                );
-                let h = histories[k].begin_write(op, value.clone(), wall_micros());
-                let tag = client.put(&mut transport, key, value).unwrap_or_else(|e| {
-                    panic!("[{}] put {key:?} round {i} failed: {e}", policy.label())
-                });
-                histories[k].complete_write(h, tag, wall_micros());
-
-                let op = OpId::new(
-                    ClientId::Reader(ReaderId(p as u16)),
-                    (i * keys.len() + k) as u64 + 1,
-                );
-                let h = histories[k].begin_read(op, wall_micros());
-                let got = client.get(&mut transport, key).unwrap_or_else(|e| {
-                    panic!("[{}] get {key:?} round {i} failed: {e}", policy.label())
-                });
-                histories[k].complete_read(h, got, tag, wall_micros());
-            }
-        }
-
-        for (k, history) in histories.iter().enumerate() {
-            let summary = CheckSummary::check_all(history);
-            assert!(
-                summary.is_safe(),
-                "[{}] key {k}: chaos run violated register safety: {:?}",
-                policy.label(),
-                summary.safety
-            );
-            assert!(
-                summary.order.is_empty(),
-                "[{}] key {k}: write order violated: {:?}",
-                policy.label(),
-                summary.order
-            );
-        }
+        let (_cluster, _net, mut transport) = torture(
+            &Torture {
+                name: &format!("kv-shed-{}", policy.label()),
+                who: p as u16,
+                plan: FaultPlan::new(0x5EED_0000 + p as u64, FaultSpec::mild()),
+                host: TransportConfig {
+                    // A 4-deep outbox: small enough that shedding is
+                    // plausible under chaos, large enough that the strict
+                    // request/response exchange never deadlocks.
+                    chan_capacity: 4,
+                    shed_policy: *policy,
+                    ..torture_policy()
+                },
+                client: torture_policy(),
+                rounds: 4,
+                keys: &[b"alpha", b"beta"],
+                attempts: 1,
+            },
+            sever_then_restart(1, 2),
+        );
 
         // The dump from an untouched replica must carry the backpressure
         // counters for the policy this cluster runs under. The fetch is a
@@ -212,7 +225,7 @@ fn every_shed_policy_survives_chaos_torture() {
         let dump = (0..8)
             .find_map(|attempt| {
                 if attempt > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(300));
+                    std::thread::sleep(Duration::from_millis(300));
                 }
                 fetch_metrics(
                     &mut transport,
@@ -234,6 +247,138 @@ fn every_shed_policy_survives_chaos_torture() {
             policy.label()
         );
     }
+}
+
+/// Drives one `put` + `get` per call until `done(transport)` holds; every
+/// operation must succeed (at most `f` replicas are ever down).
+fn drive_until(
+    what: &str,
+    client: &mut KvClient,
+    transport: &mut TcpKvTransport,
+    done: impl Fn(&TcpKvTransport) -> bool,
+) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done(transport) {
+        assert!(Instant::now() < deadline, "{what}");
+        client.put(transport, b"k", what).unwrap();
+        assert_eq!(
+            client.get(transport, b"k").unwrap().as_bytes(),
+            what.as_bytes()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Calm proxies, targeted faults: a replica's sessions are severed, then
+/// the replica is blackholed and restored. The transport must reconnect,
+/// its breaker must trip Open and close again, and no operation may be
+/// lost — on the reactor-served hosts every deployment runs.
+#[test]
+fn kv_ops_survive_sever_and_blackhole() {
+    let reg = safereg::obs::global();
+    let cfg = QuorumConfig::minimal_bsr(1).unwrap();
+    let cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-blackhole")
+        .quorum(cfg)
+        .start()
+        .unwrap();
+    // Calm spec: the only faults are the targeted sever/blackhole below,
+    // so every op outcome is fully predictable.
+    let net = ChaosNet::wrap(&cluster.addrs(), &FaultPlan::new(7, FaultSpec::calm())).unwrap();
+    let config = TransportConfig::aggressive();
+    let mut transport = TcpKvTransport::connect_with(&net.addrs(), cluster.chain().clone(), config);
+    let mut client = KvClient::new(cfg, WriterId(3), ReaderId(3));
+    client.set_policy(config);
+    client.put(&mut transport, b"k", "before faults").unwrap();
+
+    // s4 is the first replica every phase asks. Kill its live sessions:
+    // the quorum carries on without it and a later exchange reconnects.
+    let victim = ServerId(4);
+    let reconnects_before = reg.counter(names::KV_RECONNECTS).get();
+    net.sever(victim);
+    drive_until(
+        "severed link was never re-established",
+        &mut client,
+        &mut transport,
+        |_| reg.counter(names::KV_RECONNECTS).get() > reconnects_before,
+    );
+
+    // Blackhole it (<= f): sessions die before delivering a frame, so its
+    // breaker must trip Open while ops keep completing on the other four.
+    let transitions_before = reg.counter(names::KV_BREAKER_TRANSITIONS).get();
+    net.set_blackhole(victim, true);
+    drive_until(
+        "breaker never opened for the blackholed server",
+        &mut client,
+        &mut transport,
+        |t| t.link_state(victim) == Some(2),
+    );
+    assert!(reg.counter(names::KV_BREAKER_TRANSITIONS).get() > transitions_before);
+
+    // Restore it: the breaker may only close once a real frame is
+    // delivered, which needs traffic — keep operating until it heals.
+    net.set_blackhole(victim, false);
+    drive_until(
+        "breaker never closed after the blackhole lifted",
+        &mut client,
+        &mut transport,
+        |t| t.link_state(victim) == Some(0),
+    );
+
+    assert!(
+        reg.gauge(names::REACTOR_THREADS).get() > 0,
+        "reactor threads must be live while the cluster serves"
+    );
+    assert!(
+        reg.counter(names::REACTOR_HANDOFFS).get() > 0,
+        "accepted connections must have been handed to reactors"
+    );
+}
+
+/// `FaultSpec::classes` must bite on the deployed frame: a plan that drops
+/// every `PutData` in front of each replica starves puts of their second
+/// phase while gets — and the put's own tag query — pass untouched.
+#[test]
+fn class_targeted_plan_faults_puts_and_spares_gets() {
+    let reg = safereg::obs::global();
+    let cfg = QuorumConfig::minimal_bsr(1).unwrap();
+    let spec = FaultSpec {
+        drop_permille: 1000,
+        classes: Some(vec![MsgClass::PutData]),
+        ..FaultSpec::calm()
+    };
+    let cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-class-chaos")
+        .quorum(cfg)
+        .chaos(FaultPlan::new(5, spec))
+        .start()
+        .unwrap();
+    let policy = TransportConfig {
+        io_timeout: Duration::from_millis(150),
+        retry_budget: 0,
+        ..TransportConfig::aggressive()
+    };
+    let mut client = KvClient::new(cfg, WriterId(0), ReaderId(0));
+    client.set_policy(policy);
+
+    let dropped = || {
+        reg.counter(&format!("{}.dropped", names::CHAOS_FAULT_PREFIX))
+            .get()
+    };
+    let dropped_before = dropped();
+    let mut writes = cluster.transport_with(policy);
+    let err = client.put(&mut writes, b"k", "never lands").unwrap_err();
+    // The tag query got its quorum; the write phase reached nobody.
+    let safereg::kv::KvError::QuorumUnavailable { unreachable, .. } = err;
+    assert_eq!(unreachable, cfg.n(), "every PutData must have been dropped");
+    assert!(dropped() - dropped_before >= cfg.response_quorum() as u64);
+
+    // Gets cross the same proxies on a transport of their own: not one
+    // frame may be lost, so no link ever fails and nothing was written.
+    let mut reads = cluster.transport_with(policy);
+    for _ in 0..10 {
+        assert!(client.get(&mut reads, b"k").unwrap().is_initial());
+    }
+    assert_eq!(reads.live_sockets(), cfg.n());
+    assert!(cfg.servers().all(|s| reads.link_state(s) == Some(0)));
 }
 
 /// Unreachable vs. silent: a crashed replica reports `Unreachable` (and is

@@ -194,19 +194,110 @@ fn mixed_protocol_deployment_over_tcp_and_sim_agree() {
         })
         .unwrap();
 
-    // TCP run.
-    use safereg::core::client::{BsrReader, BsrWriter};
-    let cluster = safereg::transport::LocalCluster::start(cfg, b"e2e").unwrap();
-    let mut wc = cluster.client(WriterId(0)).unwrap();
-    let mut writer = BsrWriter::new(WriterId(0), cfg);
-    wc.run_op(&mut writer.write(Value::from("agree"))).unwrap();
-    let mut rc = cluster.client(ReaderId(0)).unwrap();
-    let mut reader = BsrReader::new(ReaderId(0), cfg);
-    let mut op = reader.read();
-    let out = rc.run_op(&mut op).unwrap();
+    // TCP run: the same register is one key of the deployed KV stack.
+    use safereg::kv::{KvClient, KvMode, TcpKvCluster};
+    let cluster = TcpKvCluster::builder(KvMode::Replicated, b"e2e")
+        .quorum(cfg)
+        .start()
+        .unwrap();
+    let mut transport = cluster.transport();
+    let mut client = KvClient::new(cfg, WriterId(0), ReaderId(0));
+    client.put(&mut transport, b"register", "agree").unwrap();
+    let tcp_read = client.get_with_tag(&mut transport, b"register").unwrap();
 
-    assert_eq!(out.read_value().unwrap(), &sim_read.0);
-    assert_eq!(out.tag(), sim_read.1);
+    assert_eq!(tcp_read, sim_read);
+}
+
+#[test]
+fn concurrent_writers_and_readers_over_tcp() {
+    // Three writers and three readers hammer one key of a loopback
+    // cluster from separate threads, each over its own transport;
+    // afterwards the register must hold the highest-tagged write and a
+    // late reader must see it.
+    use safereg::common::tag::Tag;
+    use safereg::kv::{KvClient, KvMode, TcpKvCluster};
+    const KEY: &[u8] = b"contended";
+    let cfg = QuorumConfig::minimal_bsr(1).unwrap();
+    let cluster = TcpKvCluster::builder(KvMode::Replicated, b"concurrency")
+        .quorum(cfg)
+        .start()
+        .unwrap();
+
+    let max_tag = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..3u16)
+            .map(|w| {
+                let mut transport = cluster.transport();
+                scope.spawn(move || {
+                    let mut client = KvClient::new(cfg, WriterId(w), ReaderId(100 + w));
+                    let mut last = Tag::ZERO;
+                    for i in 0..5 {
+                        let value = format!("w{w}-i{i}").into_bytes();
+                        let tag = client.put(&mut transport, KEY, value).unwrap();
+                        assert!(tag > last, "writer {w}: tags must grow");
+                        last = tag;
+                    }
+                    last
+                })
+            })
+            .collect();
+        for r in 0..3u16 {
+            let mut transport = cluster.transport();
+            scope.spawn(move || {
+                let mut client = KvClient::new(cfg, WriterId(100 + r), ReaderId(r));
+                let mut last = Tag::ZERO;
+                for _ in 0..5 {
+                    let (_, tag) = client.get_with_tag(&mut transport, KEY).unwrap();
+                    // Per-reader monotonicity via the local pair.
+                    assert!(tag >= last, "reader {r}: regressed");
+                    last = tag;
+                }
+            });
+        }
+        writers
+            .into_iter()
+            .map(|w| w.join().expect("writer thread"))
+            .max()
+            .unwrap()
+    });
+
+    // Quiescent read: everyone now sees the globally most recent write.
+    let mut transport = cluster.transport();
+    let mut late = KvClient::new(cfg, WriterId(9), ReaderId(9));
+    let (_, tag) = late.get_with_tag(&mut transport, KEY).unwrap();
+    assert_eq!(
+        tag, max_tag,
+        "final read returns the newest committed write"
+    );
+}
+
+#[test]
+fn a_client_outlives_crash_and_restart_of_f_nodes() {
+    // One long-lived client and transport across a replica crashing and
+    // coming back: no reconnect ceremony, no lost write.
+    use safereg::kv::{KvClient, KvMode, TcpKvCluster};
+    let cfg = QuorumConfig::minimal_bsr(1).unwrap();
+    let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"restart")
+        .quorum(cfg)
+        .start()
+        .unwrap();
+    let mut transport = cluster.transport();
+    transport.set_timeout(std::time::Duration::from_millis(500));
+    let mut client = KvClient::new(cfg, WriterId(0), ReaderId(0));
+    client.put(&mut transport, b"k", "one").unwrap();
+
+    // s4 is the first replica every phase asks, so its death is felt.
+    cluster.crash(ServerId(4));
+    client.put(&mut transport, b"k", "two").unwrap();
+    let mut fresh = cluster.transport();
+    let mut reader = KvClient::new(cfg, WriterId(1), ReaderId(1));
+    assert_eq!(reader.get(&mut fresh, b"k").unwrap().as_bytes(), b"two");
+
+    cluster.restart(ServerId(4), KvMode::Replicated).unwrap();
+    client.put(&mut transport, b"k", "three").unwrap();
+    assert_eq!(
+        client.get(&mut transport, b"k").unwrap().as_bytes(),
+        b"three"
+    );
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //! optional and feature-gated ones — into Cargo.lock, so even an unused
 //! third-party listing breaks offline resolution. This test therefore
 //! rejects ANY non-`safereg-` dependency in any manifest, not just
-//! non-gated ones.
+//! non-gated ones — and any `[features]` table or `[[bench]]` target, which
+//! only ever existed to gate code on crates the build cannot have (the
+//! DetRng suites are the property tests, `benchmark/` is the benchmark).
 //!
 //! The parser is deliberately minimal (std only): it tracks `[section]`
 //! headers and reads the key of each `name = ...` line inside dependency
@@ -33,6 +35,16 @@ fn is_dependency_section(header: &str) -> bool {
         || header == "dependencies"
         || header == "dev-dependencies"
         || header == "build-dependencies"
+}
+
+/// The `[section]` / `[[section]]` headers of a manifest, brackets
+/// stripped.
+fn section_headers(manifest: &str) -> Vec<String> {
+    manifest
+        .lines()
+        .filter_map(|raw| raw.trim().strip_prefix('[')?.strip_suffix(']'))
+        .map(|header| header.trim_matches(['[', ']', ' ']).to_string())
+        .collect()
 }
 
 /// Extracts `(section, dependency-name)` pairs from a manifest.
@@ -109,6 +121,23 @@ fn every_dependency_is_a_workspace_crate() {
 }
 
 #[test]
+fn no_manifest_declares_features_or_bench_targets() {
+    for path in workspace_manifests() {
+        let manifest =
+            fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        let gated: Vec<String> = section_headers(&manifest)
+            .into_iter()
+            .filter(|h| h == "features" || h == "bench")
+            .collect();
+        assert!(
+            gated.is_empty(),
+            "{} declares {gated:?}: feature gates and bench stubs were deleted on purpose",
+            path.display()
+        );
+    }
+}
+
+#[test]
 fn parser_sees_through_the_expected_toml_shapes() {
     let sample = r#"
 [package]
@@ -122,11 +151,25 @@ serde = { version = "1", features = ["derive"] }
 proptest = "1"
 
 [features]
-proptests = []
+gated = []
+
+[[bench]]
+name = "stub"
 
 [target.'cfg(unix)'.build-dependencies]
 cc = "1"
 "#;
+    assert_eq!(
+        section_headers(sample),
+        [
+            "package",
+            "dependencies",
+            "dev-dependencies",
+            "features",
+            "bench",
+            "target.'cfg(unix)'.build-dependencies"
+        ]
+    );
     let deps = dependency_names(sample);
     assert_eq!(
         deps,

@@ -5,10 +5,9 @@
 //! guarantees: safety and write order always; freshness for the regular
 //! variants; liveness whenever at most `f` servers misbehave.
 //!
-//! The always-on suite enumerates every `(protocol, byzantine)` pair —
-//! the full discrete space, which sampling can miss — with [`DetRng`]-drawn
-//! seeds and populations; the original proptest suite sits behind the
-//! off-by-default `proptests` feature.
+//! The suite enumerates every `(protocol, byzantine)` pair — the full
+//! discrete space, which sampling can miss — with [`DetRng`]-drawn seeds
+//! and populations.
 
 use safereg::checker::CheckSummary;
 use safereg::common::rng::DetRng;
@@ -130,80 +129,6 @@ fn tag_space_stays_bounded_by_write_count() {
                     t.num as usize <= total_writes,
                     "tag {t} exceeds {total_writes} writes"
                 );
-            }
-        }
-    }
-}
-
-/// Original proptest suite; requires re-adding `proptest` as a
-/// dev-dependency (see the `proptests` feature note in Cargo.toml).
-#[cfg(feature = "proptests")]
-mod proptest_suite {
-    use proptest::prelude::*;
-    use safereg::checker::CheckSummary;
-    use safereg::simnet::workload::{ByzKind, Protocol, WorkloadSpec};
-
-    fn arb_protocol() -> impl Strategy<Value = Protocol> {
-        prop_oneof![
-            Just(Protocol::Bsr),
-            Just(Protocol::BsrH),
-            Just(Protocol::Bsr2p),
-            Just(Protocol::Bcsr),
-            Just(Protocol::RbBaseline),
-        ]
-    }
-
-    fn arb_byz() -> impl Strategy<Value = Option<ByzKind>> {
-        prop_oneof![
-            Just(None),
-            Just(Some(ByzKind::Silent)),
-            Just(Some(ByzKind::Stale)),
-            Just(Some(ByzKind::Fabricator)),
-            Just(Some(ByzKind::Equivocator)),
-            Just(Some(ByzKind::AckForger)),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-        #[test]
-        fn randomized_executions_are_safe_live_and_ordered(
-            protocol in arb_protocol(),
-            byz in arb_byz(),
-            seed in any::<u64>(),
-            writers in 1usize..3,
-            readers in 1usize..4,
-            ops in 2usize..5,
-            extra in 0usize..2,
-        ) {
-            let spec = WorkloadSpec {
-                protocol,
-                f: 1,
-                extra_servers: extra,
-                writers,
-                readers,
-                writer_ops: ops,
-                reader_ops: ops,
-                value_size: 24,
-                think: 20,
-                byzantine: byz.map(|k| (1, k)),
-                seed,
-            };
-            let mut sim = spec.build();
-            let report = sim.run();
-            prop_assert_eq!(report.incomplete_ops, 0,
-                "{} under {:?}", protocol.name(), byz);
-
-            let summary = CheckSummary::check_all(sim.history());
-            prop_assert!(summary.is_safe(),
-                "{} under {:?} seed {}: {:?}", protocol.name(), byz, seed, summary.safety);
-            prop_assert!(summary.order.is_empty(),
-                "{} order: {:?}", protocol.name(), summary.order);
-
-            if matches!(protocol, Protocol::BsrH | Protocol::Bsr2p | Protocol::RbBaseline) {
-                prop_assert!(summary.is_fresh(),
-                    "{} under {:?} seed {}: {:?}", protocol.name(), byz, seed, summary.freshness);
             }
         }
     }
