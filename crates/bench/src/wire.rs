@@ -26,7 +26,7 @@
 //!
 //! A final batching leg drives a real TCP cluster and checks the vectored
 //! outbox drain: every flush recorded in `transport.batch.frames` must
-//! respect the [`TransportConfig::max_batch_frames`] ceiling (default 32),
+//! respect the [`MAX_BATCH_FRAMES`] ceiling (64),
 //! and at least one flush must have happened — a reactor that stops
 //! reporting (or stops bounding) its batches fails the bench.
 //!
@@ -51,7 +51,7 @@ use safereg_crypto::auth::AuthCodec;
 use safereg_crypto::keychain::KeyChain;
 use safereg_mds::rs::ReedSolomon;
 use safereg_mds::stripe::encode_value;
-use safereg_transport::frame::{KvFrame, SealedKv};
+use safereg_transport::frame::{KvFrame, SealedKv, MAX_BATCH_FRAMES};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -110,7 +110,7 @@ pub struct WireBenchResult {
     pub relay_frames: usize,
     /// `wire.bytes_copied` delta across the relay; the bar is 0.
     pub relay_bytes_copied: u64,
-    /// Configured vectored-drain ceiling (`TransportConfig::max_batch_frames`).
+    /// Vectored-drain ceiling ([`MAX_BATCH_FRAMES`]).
     pub batch_ceiling: usize,
     /// `transport.batch.frames` samples recorded by the TCP leg.
     pub batch_samples: u64,
@@ -279,7 +279,7 @@ pub fn run() -> WireBenchResult {
     let relay_bytes_copied =
         reg.counter(safereg_obs::names::WIRE_BYTES_COPIED).get() - copied_before;
 
-    let (batch_ceiling, batch_samples, batch_max_frames) = batch_drain_leg();
+    let (batch_samples, batch_max_frames) = batch_drain_leg();
 
     let old_allocs_per_write = old_allocs as f64 / ITERS as f64;
     let new_allocs_per_write = new_allocs as f64 / ITERS as f64;
@@ -293,7 +293,7 @@ pub fn run() -> WireBenchResult {
         alloc_ratio: old_allocs_per_write / new_allocs_per_write.max(f64::MIN_POSITIVE),
         relay_frames,
         relay_bytes_copied,
-        batch_ceiling,
+        batch_ceiling: MAX_BATCH_FRAMES,
         batch_samples,
         batch_max_frames,
     }
@@ -301,17 +301,16 @@ pub fn run() -> WireBenchResult {
 
 /// Drives a real `n = 5` TCP cluster through enough traffic that every
 /// host's reactor flushes batches, then reads back the
-/// `transport.batch.frames` histogram. Returns `(ceiling, samples, max)`;
-/// the caller asserts `max ≤ ceiling`. The leg runs after both measured
+/// `transport.batch.frames` histogram. Returns `(samples, max)`; the
+/// report asserts `max ≤ MAX_BATCH_FRAMES`. The leg runs after both measured
 /// alloc regions, so its (substantial) heap traffic never skews them.
-fn batch_drain_leg() -> (usize, u64, u64) {
-    use safereg_common::config::{QuorumConfig, TransportConfig};
+fn batch_drain_leg() -> (u64, u64) {
+    use safereg_common::config::QuorumConfig;
     use safereg_common::ids::ReaderId;
     use safereg_kv::client::KvClient;
     use safereg_kv::server::KvMode;
     use safereg_kv::tcp::TcpKvCluster;
 
-    let ceiling = TransportConfig::default().max_batch_frames;
     let reg = safereg_obs::global();
     let before = reg
         .histogram(safereg_obs::names::TRANSPORT_BATCH_FRAMES)
@@ -324,7 +323,7 @@ fn batch_drain_leg() -> (usize, u64, u64) {
     else {
         // No loopback listener available: report an empty leg; ok() fails
         // loudly rather than pretending the ceiling was checked.
-        return (ceiling, 0, 0);
+        return (0, 0);
     };
     let mut transport = cluster.transport();
     let mut client = KvClient::new(cfg, WriterId(7), ReaderId(7));
@@ -343,5 +342,5 @@ fn batch_drain_leg() -> (usize, u64, u64) {
     let snap = reg
         .histogram(safereg_obs::names::TRANSPORT_BATCH_FRAMES)
         .snapshot();
-    (ceiling, snap.count.saturating_sub(before), snap.max)
+    (snap.count.saturating_sub(before), snap.max)
 }

@@ -291,11 +291,10 @@ pub struct TransportConfig {
     /// Consecutive dead connections (refused, or closed before delivering
     /// a single frame) before the breaker opens for that server.
     pub breaker_threshold: u32,
-    /// Capacity of each host connection's bounded reply outbox.
+    /// Capacity of each host connection's bounded reply outbox. A full
+    /// outbox stops the host reading that connection's requests until
+    /// it drains: backpressure reaches the client and no reply is lost.
     pub chan_capacity: usize,
-    /// What a full reply outbox does with the next message; sheds are
-    /// counted under the `chan.shed` metrics.
-    pub shed_policy: crate::sync::channel::ShedPolicy,
     /// Server-side: a connection with no inbound frame for this long is
     /// evicted (`server.evictions.idle`). Clients reconnect on demand, so
     /// eviction costs one reconnect, not correctness.
@@ -304,24 +303,11 @@ pub struct TransportConfig {
     /// socket write or the bounded reply outbox stalls for this long — is
     /// evicted (`server.evictions.stall`) instead of wedging a host thread.
     pub stall_timeout: Duration,
-    /// Maximum frames coalesced into one vectored batch write when
-    /// draining a bounded outbox; batch sizes land in the
-    /// `transport.batch.frames` histogram.
-    pub max_batch_frames: usize,
     /// Head-based trace sampling rate in permille of operations
     /// (`0` = tracing off, `1000` = every op). The decision is made once
     /// per operation by [`crate::trace::TraceCtx::for_op`]; unsampled ops
     /// pay one branch plus the 16 reserved wire bytes per frame.
     pub trace_sample: u16,
-    /// When `true`, per-connection outbox capacity
-    /// adapts to load — it doubles (up to [`Self::chan_capacity_max`])
-    /// after a window with a sustained `chan.shed` rate and halves back
-    /// toward [`Self::chan_capacity`] after consecutive quiet windows.
-    /// Resizes are counted under `chan.adaptive.grow` / `.shrink`.
-    pub adaptive_outbox: bool,
-    /// Ceiling for adaptive outbox growth; [`Self::chan_capacity`] is the
-    /// floor it shrinks back to.
-    pub chan_capacity_max: usize,
 }
 
 impl Default for TransportConfig {
@@ -333,13 +319,9 @@ impl Default for TransportConfig {
             backoff: BackoffPolicy::default(),
             breaker_threshold: 3,
             chan_capacity: 1024,
-            shed_policy: crate::sync::channel::ShedPolicy::Block,
             idle_timeout: Duration::from_secs(60),
             stall_timeout: Duration::from_secs(5),
-            max_batch_frames: 64,
             trace_sample: 0,
-            adaptive_outbox: true,
-            chan_capacity_max: 8192,
         }
     }
 }
@@ -360,13 +342,9 @@ impl TransportConfig {
             },
             breaker_threshold: 2,
             chan_capacity: 256,
-            shed_policy: crate::sync::channel::ShedPolicy::Block,
             idle_timeout: Duration::from_secs(10),
             stall_timeout: Duration::from_millis(1500),
-            max_batch_frames: 64,
             trace_sample: 0,
-            adaptive_outbox: true,
-            chan_capacity_max: 2048,
         }
     }
 }
@@ -513,29 +491,14 @@ mod tests {
         let fast = TransportConfig::aggressive();
         assert!(fast.connect_timeout < cfg.connect_timeout);
         assert!(fast.breaker_threshold <= cfg.breaker_threshold);
-        // Wire-path queues are bounded but roomy, and lossless by default.
+        // Wire-path queues are bounded but roomy.
         assert!(cfg.chan_capacity >= 64);
         assert!(fast.chan_capacity <= cfg.chan_capacity);
-        assert_eq!(
-            cfg.shed_policy,
-            crate::sync::channel::ShedPolicy::Block,
-            "default policy must not silently drop frames"
-        );
         // Eviction deadlines: idle must dominate stall, and the aggressive
         // preset must be strictly tighter than the default.
         assert!(cfg.idle_timeout > cfg.stall_timeout);
         assert!(fast.idle_timeout < cfg.idle_timeout);
         assert!(fast.stall_timeout < cfg.stall_timeout);
-        // The vectored drain ceiling: 16 (PR 4) → 32 (PR 6) → 64 now that
-        // the reactor drains outboxes inline and deeper batches amortise
-        // the wakeup.
-        assert_eq!(cfg.max_batch_frames, 64);
-        assert_eq!(fast.max_batch_frames, 64);
-        // Adaptive outboxes are on by default and may grow at least 4×
-        // over the base capacity before the ceiling stops them.
-        assert!(cfg.adaptive_outbox);
-        assert!(cfg.chan_capacity_max >= 4 * cfg.chan_capacity);
-        assert!(fast.chan_capacity_max >= 4 * fast.chan_capacity);
         // Tracing is opt-in: both presets ship with sampling off.
         assert_eq!(cfg.trace_sample, 0);
         assert_eq!(fast.trace_sample, 0);

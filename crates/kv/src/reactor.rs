@@ -10,18 +10,13 @@
 //! Per connection the reactor keeps a read-accumulation buffer feeding the
 //! borrowing frame decode, and a bounded outbox of sealed replies drained
 //! with vectored writes (four iovecs per frame: length prefix, head,
-//! zero-copy tail, MAC) directly from the event loop. Backpressure maps
-//! the [`ShedPolicy`] onto readiness: `Block` parks the connection's read
-//! interest while the outbox is full (frames already buffered stay
-//! buffered, nothing is lost), the drop policies shed from the outbox and
-//! count `chan.shed`. A client that stops draining its socket trips the
+//! zero-copy tail, MAC) directly from the event loop. Backpressure is
+//! lossless: while the outbox holds `chan_capacity` replies the reactor
+//! stops parsing that connection's frames and parks its read interest
+//! (frames already buffered stay buffered), so a correct replica never
+//! drops its own reply. A client that stops draining its socket trips the
 //! stall budget and is evicted; one that goes quiet trips the idle budget
 //! — both enforced by a periodic tick.
-//!
-//! When [`TransportConfig::adaptive_outbox`] is set, each connection's
-//! outbox capacity breathes with its shed rate through
-//! [`AdaptiveCap`]: sustained shedding doubles the cap (up to
-//! `chan_capacity_max`), quiet windows shrink it back.
 
 #![allow(clippy::needless_pass_by_value)]
 
@@ -41,11 +36,10 @@ mod imp {
     use safereg_common::buf::Bytes;
     use safereg_common::config::TransportConfig;
     use safereg_common::ids::ServerId;
-    use safereg_common::sync::channel::{AdaptiveCap, CapChange, ShedPolicy};
     use safereg_crypto::keychain::KeyChain;
     use safereg_obs::names;
-    use safereg_transport::frame::{frame_len, SealedKv};
-    use safereg_transport::poll::{Interest, PollBackend, PollEvent, Poller, Waker};
+    use safereg_transport::frame::{frame_len, SealedKv, MAX_BATCH_FRAMES};
+    use safereg_transport::poll::{Interest, PollEvent, Poller, Waker};
 
     use crate::server::KvServer;
     use crate::tcp::{count_eviction, process_sealed_frame};
@@ -98,12 +92,11 @@ mod imp {
     }
 
     impl ReactorPool {
-        /// Creates `reactors` event loops on `backend`. Backend creation
-        /// errors (e.g. forcing `epoll` off-Linux) surface here, before
-        /// any thread is spawned.
+        /// Creates `reactors` event loops on the platform's readiness
+        /// backend. Poller creation errors surface here, before any thread
+        /// is spawned.
         pub(crate) fn spawn(
             reactors: usize,
-            backend: PollBackend,
             server: Arc<KvServer>,
             chain: KeyChain,
             me: ServerId,
@@ -114,7 +107,7 @@ mod imp {
             let mut pollers = Vec::with_capacity(n);
             let mut slots = Vec::with_capacity(n);
             for _ in 0..n {
-                let poller = Poller::with_backend(backend)?;
+                let poller = Poller::new()?;
                 slots.push(Slot {
                     inbox: Mutex::new(VecDeque::new()),
                     waker: poller.waker(),
@@ -175,18 +168,14 @@ mod imp {
     struct Conn {
         stream: TcpStream,
         /// Unparsed inbound bytes (partial frames survive here across
-        /// readiness events; under `Block` backpressure, whole frames do).
+        /// readiness events; under backpressure, whole frames do).
         rbuf: Vec<u8>,
-        /// Sealed replies awaiting the socket, bounded by the (possibly
-        /// adaptive) outbox capacity.
+        /// Sealed replies awaiting the socket, bounded by `chan_capacity`.
         outbox: VecDeque<SealedKv>,
         /// Bytes of the front outbox frame already written — a vectored
         /// write that lands mid-frame must resume exactly there, never
         /// re-send the prefix.
         front_off: usize,
-        /// Adaptive capacity controller; `None` runs the fixed
-        /// `chan_capacity`.
-        adaptive: Option<AdaptiveCap>,
         last_inbound: Instant,
         /// Set when a write hit `WouldBlock`; cleared on any write
         /// progress. The stall budget runs against it.
@@ -195,79 +184,10 @@ mod imp {
     }
 
     impl Conn {
-        fn capacity(&self, tconfig: &TransportConfig) -> usize {
-            self.adaptive
-                .as_ref()
-                .map_or(tconfig.chan_capacity.max(1), AdaptiveCap::capacity)
-        }
-    }
-
-    /// Queues one sealed reply on the connection's outbox under the shed
-    /// policy, counting sheds and adaptive resizes. Never fails: under
-    /// `Block` the reply is queued regardless (frame *parsing* is what the
-    /// gate suspends, so the overshoot is bounded by one frame's replies),
-    /// and the drop policies shed instead of failing.
-    fn queue_outbox(
-        outbox: &mut VecDeque<SealedKv>,
-        front_off: usize,
-        adaptive: &mut Option<AdaptiveCap>,
-        tconfig: &TransportConfig,
-        reply: SealedKv,
-    ) {
-        let capacity = adaptive
-            .as_ref()
-            .map_or(tconfig.chan_capacity.max(1), AdaptiveCap::capacity);
-        let full = outbox.len() >= capacity;
-        let shed = match tconfig.shed_policy {
-            ShedPolicy::Block => {
-                outbox.push_back(reply);
-                false
-            }
-            ShedPolicy::DropNewest => {
-                if full {
-                    true // the new reply is dropped
-                } else {
-                    outbox.push_back(reply);
-                    false
-                }
-            }
-            ShedPolicy::DropOldest => {
-                if full {
-                    // Never drop the partially-written front frame: its
-                    // length prefix is already on the wire and dropping it
-                    // would desynchronise the stream. Shed the oldest
-                    // *unsent* frame instead (or the new reply when the
-                    // front is all there is).
-                    if front_off == 0 {
-                        outbox.pop_front();
-                        outbox.push_back(reply);
-                    } else if outbox.len() >= 2 {
-                        outbox.remove(1);
-                        outbox.push_back(reply);
-                    }
-                    true
-                } else {
-                    outbox.push_back(reply);
-                    false
-                }
-            }
-        };
-        let reg = safereg_obs::global();
-        if shed {
-            reg.counter(names::CHAN_SHED).inc();
-            reg.counter(&names::shed_counter(tconfig.shed_policy.label()))
-                .inc();
-        }
-        if let Some(cap) = adaptive {
-            match cap.record(shed, Instant::now()) {
-                Some(CapChange::Grew(_)) => {
-                    reg.counter(names::CHAN_ADAPTIVE_GROW).inc();
-                }
-                Some(CapChange::Shrank(_)) => {
-                    reg.counter(names::CHAN_ADAPTIVE_SHRINK).inc();
-                }
-                None => {}
-            }
+        /// Backpressure gate: a full outbox suspends frame parsing and
+        /// read interest until the socket drains it.
+        fn gated(&self, tconfig: &TransportConfig) -> bool {
+            self.outbox.len() >= tconfig.chan_capacity.max(1)
         }
     }
 
@@ -296,7 +216,7 @@ mod imp {
     }
 
     /// Parses and serves every complete frame buffered on the connection,
-    /// stopping early when `Block` backpressure gates the outbox. Returns
+    /// stopping early when backpressure gates the outbox. Returns
     /// `(close, frames_served)`.
     fn process_buffered(
         conn: &mut Conn,
@@ -310,9 +230,7 @@ mod imp {
         let mut served = 0;
         let mut close = false;
         loop {
-            if tconfig.shed_policy == ShedPolicy::Block
-                && conn.outbox.len() >= conn.capacity(tconfig)
-            {
+            if conn.gated(tconfig) {
                 // Backpressure: leave the rest buffered, the interest
                 // recomputation below parks the read side until the outbox
                 // drains.
@@ -339,28 +257,24 @@ mod imp {
                 break;
             }
             served += 1;
-            let Conn {
-                outbox,
-                front_off,
-                adaptive,
-                ..
-            } = conn;
-            let mut queue =
-                |reply: SealedKv| queue_outbox(outbox, *front_off, adaptive, tconfig, reply);
+            // The reply is queued even past the gate: frame *parsing* is
+            // what the gate suspends, so the overshoot is bounded by one
+            // frame's replies.
+            let outbox = &mut conn.outbox;
+            let mut queue = |reply: SealedKv| outbox.push_back(reply);
             process_sealed_frame(server, chain, me, &sealed, &mut queue);
         }
         conn.rbuf.drain(..off);
         (close, served)
     }
 
-    /// Drains the outbox with vectored writes: up to `max_batch_frames`
+    /// Drains the outbox with vectored writes: up to [`MAX_BATCH_FRAMES`]
     /// frames per syscall, four iovecs each, resuming mid-frame at
     /// `front_off` after a partial write. Returns `true` when the
     /// connection must close.
-    fn flush_outbox(conn: &mut Conn, tconfig: &TransportConfig) -> bool {
-        let max_batch = tconfig.max_batch_frames.max(1);
+    fn flush_outbox(conn: &mut Conn) -> bool {
         while !conn.outbox.is_empty() {
-            let batch = conn.outbox.len().min(max_batch);
+            let batch = conn.outbox.len().min(MAX_BATCH_FRAMES);
             let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(batch * 4);
             for (i, frame) in conn.outbox.iter().take(batch).enumerate() {
                 let mut skip = if i == 0 { conn.front_off } else { 0 };
@@ -423,23 +337,21 @@ mod imp {
             if close {
                 return true;
             }
-            if flush_outbox(conn, tconfig) {
+            if flush_outbox(conn) {
                 return true;
             }
             if served == 0 {
                 return false;
             }
-            // Replies just left the outbox; under Block backpressure more
+            // Replies just left the outbox; under backpressure more
             // buffered frames may now fit — loop until the buffer or the
             // budget is exhausted.
         }
     }
 
     fn desired_interest(conn: &Conn, tconfig: &TransportConfig) -> Interest {
-        let gated =
-            tconfig.shed_policy == ShedPolicy::Block && conn.outbox.len() >= conn.capacity(tconfig);
         Interest {
-            readable: !gated,
+            readable: !conn.gated(tconfig),
             writable: !conn.outbox.is_empty(),
         }
     }
@@ -492,13 +404,6 @@ mod imp {
                 if poller.register(fd, token, Interest::READ).is_err() {
                     continue; // dropping the stream closes it
                 }
-                let adaptive = tconfig.adaptive_outbox.then(|| {
-                    AdaptiveCap::new(
-                        tconfig.chan_capacity,
-                        tconfig.chan_capacity_max,
-                        AdaptiveCap::DEFAULT_WINDOW,
-                    )
-                });
                 conns.insert(
                     token,
                     Conn {
@@ -506,7 +411,6 @@ mod imp {
                         rbuf: Vec::new(),
                         outbox: VecDeque::new(),
                         front_off: 0,
-                        adaptive,
                         last_inbound: Instant::now(),
                         stalled_since: None,
                         interest: Interest::READ,
@@ -587,7 +491,6 @@ pub(crate) struct ReactorHandle;
 impl ReactorPool {
     pub(crate) fn spawn(
         _reactors: usize,
-        _backend: safereg_transport::poll::PollBackend,
         _server: std::sync::Arc<crate::server::KvServer>,
         _chain: safereg_crypto::keychain::KeyChain,
         _me: safereg_common::ids::ServerId,

@@ -12,11 +12,10 @@
 //! readiness-driven reactors ([`crate::reactor`]). Replies leave each
 //! connection through a *bounded* outbox sized by
 //! [`TransportConfig::chan_capacity`](safereg_common::config::TransportConfig);
-//! when a slow client lets it fill, the configured
-//! [`ShedPolicy`](safereg_common::sync::channel::ShedPolicy) decides
-//! whether the reactor parks the connection's read side or sheds, and
-//! every shed increments `chan.shed` plus a per-policy counter in the
-//! metrics dump.
+//! when a slow client lets it fill, the reactor parks the connection's
+//! read side until the client drains it, so no reply is ever dropped. A
+//! client that never drains is evicted under the stall budget and counted
+//! in `server.evictions.stall`.
 
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
@@ -43,7 +42,6 @@ use safereg_obs::span::{self, SpanKind};
 use safereg_obs::trace::{wall_micros, MsgClass};
 use safereg_transport::chaos::{ChaosProxy, FaultPlan};
 use safereg_transport::frame::{read_frame, KvFrame, SealedKv};
-use safereg_transport::poll::PollBackend;
 
 use safereg_mds::rs::ReedSolomon;
 use safereg_mds::stripe::encode_value;
@@ -98,7 +96,7 @@ pub(crate) fn count_eviction(reason: &str) {
 
 /// The per-frame serving path: authenticate, admin-intercept, epoch-admit,
 /// dispatch, and hand each sealed reply to `queue_reply` (the reactor's
-/// outbox push under the shed policy).
+/// outbox push).
 ///
 /// Malformed, forged, misaddressed or short frames are dropped without
 /// closing the connection — Byzantine input is reachable silence, not a
@@ -234,7 +232,7 @@ pub(crate) fn process_sealed_frame(
 /// server's side of the wire.
 #[derive(Debug, Clone, Default)]
 struct KvHostOptions {
-    /// Transport policy: outbox capacity, shed policy, idle/stall budgets.
+    /// Transport policy: outbox capacity, idle/stall budgets.
     tconfig: TransportConfig,
     /// The role this replica plays ([`ByzRole::Correct`] by default) —
     /// applied to every hosted register group; rotate individual shards
@@ -252,9 +250,6 @@ struct KvHostOptions {
     /// Reactor pool size; `0` (the default) sizes the pool to the number
     /// of shards this replica hosts.
     reactors: usize,
-    /// Readiness backend for the reactor pool (`epoll` on Linux, portable
-    /// `poll` elsewhere or when forced for tests).
-    poll_backend: PollBackend,
 }
 
 /// A KV replica served over TCP.
@@ -309,8 +304,7 @@ impl KvHostBuilder {
         self
     }
 
-    /// Transport policy: outbox capacity, shed policy, idle/stall budgets,
-    /// batch sizing and the adaptive-capacity knobs.
+    /// Transport policy: outbox capacity and idle/stall budgets.
     pub fn config(mut self, tconfig: TransportConfig) -> Self {
         self.opts.tconfig = tconfig;
         self
@@ -344,17 +338,11 @@ impl KvHostBuilder {
         self
     }
 
-    /// Forces a readiness backend for the reactor pool.
-    pub fn poll_backend(mut self, backend: PollBackend) -> Self {
-        self.opts.poll_backend = backend;
-        self
-    }
-
     /// Spawns the host.
     ///
     /// # Errors
     ///
-    /// Propagates bind errors from the listener or the proxy, and backend
+    /// Propagates bind errors from the listener or the proxy, and poller
     /// creation errors from the reactor pool — on targets without unix
     /// readiness APIs that is always [`ErrorKind::Unsupported`].
     pub fn spawn(self) -> std::io::Result<KvServerHost> {
@@ -434,10 +422,6 @@ impl KvServerHost {
         // Register the degradation metrics up front so a dump shows them
         // (at zero) even before any backpressure, eviction or restart.
         let reg = safereg_obs::global();
-        reg.counter(safereg_obs::names::CHAN_SHED);
-        reg.counter(&safereg_obs::names::shed_counter(
-            tconfig.shed_policy.label(),
-        ));
         reg.counter(names::SERVER_EVICTIONS);
         reg.counter(&names::eviction_counter("idle"));
         reg.counter(&names::eviction_counter("stall"));
@@ -483,8 +467,6 @@ impl KvServerHost {
         reg.counter(names::REACTOR_EVENTS);
         reg.counter(names::REACTOR_WAKEUPS);
         reg.counter(names::REACTOR_HANDOFFS);
-        reg.counter(names::CHAN_ADAPTIVE_GROW);
-        reg.counter(names::CHAN_ADAPTIVE_SHRINK);
 
         let reactors = if opts.reactors > 0 {
             opts.reactors
@@ -493,7 +475,6 @@ impl KvServerHost {
         };
         let pool = ReactorPool::spawn(
             reactors,
-            opts.poll_backend,
             Arc::clone(&server),
             chain,
             id,
@@ -1084,10 +1065,9 @@ pub struct TcpKvCluster {
     /// The server-side fault plan every replica is fronted with, if any;
     /// restarts respawn the proxy with the same plan on the old address.
     plan: Option<FaultPlan>,
-    /// Pool sizing and readiness backend every host (including respawns
-    /// and joiners) runs its reactors with.
+    /// Reactor pool size every host (including respawns and joiners)
+    /// runs with.
     reactors: usize,
-    poll_backend: PollBackend,
     hosts: BTreeMap<ServerId, KvServerHost>,
 }
 
@@ -1117,7 +1097,6 @@ pub struct ClusterBuilder {
     plan: Option<FaultPlan>,
     roles: BTreeMap<ServerId, (ByzRole, u64)>,
     reactors: usize,
-    poll_backend: PollBackend,
 }
 
 impl ClusterBuilder {
@@ -1163,17 +1142,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Forces a readiness backend for every host's reactor pool.
-    pub fn poll_backend(mut self, backend: PollBackend) -> Self {
-        self.poll_backend = backend;
-        self
-    }
-
     /// Starts the cluster.
     ///
     /// # Errors
     ///
-    /// Bind errors, reactor-backend errors, or a builder with neither
+    /// Bind errors, poller creation errors, or a builder with neither
     /// [`quorum`](Self::quorum) nor [`shards`](Self::shards) set.
     pub fn start(self) -> std::io::Result<TcpKvCluster> {
         let map = match (self.map, self.quorum) {
@@ -1209,7 +1182,6 @@ impl ClusterBuilder {
                         chaos: self.plan.clone(),
                         shards: Some(map.clone()),
                         reactors: self.reactors,
-                        poll_backend: self.poll_backend,
                     },
                 )?,
             );
@@ -1229,7 +1201,6 @@ impl ClusterBuilder {
             config,
             plan: self.plan,
             reactors: self.reactors,
-            poll_backend: self.poll_backend,
             hosts,
         })
     }
@@ -1247,7 +1218,6 @@ impl TcpKvCluster {
             plan: None,
             roles: BTreeMap::new(),
             reactors: 0,
-            poll_backend: PollBackend::default(),
         }
     }
 
@@ -1464,7 +1434,6 @@ impl TcpKvCluster {
                 chaos: self.plan.clone(),
                 shards: Some(self.map.clone()),
                 reactors: self.reactors,
-                poll_backend: self.poll_backend,
             },
         )?;
         // A fresh host boots at the genesis epoch; mid-epoch respawns must
@@ -1629,7 +1598,6 @@ impl TcpKvCluster {
                         chaos: self.plan.clone(),
                         shards: Some(new_map.clone()),
                         reactors: self.reactors,
-                        poll_backend: self.poll_backend,
                         ..KvHostOptions::default()
                     },
                 )?,
@@ -1903,9 +1871,9 @@ mod tests {
         // The replica counted the traffic the put/get just generated.
         assert!(dump.contains("\"metric\":\"kv.recv.query_tag\""));
         assert!(dump.contains("\"metric\":\"kv.recv.query_data\""));
-        // Backpressure counters are registered eagerly at host spawn, so
-        // the dump exposes them even when nothing has been shed yet.
-        assert!(dump.contains("\"metric\":\"chan.shed\""));
+        // Degradation counters are registered eagerly at host spawn, so
+        // the dump exposes them even before any connection is evicted.
+        assert!(dump.contains("\"metric\":\"server.evictions\""));
         // The admin read itself never touches register state.
         assert!(client
             .get(&mut transport, METRICS_KEY)
@@ -2032,30 +2000,26 @@ mod tests {
     }
 
     #[test]
-    fn every_shed_policy_serves_a_roundtrip() {
+    fn tiny_outbox_serves_a_roundtrip() {
         // The bounded reply outbox must be transparent when it never
-        // fills: each policy serves the same put/get sequence.
-        use safereg_common::sync::channel::ShedPolicy;
-        for (i, policy) in ShedPolicy::ALL.iter().enumerate() {
-            let tconfig = TransportConfig {
-                chan_capacity: 2,
-                shed_policy: *policy,
-                ..TransportConfig::default()
-            };
-            let cfg = QuorumConfig::minimal_bsr(1).unwrap();
-            let cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-shed")
-                .quorum(cfg)
-                .config(tconfig)
-                .start()
-                .unwrap();
-            let mut transport = cluster.transport();
-            let mut client = KvClient::new(cfg, WriterId(i as u16), ReaderId(i as u16));
-            client.put(&mut transport, b"key", "value").unwrap();
-            assert_eq!(
-                client.get(&mut transport, b"key").unwrap().as_bytes(),
-                b"value"
-            );
-        }
+        // fills, however small it is.
+        let tconfig = TransportConfig {
+            chan_capacity: 2,
+            ..TransportConfig::default()
+        };
+        let cfg = QuorumConfig::minimal_bsr(1).unwrap();
+        let cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-outbox")
+            .quorum(cfg)
+            .config(tconfig)
+            .start()
+            .unwrap();
+        let mut transport = cluster.transport();
+        let mut client = KvClient::new(cfg, WriterId(0), ReaderId(0));
+        client.put(&mut transport, b"key", "value").unwrap();
+        assert_eq!(
+            client.get(&mut transport, b"key").unwrap().as_bytes(),
+            b"value"
+        );
     }
 
     #[test]

@@ -1,32 +1,27 @@
 //! Reactor integration tests: the readiness-driven serving path under
-//! backpressure, shed storms, `m < n` placement and the portable poll
-//! backend. (Chaos over the reactor lives in the root `tests/chaos_torture.rs`;
-//! idle eviction in `tcp.rs`' unit tests.)
+//! lossless backpressure, stall eviction and `m < n` placement. (Chaos
+//! over the reactor lives in the root `tests/chaos_torture.rs`; idle
+//! eviction in `tcp.rs`' unit tests; both poll backends in
+//! `safereg_transport::poll`'s tests.)
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use safereg_common::config::{QuorumConfig, TransportConfig};
 use safereg_common::epoch::EpochConfig;
 use safereg_common::ids::{ClientId, ReaderId, ServerId, WriterId};
-use safereg_common::msg::{ClientToServer, OpId};
+use safereg_common::msg::{ClientToServer, Message, OpId, ServerToClient};
 use safereg_common::shard::{ShardId, ShardMap};
-use safereg_common::sync::channel::ShedPolicy;
 use safereg_crypto::keychain::KeyChain;
 use safereg_kv::{encode_request, KvClient, KvMode, KvServerHost, TcpKvCluster};
 use safereg_obs::names;
-use safereg_transport::poll::PollBackend;
+use safereg_transport::frame::{read_frame, KvFrame};
 
-fn roundtrip(cluster: &TcpKvCluster, who: u16, key: &[u8], value: &str) {
-    let mut transport = cluster.transport();
-    let mut client = KvClient::new(cluster.map().shard_config(), WriterId(who), ReaderId(who));
-    client.put(&mut transport, key, value).unwrap();
-    assert_eq!(
-        client.get(&mut transport, key).unwrap().as_bytes(),
-        value.as_bytes()
-    );
-}
+/// Serializes the tests that read the process-wide stall-eviction counter,
+/// so one test's eviction never shows up in another's before/after delta.
+static STALL_COUNTER: Mutex<()> = Mutex::new(());
 
 /// Exactly one of `.quorum()` / `.shards()` is required.
 #[test]
@@ -61,10 +56,11 @@ fn canned_query(chain: &KeyChain, cfg: QuorumConfig, who: u16, seq: u64) -> Vec<
 /// the kernel's generous loopback buffers cannot mask the jam.
 #[test]
 fn slow_reader_is_stall_evicted_by_the_reactor() {
+    let _serial = STALL_COUNTER
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let tconfig = TransportConfig {
         chan_capacity: 4,
-        shed_policy: ShedPolicy::Block,
-        adaptive_outbox: false,
         stall_timeout: Duration::from_millis(300),
         idle_timeout: Duration::from_secs(30),
         ..TransportConfig::default()
@@ -112,58 +108,51 @@ fn slow_reader_is_stall_evicted_by_the_reactor() {
     );
 }
 
-/// Under a sustained shed storm the adaptive outbox must grow its
-/// capacity (and count doing so): flood a tiny `DropNewest` outbox from a
-/// client that never reads.
+/// Backpressure is lossless: a client that pipelines sixteen times more
+/// requests than the outbox holds, before reading a single reply, must get
+/// every reply back — authentic and in request order — and must not be
+/// stall evicted. The outbox gate suspends frame parsing instead of
+/// dropping replies, so the requests past the bound wait in the read
+/// buffer until the outbox drains.
 #[test]
-fn adaptive_outbox_grows_under_a_shed_storm() {
+fn pipelined_requests_past_the_outbox_bound_all_get_replies() {
+    let _serial = STALL_COUNTER
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let tconfig = TransportConfig {
-        chan_capacity: 2,
-        chan_capacity_max: 64,
-        shed_policy: ShedPolicy::DropNewest,
-        adaptive_outbox: true,
-        stall_timeout: Duration::from_secs(30),
-        idle_timeout: Duration::from_secs(30),
+        chan_capacity: 4,
         ..TransportConfig::default()
     };
-    let cfg = QuorumConfig::minimal_bsr(1).unwrap();
-    let chain = KeyChain::from_master_seed(b"rt-adaptive");
+    let cfg = QuorumConfig::new(1, 0).unwrap();
+    let chain = KeyChain::from_master_seed(b"rt-pipeline");
     let host = KvServerHost::builder(ServerId(0), cfg, KvMode::Replicated, chain.clone())
         .config(tconfig)
         .spawn()
         .unwrap();
-
     let reg = safereg_obs::global();
-    let grow_before = reg.counter(names::CHAN_ADAPTIVE_GROW).get();
+    let stalls_before = reg.counter(&names::eviction_counter("stall")).get();
 
-    let conn = TcpStream::connect(host.addr()).unwrap();
-    conn.set_nonblocking(true).unwrap();
-    let request = canned_query(&chain, cfg, 8, 1);
-    // Keep the shed rate above the growth threshold across at least one
-    // full adaptation window; DropNewest keeps the reactor reading (and
-    // shedding) even while the reply path is jammed.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let mut off = 0usize;
-    while std::time::Instant::now() < deadline {
-        match (&conn).write(&request[off..]) {
-            Ok(n) => {
-                off += n;
-                if off == request.len() {
-                    off = 0;
-                }
+    const PIPELINED: u64 = 64;
+    let requests: Vec<u8> = (1..=PIPELINED)
+        .flat_map(|seq| canned_query(&chain, cfg, 9, seq))
+        .collect();
+    let mut conn = TcpStream::connect(host.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    conn.write_all(&requests).unwrap();
+    for seq in 1..=PIPELINED {
+        let sealed = read_frame(&mut conn).unwrap_or_else(|e| panic!("reply {seq}: {e:?}"));
+        let frame = KvFrame::open(&chain, &sealed).expect("authentic reply");
+        match frame.env.msg {
+            Message::ToClient(ServerToClient::DataResp { op, .. }) => {
+                assert_eq!(op.seq, seq, "replies come back in request order");
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
-        }
-        if reg.counter(names::CHAN_ADAPTIVE_GROW).get() > grow_before {
-            break;
+            other => panic!("reply {seq}: unexpected {other:?}"),
         }
     }
-    assert!(
-        reg.counter(names::CHAN_ADAPTIVE_GROW).get() > grow_before,
-        "a sustained shed storm must have grown the adaptive outbox"
+    assert_eq!(
+        reg.counter(&names::eviction_counter("stall")).get(),
+        stalls_before,
+        "a pipelining client that does read is never stall evicted"
     );
 }
 
@@ -194,16 +183,4 @@ fn m_of_n_sharded_cluster_roundtrips_on_the_reactor() {
             value.as_bytes()
         );
     }
-}
-
-/// The portable `poll(2)` backend must serve identically to epoll.
-#[test]
-fn poll_backend_serves_roundtrips() {
-    let cfg = QuorumConfig::minimal_bsr(1).unwrap();
-    let cluster = TcpKvCluster::builder(KvMode::Replicated, b"rt-pollfd")
-        .quorum(cfg)
-        .poll_backend(PollBackend::Poll)
-        .start()
-        .unwrap();
-    roundtrip(&cluster, 6, b"backend", "portable poll");
 }

@@ -8,10 +8,11 @@
 //!   [`Counter`](metrics::Counter)s, [`Gauge`](metrics::Gauge)s and
 //!   log-linear [`Histogram`](metrics::Histogram)s, frozen into
 //!   deterministic [`Snapshot`](metrics::Snapshot)s.
-//! * [`trace`] — typed protocol [`Event`](trace::Event)s with
-//!   caller-supplied timestamps feeding a pluggable
-//!   [`Recorder`](trace::Recorder) (ring buffer, null, or custom), plus
-//!   wall-clock [`Span`](trace::Span) scopes via the [`span!`] macro.
+//! * [`span`] — packed causal span records: a per-run [`SpanLog`] the
+//!   simulator stamps with virtual time, and the process-wide
+//!   [`FlightRecorder`] the TCP stack stamps with wall-clock microseconds.
+//! * [`trace`] — the [`MsgClass`] wire-message labels and the
+//!   [`wall_micros`](trace::wall_micros) clock.
 //! * [`export`] — a human table and line-oriented JSON, both pure
 //!   functions of a snapshot so equal runs dump identical bytes.
 //! * [`names`] — pinned metric names for the self-healing network path
@@ -19,9 +20,9 @@
 //!   shared by the transport, kv and chaos layers.
 //!
 //! Two ownership styles coexist deliberately. The deterministic simulator
-//! creates one `Registry` per run and stamps events with **virtual time**,
+//! creates one `Registry` per run and stamps spans with **virtual time**,
 //! so a seed reproduces its metric dump bit-for-bit. The TCP transport and
-//! kv server share the process-wide [`global`] registry and stamp events
+//! kv server share the process-wide [`global`] registry and stamp spans
 //! with wall-clock microseconds.
 //!
 //! # Examples
@@ -49,7 +50,7 @@ pub use span::{
     attribute_slow_read, dump_flight, flight, violation_trees, FlightRecorder, SlowCause,
     SlowEvidence, SpanKind, SpanLog, SpanRecord, SpanSink,
 };
-pub use trace::{Event, EventKind, MsgClass, NullRecorder, Recorder, RingRecorder, Span};
+pub use trace::MsgClass;
 
 /// The process-wide registry used by the TCP transport and kv server.
 ///

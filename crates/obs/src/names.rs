@@ -26,10 +26,6 @@ pub const KV_EXCHANGE_UNREACHABLE: &str = "kv.exchange.unreachable";
 /// grep-gated in `scripts/ci.sh`).
 pub const WIRE_BYTES_COPIED: &str = "wire.bytes_copied";
 
-/// Frames shed by a bounded transport channel, summed over all links and
-/// policies. Per-policy breakdowns live under [`shed_counter`].
-pub const CHAN_SHED: &str = "chan.shed";
-
 /// Server hosts: connections evicted for misbehaving at the socket level
 /// (idle with no traffic, or stalled so writes time out), summed over all
 /// reasons. Per-reason breakdowns live under [`eviction_counter`].
@@ -59,12 +55,6 @@ pub const CHAOS_FAULT_PREFIX: &str = "chaos.frames";
 /// `1` HalfOpen, `2` Open).
 pub fn link_state_gauge(server: u16) -> String {
     format!("kv.link.state.s{server}")
-}
-
-/// Per-policy shed counter name (`chan.shed.block`, `chan.shed.drop_newest`,
-/// `chan.shed.drop_oldest`). `label` is `ShedPolicy::label()`.
-pub fn shed_counter(label: &str) -> String {
-    format!("{}.{label}", CHAN_SHED)
 }
 
 /// Per-reason eviction counter name (`server.evictions.idle`,
@@ -176,14 +166,6 @@ pub const REACTOR_WAKEUPS: &str = "reactor.wakeups";
 /// accept-sharding layer.
 pub const REACTOR_HANDOFFS: &str = "reactor.accept.handoffs";
 
-/// Adaptive outbox capacity: grow steps (capacity doubled after a window
-/// with a sustained `chan.shed` rate).
-pub const CHAN_ADAPTIVE_GROW: &str = "chan.adaptive.grow";
-
-/// Adaptive outbox capacity: shrink steps (capacity halved back toward
-/// its base after consecutive shed-free windows).
-pub const CHAN_ADAPTIVE_SHRINK: &str = "chan.adaptive.shrink";
-
 /// Operations head-sampled into the trace layer (root contexts created
 /// with a nonzero trace id).
 pub const TRACE_SAMPLED_OPS: &str = "trace.sampled.ops";
@@ -226,12 +208,6 @@ mod tests {
     #[test]
     fn gauge_names_are_stable() {
         assert_eq!(super::link_state_gauge(3), "kv.link.state.s3");
-    }
-
-    #[test]
-    fn shed_counter_names_are_stable() {
-        assert_eq!(super::shed_counter("block"), "chan.shed.block");
-        assert_eq!(super::shed_counter("drop_oldest"), "chan.shed.drop_oldest");
         assert_eq!(super::WIRE_BYTES_COPIED, "wire.bytes_copied");
     }
 
@@ -273,8 +249,8 @@ mod tests {
             "kv.read.slow_cause.reconfig_transfer"
         );
         assert_eq!(
-            super::slow_cause_exemplar("shed_outbox"),
-            "kv.read.slow_cause.shed_outbox.exemplar"
+            super::slow_cause_exemplar("byz_stale_ack"),
+            "kv.read.slow_cause.byz_stale_ack.exemplar"
         );
     }
 
@@ -306,8 +282,6 @@ mod tests {
         assert_eq!(super::REACTOR_EVENTS, "reactor.events");
         assert_eq!(super::REACTOR_WAKEUPS, "reactor.wakeups");
         assert_eq!(super::REACTOR_HANDOFFS, "reactor.accept.handoffs");
-        assert_eq!(super::CHAN_ADAPTIVE_GROW, "chan.adaptive.grow");
-        assert_eq!(super::CHAN_ADAPTIVE_SHRINK, "chan.adaptive.shrink");
     }
 
     #[test]

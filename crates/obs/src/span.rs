@@ -47,7 +47,7 @@ pub enum SpanKind {
     Segment = 2,
     /// A retry pass began (`detail` = pass number).
     Retry = 3,
-    /// Point annotation (breaker transition, shed, eviction…).
+    /// Point annotation (breaker transition, eviction…).
     Note = 4,
 }
 
@@ -94,26 +94,23 @@ pub enum SlowCause {
     /// The client re-drove the quorum after a network-level fault
     /// (unreachable server, chaos drop/sever, timeout).
     RetryAfterFault = 1,
-    /// A bounded outbox shed frames during the operation.
-    ShedOutbox = 2,
     /// A reachable replica answered with a stale or invalid value
     /// (validation failures at the protocol layer).
-    ByzStaleAck = 3,
+    ByzStaleAck = 2,
     /// A reachable replica returned no reply at all — Byzantine silence.
-    ByzSilence = 4,
+    ByzSilence = 3,
     /// One replica answered far slower than its peers.
-    StragglerReplica = 5,
+    StragglerReplica = 4,
     /// The protocol simply required its second phase (insufficient
     /// witnesses on the fast round) with no fault evidence.
-    SecondPhase = 6,
+    SecondPhase = 5,
 }
 
 impl SlowCause {
     /// All causes, priority order (stable for schema dumps).
-    pub const ALL: [SlowCause; 7] = [
+    pub const ALL: [SlowCause; 6] = [
         SlowCause::ReconfigTransfer,
         SlowCause::RetryAfterFault,
-        SlowCause::ShedOutbox,
         SlowCause::ByzStaleAck,
         SlowCause::ByzSilence,
         SlowCause::StragglerReplica,
@@ -125,7 +122,6 @@ impl SlowCause {
         match self {
             SlowCause::ReconfigTransfer => "reconfig_transfer",
             SlowCause::RetryAfterFault => "retry_after_fault",
-            SlowCause::ShedOutbox => "shed_outbox",
             SlowCause::ByzStaleAck => "byz_stale_ack",
             SlowCause::ByzSilence => "byz_silence",
             SlowCause::StragglerReplica => "straggler_replica",
@@ -156,8 +152,6 @@ pub struct SlowEvidence {
     pub silent: u32,
     /// Stale/invalid replies the protocol layer rejected.
     pub validation_failures: u64,
-    /// A bounded wire queue shed frames during the operation.
-    pub shed: bool,
     /// Epoch configurations adopted mid-operation after a `WrongEpoch`
     /// redirect (each adoption forced a re-issue against new membership).
     pub reconfig: u32,
@@ -177,8 +171,6 @@ pub fn attribute_slow_read(ev: &SlowEvidence) -> SlowCause {
         SlowCause::ReconfigTransfer
     } else if ev.unreachable > 0 && ev.retry_passes > 0 {
         SlowCause::RetryAfterFault
-    } else if ev.shed {
-        SlowCause::ShedOutbox
     } else if ev.validation_failures > 0 {
         SlowCause::ByzStaleAck
     } else if ev.silent > 0 {
@@ -659,7 +651,7 @@ mod tests {
                 phase: (rng.next_u64() % 8) as u8,
                 hop: (rng.next_u64() % 4) as u8,
                 kind: (rng.next_u64() % 5) as u8,
-                cause: (rng.next_u64() % 7) as u8,
+                cause: (rng.next_u64() % 6) as u8,
                 at: rng.next_u64(),
                 dur: rng.next_u64(),
                 node: rng.next_u64() as u32,
@@ -680,7 +672,6 @@ mod tests {
                 retry_passes: 1,
                 silent: 2,
                 validation_failures: 3,
-                shed: true,
                 ..base
             }),
             SlowCause::ReconfigTransfer,
@@ -693,7 +684,6 @@ mod tests {
                 retry_passes: 1,
                 silent: 2,
                 validation_failures: 3,
-                shed: true,
                 ..base
             }),
             SlowCause::RetryAfterFault,
@@ -708,14 +698,6 @@ mod tests {
             }),
             SlowCause::ReconfigTransfer,
             "a redirected read never falls through to straggler_replica"
-        );
-        assert_eq!(
-            attribute_slow_read(&SlowEvidence {
-                shed: true,
-                validation_failures: 1,
-                ..base
-            }),
-            SlowCause::ShedOutbox
         );
         assert_eq!(
             attribute_slow_read(&SlowEvidence {

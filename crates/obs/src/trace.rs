@@ -1,20 +1,11 @@
-//! Structured protocol events, recorder sinks and timed spans.
+//! Wire-message classification and the wall-clock timestamp domain.
 //!
-//! Instrumented layers emit typed [`Event`]s into a pluggable
-//! [`Recorder`]. Timestamps are **caller-supplied**: the simulator stamps
-//! events with virtual ticks (so two runs of the same seed produce
-//! identical streams), while the TCP transport stamps wall-clock
-//! microseconds. The recorder never reads a clock itself — that is what
-//! keeps the deterministic and real runtimes on one code path.
+//! [`MsgClass`] labels every wire message type for per-class counters;
+//! [`wall_micros`] is the clock the TCP stack stamps spans with (the
+//! simulator uses virtual ticks instead, so its span streams replay
+//! byte-identically — see [`crate::span::SpanLog`]).
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use safereg_common::history::ReadPath;
-use safereg_common::msg::{ClientToServer, Message, OpId, PeerMessage, ServerToClient};
-
-use crate::metrics::Histogram;
+use safereg_common::msg::{ClientToServer, Message, PeerMessage, ServerToClient};
 
 /// Fine-grained message classification: one label per wire message type,
 /// used for per-type send/receive counters (`*.sent.<class>` and
@@ -140,60 +131,8 @@ impl std::fmt::Display for MsgClass {
     }
 }
 
-/// What happened, without a timestamp.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
-    /// A client operation was invoked.
-    OpInvoked {
-        /// The operation.
-        op: OpId,
-        /// `true` for writes.
-        write: bool,
-    },
-    /// A client operation completed.
-    OpCompleted {
-        /// The operation.
-        op: OpId,
-        /// Round trips it used (Definition 3).
-        rounds: u32,
-        /// Fast/slow classification; `None` for writes.
-        path: Option<ReadPath>,
-        /// Witness/validation failures it observed.
-        validation_failures: u32,
-    },
-    /// A message entered the network.
-    MsgSent {
-        /// Its wire class.
-        class: MsgClass,
-        /// Its encoded size.
-        bytes: u64,
-    },
-    /// A message was delivered after being held past the run's horizon
-    /// (or otherwise arrived too late to influence its operation).
-    MsgLate {
-        /// Its wire class.
-        class: MsgClass,
-    },
-    /// A transport connection was established.
-    ConnOpened,
-    /// A transport connection was torn down.
-    ConnClosed,
-    /// A peer failed transport authentication.
-    AuthFailed,
-}
-
-/// One recorded event: a caller-supplied timestamp plus what happened.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Virtual ticks (simulator) or wall-clock microseconds (TCP).
-    pub at: u64,
-    /// What happened.
-    pub kind: EventKind,
-}
-
 /// Microseconds since the Unix epoch — the timestamp domain the TCP
-/// transport stamps events with (the simulator uses virtual ticks
-/// instead, keeping its event streams replay-identical).
+/// stack stamps spans with.
 pub fn wall_micros() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -201,109 +140,11 @@ pub fn wall_micros() -> u64 {
         .unwrap_or(0)
 }
 
-/// A sink for [`Event`]s.
-///
-/// Implementations must be cheap and non-blocking — they run on protocol
-/// hot paths. The simulator installs a [`RingRecorder`] per run; real
-/// deployments may use [`NullRecorder`] and rely on metrics alone.
-pub trait Recorder: Send + Sync {
-    /// Accepts one event.
-    fn record(&self, event: Event);
-}
-
-/// Discards every event.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&self, _event: Event) {}
-}
-
-/// A bounded in-memory event buffer: keeps the most recent `capacity`
-/// events and counts how many were evicted.
-#[derive(Debug)]
-pub struct RingRecorder {
-    capacity: usize,
-    events: safereg_common::sync::Mutex<VecDeque<Event>>,
-    evicted: AtomicU64,
-}
-
-impl RingRecorder {
-    /// Creates a ring holding at most `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        RingRecorder {
-            capacity: capacity.max(1),
-            events: safereg_common::sync::Mutex::new(VecDeque::new()),
-            evicted: AtomicU64::new(0),
-        }
-    }
-
-    /// A copy of the buffered events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.lock().iter().cloned().collect()
-    }
-
-    /// Removes and returns the buffered events, oldest first.
-    pub fn drain(&self) -> Vec<Event> {
-        self.events.lock().drain(..).collect()
-    }
-
-    /// How many events were evicted to make room.
-    pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-}
-
-impl Recorder for RingRecorder {
-    fn record(&self, event: Event) {
-        let mut events = self.events.lock();
-        if events.len() == self.capacity {
-            events.pop_front();
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        events.push_back(event);
-    }
-}
-
-/// A wall-clock timed scope: records elapsed microseconds into a histogram
-/// when dropped. For virtual-time scopes the simulator computes durations
-/// itself and calls [`Histogram::record`] directly.
-#[derive(Debug)]
-pub struct Span {
-    hist: Arc<Histogram>,
-    start: std::time::Instant,
-}
-
-impl Span {
-    /// Starts timing into `hist`.
-    pub fn start(hist: Arc<Histogram>) -> Self {
-        Span {
-            hist,
-            start: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.hist.record(self.start.elapsed().as_micros() as u64);
-    }
-}
-
-/// Times the enclosing scope into `registry`'s histogram `name`
-/// (wall-clock microseconds): `let _guard = span!(reg, "frame.seal_us");`.
-#[macro_export]
-macro_rules! span {
-    ($registry:expr, $name:expr) => {
-        $crate::trace::Span::start($registry.histogram($name))
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use safereg_common::ids::{ClientId, ReaderId, WriterId};
-    use safereg_common::msg::Payload;
+    use safereg_common::ids::{ClientId, WriterId};
+    use safereg_common::msg::{OpId, Payload};
     use safereg_common::tag::Tag;
     use safereg_common::value::Value;
 
@@ -358,121 +199,5 @@ mod tests {
             assert_eq!(MsgClass::of(&msg), class);
             assert_eq!(class.as_str(), label);
         }
-    }
-
-    #[test]
-    fn ring_recorder_keeps_most_recent() {
-        let ring = RingRecorder::new(2);
-        for i in 0..5u64 {
-            ring.record(Event {
-                at: i,
-                kind: EventKind::ConnOpened,
-            });
-        }
-        let events = ring.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!((events[0].at, events[1].at), (3, 4));
-        assert_eq!(ring.evicted(), 3);
-        assert_eq!(ring.drain().len(), 2);
-        assert!(ring.events().is_empty());
-    }
-
-    #[test]
-    fn ring_recorder_wraparound_property_under_random_shapes() {
-        // Property loop: for random capacities and batch sizes, the ring
-        // always keeps exactly the newest min(total, capacity) events in
-        // order and accounts every eviction.
-        let mut rng = safereg_common::rng::DetRng::seed_from(0x0B5E_7261_CE01);
-        for _ in 0..50 {
-            let capacity = 1 + (rng.next_u64() % 33) as usize;
-            let total = rng.next_u64() % 400;
-            let ring = RingRecorder::new(capacity);
-            for at in 0..total {
-                ring.record(Event {
-                    at,
-                    kind: EventKind::ConnOpened,
-                });
-            }
-            let events = ring.events();
-            let kept = total.min(capacity as u64);
-            assert_eq!(events.len() as u64, kept, "cap {capacity} total {total}");
-            assert_eq!(ring.evicted(), total - kept);
-            for (i, e) in events.iter().enumerate() {
-                assert_eq!(e.at, total - kept + i as u64, "oldest-first order");
-            }
-        }
-    }
-
-    #[test]
-    fn ring_recorder_concurrent_emit_loses_nothing_it_should_keep() {
-        // Hammer one ring from several threads; afterwards the buffered
-        // count plus the evictions must equal the total emitted, and every
-        // surviving event is intact (its `at` encodes emitter * 10_000 +
-        // sequence, so torn or duplicated entries would show up).
-        let threads = 4usize;
-        let per_thread = 1_000u64;
-        let ring = std::sync::Arc::new(RingRecorder::new(64));
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let ring = std::sync::Arc::clone(&ring);
-                std::thread::spawn(move || {
-                    for i in 0..per_thread {
-                        ring.record(Event {
-                            at: t as u64 * 10_000 + i,
-                            kind: EventKind::ConnOpened,
-                        });
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let events = ring.events();
-        assert_eq!(events.len(), 64, "full ring stays at capacity");
-        assert_eq!(
-            events.len() as u64 + ring.evicted(),
-            threads as u64 * per_thread,
-            "every emit is either buffered or counted as evicted"
-        );
-        for e in &events {
-            let (t, i) = (e.at / 10_000, e.at % 10_000);
-            assert!(t < threads as u64 && i < per_thread, "intact event {e:?}");
-        }
-        // Per-thread subsequences survive in emission order.
-        for t in 0..threads as u64 {
-            let seqs: Vec<u64> = events
-                .iter()
-                .filter(|e| e.at / 10_000 == t)
-                .map(|e| e.at % 10_000)
-                .collect();
-            assert!(
-                seqs.windows(2).all(|w| w[0] < w[1]),
-                "thread {t} order: {seqs:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn span_records_into_histogram() {
-        let reg = crate::metrics::Registry::new();
-        {
-            let _guard = span!(reg, "scope_us");
-        }
-        assert_eq!(reg.histogram("scope_us").count(), 1);
-    }
-
-    #[test]
-    fn op_events_carry_the_read_path() {
-        let e = Event {
-            at: 10,
-            kind: EventKind::OpCompleted {
-                op: OpId::new(ReaderId(1), 1),
-                rounds: 1,
-                path: Some(ReadPath::Fast),
-                validation_failures: 0,
-            },
-        };
-        assert_eq!(e.clone(), e);
     }
 }

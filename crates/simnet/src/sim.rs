@@ -18,7 +18,7 @@ use safereg_common::trace::{Phase, TraceCtx};
 use safereg_core::op::{ClientOp, OpOutput};
 use safereg_obs::metrics::{Registry, Snapshot};
 use safereg_obs::span::{self, SlowEvidence, SpanKind, SpanLog, SpanRecord};
-use safereg_obs::trace::{self, MsgClass, NullRecorder, Recorder};
+use safereg_obs::trace::MsgClass;
 
 use crate::behavior::ServerBehavior;
 use crate::delay::{op_of, DelayPolicy};
@@ -110,7 +110,6 @@ pub struct Sim {
     /// Per-run metrics, stamped in virtual time so runs reproduce
     /// bit-for-bit from their seed.
     registry: Arc<Registry>,
-    recorder: Arc<dyn Recorder>,
     /// Causal span capture: when set, sampled operations emit
     /// [`SpanRecord`]s stamped with **virtual ticks** into the log, so an
     /// identically-seeded run reproduces the trace stream byte for byte.
@@ -168,7 +167,6 @@ impl Sim {
             messages: 0,
             bytes: 0,
             registry,
-            recorder: Arc::new(NullRecorder),
             spans: None,
             fast_reads: 0,
             slow_reads: 0,
@@ -185,12 +183,6 @@ impl Sim {
     /// A deterministic snapshot of the run's metrics.
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.registry.snapshot()
-    }
-
-    /// Installs an event recorder (e.g. an [`safereg_obs::RingRecorder`]).
-    /// Events are stamped with virtual ticks.
-    pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = recorder;
     }
 
     /// Installs a causal span log: operations whose derived trace id
@@ -284,10 +276,6 @@ impl Sim {
                 tally.sent += 1;
             }
         }
-        self.recorder.record(trace::Event {
-            at: self.time,
-            kind: trace::EventKind::MsgSent { class, bytes: wire },
-        });
         let delay = self.delay.delay(self.time, &env, &mut self.rng);
         let at = self.time.saturating_add(delay.0.max(1));
         // One span segment per sampled message, its duration the link
@@ -367,13 +355,6 @@ impl Sim {
             Action::Read => self.history.begin_read(op_id, self.time),
         };
         self.op_handles.insert(op_id, handle);
-        self.recorder.record(trace::Event {
-            at: self.time,
-            kind: trace::EventKind::OpInvoked {
-                op: op_id,
-                write: matches!(plan.action, Action::Write(_)),
-            },
-        });
         // Field-disjoint from the live `actor` borrow, so inline rather
         // than going through `trace_of`/`emit_span`.
         if let Some((log, permille)) = &self.spans {
@@ -400,14 +381,9 @@ impl Sim {
     }
 
     /// Counts a delivery that arrived after its operation finished.
-    fn note_late(&mut self, env: &Envelope) {
+    fn note_late(&mut self) {
         self.late_messages += 1;
-        let class = MsgClass::of(&env.msg);
         self.registry.counter("sim.msgs.late").inc();
-        self.recorder.record(trace::Event {
-            at: self.time,
-            kind: trace::EventKind::MsgLate { class },
-        });
     }
 
     fn deliver(&mut self, env: Envelope) {
@@ -443,7 +419,7 @@ impl Sim {
                     None => return,
                 };
                 if late {
-                    self.note_late(&env);
+                    self.note_late();
                     return;
                 }
                 let actor = self.actors.get_mut(&cid).expect("checked above");
@@ -516,15 +492,6 @@ impl Sim {
                             .counter("sim.read.validation_failures")
                             .add(u64::from(failures));
                     }
-                    self.recorder.record(trace::Event {
-                        at: now,
-                        kind: trace::EventKind::OpCompleted {
-                            op: op_id,
-                            rounds,
-                            path,
-                            validation_failures: failures,
-                        },
-                    });
                     if let Some((log, permille)) = &self.spans {
                         use safereg_obs::span::SpanSink;
                         let root = TraceCtx::for_op(&op_id, *permille);
@@ -966,14 +933,14 @@ mod tests {
     }
 
     #[test]
-    fn recorder_stream_and_metric_dump_are_deterministic() {
-        use safereg_obs::{render_jsonl, RingRecorder};
+    fn span_stream_and_metric_dump_are_deterministic() {
+        use safereg_obs::{render_jsonl, SpanLog};
         use std::sync::Arc;
         let run = || {
             let mut sim = bsr_sim(1, 15, 0);
             let cfg = *sim.config();
-            let ring = Arc::new(RingRecorder::new(4096));
-            sim.set_recorder(ring.clone());
+            let log = Arc::new(SpanLog::new());
+            sim.set_span_log(Arc::clone(&log), 1000);
             sim.add_client(
                 ClientDriver::BsrWriter(BsrWriter::new(WriterId(0), cfg)),
                 vec![Plan::write_at(0, "det")],
@@ -983,14 +950,18 @@ mod tests {
                 vec![Plan::read_at(60)],
             );
             let report = sim.run();
-            (report, render_jsonl(&sim.metrics_snapshot()), ring.events())
+            (
+                report,
+                render_jsonl(&sim.metrics_snapshot()),
+                log.render_jsonl(),
+            )
         };
-        let (ra, dump_a, events_a) = run();
-        let (rb, dump_b, events_b) = run();
+        let (ra, dump_a, spans_a) = run();
+        let (rb, dump_b, spans_b) = run();
         assert_eq!(ra, rb);
         assert_eq!(dump_a, dump_b, "metric dumps must be byte-identical");
-        assert_eq!(events_a, events_b, "event streams must be identical");
-        assert!(!events_a.is_empty());
+        assert_eq!(spans_a, spans_b, "span streams must be byte-identical");
+        assert!(!spans_a.is_empty());
         assert!(dump_a.contains("sim.read.fast_ratio_permille"));
     }
 

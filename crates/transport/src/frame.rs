@@ -57,6 +57,11 @@ const FRAME_OVERHEAD: usize = 64 << 10;
 /// one bound through [`frame_len`].
 pub const MAX_FRAME: usize = MAX_FIELD_LEN + FRAME_OVERHEAD;
 
+/// Most sealed frames a host coalesces into one vectored write when it
+/// drains a connection's reply outbox; batch sizes land in the
+/// `transport.batch.frames` histogram.
+pub const MAX_BATCH_FRAMES: usize = 64;
+
 /// Errors while reading or authenticating frames.
 #[derive(Debug)]
 pub enum FrameError {

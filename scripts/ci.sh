@@ -27,11 +27,23 @@ run cargo test --workspace -q --offline
 run cargo build --release --offline --manifest-path benchmark/Cargo.toml
 run cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+# Every smoke below runs one release build of the harness from a scratch
+# directory under target/: the harness writes its BENCH_*.json reports
+# into its working directory, and smoke-sized runs must never overwrite
+# the committed full-run artifacts at the repo root.
+run cargo build --release --offline -p safereg-bench --bin paper_harness
+harness_bin="$(cd "${CARGO_TARGET_DIR:-target}" && pwd)/release/paper_harness"
+smoke_dir=target/ci-smoke
+mkdir -p "$smoke_dir"
+harness() {
+    (cd "$smoke_dir" && "$harness_bin" "$@")
+}
+
 # Observability smoke: a contended simnet scenario must emit the
 # fast-read-ratio gauge through the metrics dump. Capture, then grep:
 # under pipefail, grep -q's early exit would SIGPIPE the producer.
 echo "==> paper_harness metrics | grep sim.read.fast_ratio_permille"
-metrics_out=$(cargo run --release --offline -q -p safereg-bench --bin paper_harness metrics)
+metrics_out=$(harness metrics)
 grep -q '"metric":"sim.read.fast_ratio_permille"' <<< "$metrics_out" ||
     { echo "ci.sh: metrics dump missing fast-read-ratio gauge" >&2; exit 1; }
 
@@ -41,7 +53,7 @@ grep -q '"metric":"sim.read.fast_ratio_permille"' <<< "$metrics_out" ||
 # and breaker transitions, seed-stable schedule) and exits nonzero on
 # failure; the grep pins the human-readable verdict line too.
 echo "==> paper_harness chaos | grep 'chaos: self-healing ok'"
-chaos_out=$(cargo run --release --offline -q -p safereg-bench --bin paper_harness chaos)
+chaos_out=$(harness chaos)
 echo "$chaos_out"
 grep -q 'chaos: self-healing ok' <<< "$chaos_out" ||
     { echo "ci.sh: chaos smoke run did not self-heal" >&2; exit 1; }
@@ -52,7 +64,7 @@ grep -q 'chaos: self-healing ok' <<< "$chaos_out" ||
 # borrowing relay decode must copy zero payload bytes, and the encode-once
 # path must allocate at least 2x less than the old per-destination path.
 echo "==> paper_harness wire | grep verdicts"
-wire_out=$(cargo run --release --offline -q -p safereg-bench --bin paper_harness wire)
+wire_out=$(harness wire)
 echo "$wire_out"
 grep -q 'relay bytes copied = 0 ' <<< "$wire_out" ||
     { echo "ci.sh: wire relay path copied payload bytes" >&2; exit 1; }
@@ -67,7 +79,7 @@ grep -q 'wire: ok' <<< "$wire_out" ||
 # fault schedule; the greps pin the verdict line and the two server-side
 # metrics the run must surface even when zero.
 echo "==> paper_harness soak --ops 20000 --byz f --seed 7 | grep verdicts"
-soak_out=$(cargo run --release --offline -q -p safereg-bench --bin paper_harness soak --ops 20000 --byz f --seed 7)
+soak_out=$(harness soak --ops 20000 --byz f --seed 7)
 echo "$soak_out"
 grep -q 'soak: ok' <<< "$soak_out" ||
     { echo "ci.sh: soak smoke failed its safety/memory/reproducibility bars" >&2; exit 1; }
@@ -84,8 +96,7 @@ grep -q '"metric":"transport.batch.frames"' <<< "$soak_out" ||
 # verdict marker, the per-shard fast-ratio lines, and the zero-violation
 # count.
 echo "==> paper_harness soak --shards 4 --byz f --seed 11 | grep verdicts"
-shard_soak_out=$(cargo run --release --offline -q -p safereg-bench --bin paper_harness \
-    soak --ops 2000 --byz f --seed 11 --epochs 2 --shards 4 --keys 8)
+shard_soak_out=$(harness soak --ops 2000 --byz f --seed 11 --epochs 2 --shards 4 --keys 8)
 echo "$shard_soak_out"
 grep -q 'shard: ok' <<< "$shard_soak_out" ||
     { echo "ci.sh: sharded soak smoke failed its per-shard bars" >&2; exit 1; }
@@ -102,7 +113,7 @@ grep -q 'soak: violations = 0 (0 required)' <<< "$shard_soak_out" ||
 # determinism verdict, and the span-line schema (flight dumps go to
 # stderr, so the captured stdout stays clean).
 echo "==> paper_harness trace | grep verdicts"
-trace_out=$(cargo run --release --offline -q -p safereg-bench --bin paper_harness trace 2>/dev/null)
+trace_out=$(harness trace 2>/dev/null)
 echo "$trace_out"
 grep -Eq 'trace: slow cause [a-z_]+ = [1-9]' <<< "$trace_out" ||
     { echo "ci.sh: trace run produced no attributed slow read" >&2; exit 1; }
@@ -121,13 +132,13 @@ grep -q 'trace: ok' <<< "$trace_out" ||
 # nonzero on any of those; the greps pin the verdict line and the written
 # BENCH_churn.json report.
 echo "==> paper_harness churn | grep 'churn: ok'"
-churn_out=$(cargo run --release --offline -q -p safereg-bench --bin paper_harness churn --ops 120)
+churn_out=$(harness churn --ops 120)
 echo "$churn_out"
 grep -q 'churn: ok' <<< "$churn_out" ||
     { echo "ci.sh: churn smoke failed its reconfiguration bars" >&2; exit 1; }
 grep -q 'churn: coded joiner rebuilt logical slot .*digest match = yes' <<< "$churn_out" ||
     { echo "ci.sh: churn coded joiner fragment digest mismatch" >&2; exit 1; }
-test -s BENCH_churn.json ||
+test -s "$smoke_dir/BENCH_churn.json" ||
     { echo "ci.sh: churn smoke did not write BENCH_churn.json" >&2; exit 1; }
 
 # Shard-scaling smoke: {1,4,16} register groups x {uniform, zipf} keys on
@@ -136,7 +147,7 @@ test -s BENCH_churn.json ||
 # median throughput is monotone in shard count within the noise allowance;
 # the grep pins the verdict.
 echo "==> paper_harness shard | grep 'shard: ok'"
-shard_out=$(cargo run --release --offline -q -p safereg-bench --bin paper_harness shard)
+shard_out=$(harness shard)
 echo "$shard_out"
 grep -q 'shard: ok' <<< "$shard_out" ||
     { echo "ci.sh: shard-scaling bench failed socket or monotonicity bars" >&2; exit 1; }
@@ -146,7 +157,7 @@ grep -q 'shard: ok' <<< "$shard_out" ||
 # breaks its bar, or the thread count scales with connections; the greps
 # pin the verdict line and the reactor metrics the dump must surface.
 echo "==> paper_harness runtime --quick | grep 'runtime: ok'"
-runtime_out=$(cargo run --release --offline -q -p safereg-bench --bin paper_harness runtime --quick)
+runtime_out=$(harness runtime --quick)
 echo "$runtime_out"
 grep -q 'runtime: ok' <<< "$runtime_out" ||
     { echo "ci.sh: runtime smoke failed its reply/p99/thread bars" >&2; exit 1; }
@@ -154,7 +165,7 @@ grep -q '"metric":"reactor.threads"' <<< "$runtime_out" ||
     { echo "ci.sh: runtime dump missing reactor.threads gauge" >&2; exit 1; }
 grep -q '"metric":"reactor.accept.handoffs"' <<< "$runtime_out" ||
     { echo "ci.sh: runtime dump missing reactor.accept.handoffs counter" >&2; exit 1; }
-test -s BENCH_runtime.json ||
+test -s "$smoke_dir/BENCH_runtime.json" ||
     { echo "ci.sh: runtime smoke did not write BENCH_runtime.json" >&2; exit 1; }
 
 # Audit smoke: the accountability scenario — a Fabricator leg and an
@@ -167,7 +178,7 @@ test -s BENCH_runtime.json ||
 # the verdict line, the conviction counter in the metrics dump, the
 # zero-false-accusation line, and the written report.
 echo "==> paper_harness audit --ops 32 | grep verdicts"
-audit_out=$(cargo run --release --offline -q -p safereg-bench --bin paper_harness audit --ops 32)
+audit_out=$(harness audit --ops 32)
 echo "$audit_out"
 grep -q 'audit: ok' <<< "$audit_out" ||
     { echo "ci.sh: audit smoke failed its conviction/acquittal bars" >&2; exit 1; }
@@ -175,7 +186,7 @@ grep -q '"metric":"kv.audit.convictions"' <<< "$audit_out" ||
     { echo "ci.sh: audit dump missing kv.audit.convictions counter" >&2; exit 1; }
 grep -q 'false_accusations 0 (0 required)' <<< "$audit_out" ||
     { echo "ci.sh: audit smoke accused a correct replica" >&2; exit 1; }
-test -s BENCH_audit.json ||
+test -s "$smoke_dir/BENCH_audit.json" ||
     { echo "ci.sh: audit smoke did not write BENCH_audit.json" >&2; exit 1; }
 
 # Key-hygiene gate: evidence and audit types are built to be logged and

@@ -35,7 +35,7 @@ struct Torture<'a> {
     /// Writer/reader id of the single sequential client.
     who: u16,
     plan: FaultPlan,
-    /// Host-side transport policy (outbox capacity, shed policy).
+    /// Host-side transport policy (outbox capacity, eviction budgets).
     host: TransportConfig,
     /// Client-side transport and retry policy.
     client: TransportConfig,
@@ -184,69 +184,59 @@ fn retry_passes_mask_heavy_frame_loss() {
     );
 }
 
-/// Every shedding policy must preserve per-key register safety under the
-/// same chaos torture: replies leave each replica through a deliberately
-/// tiny bounded outbox, the adversary severs and kill/restarts one replica
-/// (`<= f`), and the checker's predicates must still hold for every key.
-/// The metrics dump fetched from a live replica must expose the `chan.shed`
-/// counters (registered eagerly, so visible even at zero).
+/// A deliberately tiny bounded outbox must preserve per-key register
+/// safety under chaos torture: replies leave each replica through a
+/// 4-deep outbox whose backpressure gates the read side, the adversary
+/// severs and kill/restarts one replica (`<= f`), and the checker's
+/// predicates must still hold for every key. The metrics dump fetched from
+/// a live replica must expose the `server.evictions` counter (registered
+/// eagerly, so visible even at zero).
 #[test]
-fn every_shed_policy_survives_chaos_torture() {
-    use safereg::common::sync::channel::ShedPolicy;
+fn small_outbox_survives_chaos_torture() {
     use safereg::kv::fetch_metrics;
 
-    for (p, policy) in ShedPolicy::ALL.iter().enumerate() {
-        let (_cluster, _net, mut transport) = torture(
-            &Torture {
-                name: &format!("kv-shed-{}", policy.label()),
-                who: p as u16,
-                plan: FaultPlan::new(0x5EED_0000 + p as u64, FaultSpec::mild()),
-                host: TransportConfig {
-                    // A 4-deep outbox: small enough that shedding is
-                    // plausible under chaos, large enough that the strict
-                    // request/response exchange never deadlocks.
-                    chan_capacity: 4,
-                    shed_policy: *policy,
-                    ..torture_policy()
-                },
-                client: torture_policy(),
-                rounds: 4,
-                keys: &[b"alpha", b"beta"],
-                attempts: 1,
+    let (_cluster, _net, mut transport) = torture(
+        &Torture {
+            name: "kv-outbox",
+            who: 0,
+            plan: FaultPlan::new(0x5EED_0000, FaultSpec::mild()),
+            host: TransportConfig {
+                // Small enough that the gate engages under chaos, large
+                // enough that the strict request/response exchange never
+                // deadlocks.
+                chan_capacity: 4,
+                ..torture_policy()
             },
-            sever_then_restart(1, 2),
-        );
+            client: torture_policy(),
+            rounds: 4,
+            keys: &[b"alpha", b"beta"],
+            attempts: 1,
+        },
+        sever_then_restart(1, 2),
+    );
 
-        // The dump from an untouched replica must carry the backpressure
-        // counters for the policy this cluster runs under. The fetch is a
-        // single unretried exchange and this link still runs mild chaos,
-        // so re-ask with fresh sequence numbers until a reply survives;
-        // the sleep lets an open circuit breaker finish its cooldown.
-        let dump = (0..8)
-            .find_map(|attempt| {
-                if attempt > 0 {
-                    std::thread::sleep(Duration::from_millis(300));
-                }
-                fetch_metrics(
-                    &mut transport,
-                    ClientId::Reader(ReaderId(p as u16)),
-                    ServerId(0),
-                    9_000 + 10 * p as u64 + attempt,
-                )
-            })
-            .unwrap_or_else(|| panic!("[{}] metrics dump unavailable", policy.label()));
-        assert!(
-            dump.contains("\"metric\":\"chan.shed\""),
-            "[{}] dump is missing chan.shed",
-            policy.label()
-        );
-        let per_policy = format!("\"metric\":\"chan.shed.{}\"", policy.label());
-        assert!(
-            dump.contains(&per_policy),
-            "[{}] dump is missing the per-policy shed counter",
-            policy.label()
-        );
-    }
+    // The dump from an untouched replica must carry the eagerly
+    // registered degradation counters. The fetch is a single unretried
+    // exchange and this link still runs mild chaos, so re-ask with fresh
+    // sequence numbers until a reply survives; the sleep lets an open
+    // circuit breaker finish its cooldown.
+    let dump = (0..8)
+        .find_map(|attempt| {
+            if attempt > 0 {
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            fetch_metrics(
+                &mut transport,
+                ClientId::Reader(ReaderId(0)),
+                ServerId(0),
+                9_000 + attempt,
+            )
+        })
+        .expect("metrics dump unavailable");
+    assert!(
+        dump.contains("\"metric\":\"server.evictions\""),
+        "dump is missing server.evictions"
+    );
 }
 
 /// Drives one `put` + `get` per call until `done(transport)` holds; every

@@ -7,13 +7,13 @@
 //! interfere. These tests pin that property end to end: a quiescent run
 //! reports a 100 % fast-read ratio through the metrics dump, interference
 //! reports strictly less, and identical seeded runs produce byte-identical
-//! dumps and event streams.
+//! dumps and span streams.
 
 use std::sync::Arc;
 
 use safereg::common::config::QuorumConfig;
 use safereg::common::ids::{ReaderId, WriterId};
-use safereg::obs::{render_jsonl, RingRecorder};
+use safereg::obs::{render_jsonl, SpanLog};
 use safereg::simnet::delay::FixedDelay;
 use safereg::simnet::driver::Plan;
 use safereg::simnet::scenarios::theorem3;
@@ -127,15 +127,22 @@ fn identical_runs_produce_byte_identical_dumps_and_event_streams() {
         let mut spec = WorkloadSpec::read_heavy(Protocol::BsrH, 1, 900, 0xDE7);
         spec.byzantine = Some((1, ByzKind::Equivocator));
         let mut sim = spec.build();
-        let ring = Arc::new(RingRecorder::new(1 << 16));
-        sim.set_recorder(ring.clone());
+        let log = Arc::new(SpanLog::new());
+        sim.set_span_log(Arc::clone(&log), 1000);
         let report = sim.run();
-        (report, render_jsonl(&sim.metrics_snapshot()), ring.events())
+        (
+            report,
+            render_jsonl(&sim.metrics_snapshot()),
+            log.render_jsonl(),
+        )
     };
-    let (report_a, dump_a, events_a) = run();
-    let (report_b, dump_b, events_b) = run();
+    let (report_a, dump_a, spans_a) = run();
+    let (report_b, dump_b, spans_b) = run();
     assert_eq!(report_a, report_b);
     assert_eq!(dump_a, dump_b, "metric dumps must be byte-identical");
-    assert_eq!(events_a, events_b);
-    assert!(events_a.len() > 100, "the run actually traced events");
+    assert_eq!(spans_a, spans_b, "span streams must be byte-identical");
+    assert!(
+        spans_a.lines().count() > 100,
+        "the run actually traced spans"
+    );
 }
