@@ -19,10 +19,11 @@
 //! isolates the *wire* cost the zero-copy redesign changed, not the coding
 //! math it didn't touch.
 //!
-//! A relay simulation then feeds every new-path frame through the
-//! borrowing [`KvFrame::open`] — the same open every host and client runs,
-//! and the one that feeds `wire.bytes_copied` — and asserts the counter
-//! stays flat: the serving path must never memcpy payload bytes.
+//! A relay simulation then feeds every new-path frame through
+//! [`KvFrame::open`] — the same open every host and client runs — and
+//! counts the payload bytes of each decoded frame that do not point into
+//! the received buffer: the serving path must never memcpy payload bytes,
+//! so the bar is 0.
 //!
 //! A final batching leg drives a real TCP cluster and checks the vectored
 //! outbox drain: every flush recorded in `transport.batch.frames` must
@@ -108,7 +109,8 @@ pub struct WireBenchResult {
     pub alloc_ratio: f64,
     /// Frames pushed through the borrowing relay decode.
     pub relay_frames: usize,
-    /// `wire.bytes_copied` delta across the relay; the bar is 0.
+    /// Payload bytes of relayed frames that decoded into a copy instead of
+    /// a view of the received buffer; the bar is 0.
     pub relay_bytes_copied: u64,
     /// Vectored-drain ceiling ([`MAX_BATCH_FRAMES`]).
     pub batch_ceiling: usize,
@@ -195,6 +197,14 @@ fn received(sealed: &SealedKv) -> Bytes {
     Bytes::from(sealed.to_wire_bytes()).slice(4..)
 }
 
+/// Whether `view` lies inside `buf`'s memory, i.e. was decoded without a
+/// copy.
+fn aliases(view: &Bytes, buf: &Bytes) -> bool {
+    let (lo, hi) = (buf.as_ptr() as usize, buf.as_ptr() as usize + buf.len());
+    let at = view.as_ptr() as usize;
+    lo <= at && at + view.len() <= hi
+}
+
 /// Runs the microbench. See the module docs for what is measured.
 pub fn run() -> WireBenchResult {
     let k = N - 5 * F; // BCSR dimension: k = 1 at the paper's point
@@ -264,20 +274,25 @@ pub fn run() -> WireBenchResult {
     let new_allocs = allocations() - before;
 
     // Relay simulation: every new-path frame is opened exactly as a host
-    // opens it; the copy counter that open feeds must not move.
-    let reg = safereg_obs::global();
-    let copied_before = reg.counter(safereg_obs::names::WIRE_BYTES_COPIED).get();
+    // opens it, and its payload must come back as a view of the received
+    // buffer.
     let mut relay_frames = 0usize;
+    let mut relay_bytes_copied = 0u64;
     for sealed in &new_frames {
-        let frame = KvFrame::open(&chain, &received(sealed)).expect("sealed frame opens");
-        assert!(
-            matches!(frame.env.msg, Message::ToServer(_)),
-            "relay decoded an unexpected message"
-        );
+        let buf = received(sealed);
+        let frame = KvFrame::open(&chain, &buf).expect("sealed frame opens");
+        let Message::ToServer(ClientToServer::PutData {
+            payload: Payload::Coded(element),
+            ..
+        }) = &frame.env.msg
+        else {
+            panic!("relay decoded an unexpected message");
+        };
+        if !aliases(&element.data, &buf) {
+            relay_bytes_copied += element.data.len() as u64;
+        }
         relay_frames += 1;
     }
-    let relay_bytes_copied =
-        reg.counter(safereg_obs::names::WIRE_BYTES_COPIED).get() - copied_before;
 
     let (batch_samples, batch_max_frames) = batch_drain_leg();
 

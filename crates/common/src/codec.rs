@@ -11,13 +11,10 @@
 //! no self-description; both sides must agree on the expected type, which the
 //! transport guarantees by framing each [`Wire`] message with its type.
 //!
-//! Decoding comes in two flavors. The original [`WireReader`] path copies
-//! variable-size payloads into fresh allocations. The [`BytesReader`] path
-//! borrows: when the input is already a [`Bytes`] buffer (as every framed
-//! message is), `Bytes` fields decode as O(1) slices of that buffer, so a
-//! relayed payload is never copied. [`payload_bytes_copied`] counts the bytes
-//! the copying path moves, which the transport surfaces as the
-//! `wire.bytes_copied` metric.
+//! There is one decoder, [`Wire::decode_borrowed`] over a [`BytesReader`].
+//! Every framed message arrives as a [`Bytes`] buffer, so `Bytes` fields
+//! decode as O(1) slices of that buffer and a relayed payload is never
+//! copied; fixed-size fields are read straight out of it.
 //!
 //! # Examples
 //!
@@ -33,22 +30,16 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::buf::Bytes;
 
-/// Payload bytes copied out of buffers by the *copying* decode path
-/// ([`Wire::decode_from`] on [`Bytes`] fields). The borrowing path
-/// ([`Wire::decode_borrowed`]) never bumps this. Process-global and
-/// monotonic; consumers read deltas.
-static PAYLOAD_BYTES_COPIED: AtomicU64 = AtomicU64::new(0);
-
-/// Running total of payload bytes the copying decode path has duplicated.
+/// Payload bytes the decoder has copied out of its input: always 0.
 ///
-/// Zero-copy proofs (the `wire.bytes_copied` metric, the `paper_harness
-/// wire` gate) assert the delta across a borrowing decode stays 0.
+/// The only decoder borrows every `Bytes` field from the input buffer, so
+/// there is nothing left to count. The function stays because the
+/// benchmark reads it as its `common.wire_bytes_copied_per_op` row.
 pub fn payload_bytes_copied() -> u64 {
-    PAYLOAD_BYTES_COPIED.load(Ordering::Relaxed)
+    0
 }
 
 /// Maximum length accepted for a single variable-size field (64 MiB).
@@ -85,11 +76,6 @@ pub enum WireError {
         /// Number of unconsumed bytes.
         count: usize,
     },
-    /// A field held an invalid value (e.g. non-UTF-8 string bytes).
-    Invalid {
-        /// Description of the invalid content.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for WireError {
@@ -110,87 +96,18 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes { count } => {
                 write!(f, "{count} trailing bytes after complete message")
             }
-            WireError::Invalid { what } => write!(f, "invalid field content: {what}"),
         }
     }
 }
 
 impl Error for WireError {}
 
-/// Cursor over a byte buffer being decoded.
-#[derive(Debug)]
-pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> WireReader<'a> {
-    /// Creates a reader over `buf` starting at offset 0.
-    pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0 }
-    }
-
-    /// Number of bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Returns `true` once every byte has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    /// Takes the next `n` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Truncated`] if fewer than `n` bytes remain.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated {
-                needed: n,
-                remaining: self.remaining(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads a `u32` length prefix, validating it against both
-    /// [`MAX_FIELD_LEN`] and the remaining buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::LengthOverflow`] for oversized claims and
-    /// [`WireError::Truncated`] when the buffer cannot hold the claimed
-    /// length.
-    pub fn take_len(&mut self) -> Result<usize, WireError> {
-        let len = u32::decode_from(self)? as usize;
-        if len > MAX_FIELD_LEN {
-            return Err(WireError::LengthOverflow { claimed: len });
-        }
-        if len > self.remaining() {
-            return Err(WireError::Truncated {
-                needed: len,
-                remaining: self.remaining(),
-            });
-        }
-        Ok(len)
-    }
-
-    /// Number of bytes consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
-}
-
-/// Cursor over a [`Bytes`] buffer being decoded *borrowingly*: variable-size
-/// fields come back as zero-copy slices of the underlying buffer instead of
-/// fresh allocations.
+/// Cursor over a [`Bytes`] buffer being decoded: variable-size fields come
+/// back as zero-copy slices of the underlying buffer instead of fresh
+/// allocations.
 ///
-/// Mirrors [`WireReader`]'s hardening: every length prefix is checked against
-/// [`MAX_FIELD_LEN`] and the remaining buffer before any slice is taken.
+/// Every length prefix is checked against [`MAX_FIELD_LEN`] and the
+/// remaining buffer before any slice is taken.
 #[derive(Debug)]
 pub struct BytesReader<'a> {
     src: &'a Bytes,
@@ -211,25 +128,6 @@ impl<'a> BytesReader<'a> {
     /// Returns `true` once every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
-    }
-
-    /// Number of bytes consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
-
-    /// Borrows the unconsumed tail of the buffer without advancing.
-    pub fn rest(&self) -> &'a [u8] {
-        &self.src.as_slice()[self.pos..]
-    }
-
-    /// Advances the cursor by `n` already-validated bytes.
-    ///
-    /// Used by the bridging default of [`Wire::decode_borrowed`] after a
-    /// copying decode ran over [`BytesReader::rest`].
-    pub fn advance(&mut self, n: usize) {
-        debug_assert!(n <= self.remaining());
-        self.pos += n.min(self.remaining());
     }
 
     /// Takes the next `n` bytes as a borrowed slice.
@@ -296,33 +194,14 @@ pub trait Wire: Sized {
     /// Appends the encoding of `self` to `buf`.
     fn encode_to(&self, buf: &mut Vec<u8>);
 
-    /// Decodes a value from the reader, advancing it. Variable-size fields
-    /// are copied out of the buffer; prefer [`Wire::decode_borrowed`] when
-    /// the input is a [`Bytes`] buffer.
+    /// Decodes a value from a [`BytesReader`], advancing it past exactly
+    /// the bytes [`Wire::encode_to`] writes. `Bytes` fields come back as
+    /// zero-copy views of the source buffer.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] describing the first malformed field.
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError>;
-
-    /// Decodes a value from a [`BytesReader`], advancing it. `Bytes` fields
-    /// come back as zero-copy views of the source buffer.
-    ///
-    /// The default bridges to [`Wire::decode_from`] (copying), which is
-    /// correct for every type; fixed-size and payload-bearing types override
-    /// it to stay allocation-free. Overrides must consume exactly the bytes
-    /// the copying decode would.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] describing the first malformed field.
-    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
-        let mut inner = WireReader::new(r.rest());
-        let v = Self::decode_from(&mut inner)?;
-        let used = inner.consumed();
-        r.advance(used);
-        Ok(v)
-    }
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError>;
 
     /// Encodes `self` into a fresh immutable [`Bytes`] buffer.
     ///
@@ -371,14 +250,6 @@ macro_rules! impl_wire_int {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
 
-            fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                let n = std::mem::size_of::<$t>();
-                let bytes = r.take(n)?;
-                let mut arr = [0u8; std::mem::size_of::<$t>()];
-                arr.copy_from_slice(bytes);
-                Ok(<$t>::from_le_bytes(arr))
-            }
-
             fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
                 let n = std::mem::size_of::<$t>();
                 let bytes = r.take(n)?;
@@ -401,14 +272,6 @@ impl Wire for bool {
         buf.push(u8::from(*self));
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode_from(r)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(WireError::BadDiscriminant { ty: "bool", got: t }),
-        }
-    }
-
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
         match u8::decode_borrowed(r)? {
             0 => Ok(false),
@@ -428,45 +291,14 @@ impl Wire for Bytes {
         buf.extend_from_slice(self);
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = r.take_len()?;
-        PAYLOAD_BYTES_COPIED.fetch_add(len as u64, Ordering::Relaxed);
-        Ok(Bytes::copy_from_slice(r.take(len)?))
-    }
-
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
-        // Zero-copy: the returned Bytes shares the source allocation, so
-        // `payload_bytes_copied()` stays flat on this path.
+        // Zero-copy: the returned Bytes shares the source allocation.
         let len = r.take_len()?;
         r.take_bytes(len)
     }
 
     fn wire_len(&self) -> usize {
         4 + self.len()
-    }
-}
-
-impl Wire for String {
-    fn encode_to(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode_to(buf);
-        buf.extend_from_slice(self.as_bytes());
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = r.take_len()?;
-        let bytes = r.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Invalid {
-            what: "utf-8 string",
-        })
-    }
-
-    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
-        // Strings are owned either way; borrowing only avoids the bridge.
-        let len = r.take_len()?;
-        let bytes = r.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Invalid {
-            what: "utf-8 string",
-        })
     }
 }
 
@@ -478,31 +310,13 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = u32::decode_from(r)? as usize;
-        if count > MAX_FIELD_LEN {
-            return Err(WireError::LengthOverflow { claimed: count });
-        }
-        // Each element consumes at least one byte; reject counts the buffer
-        // can never satisfy before allocating.
-        if count > r.remaining() {
-            return Err(WireError::Truncated {
-                needed: count,
-                remaining: r.remaining(),
-            });
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(T::decode_from(r)?);
-        }
-        Ok(out)
-    }
-
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
         let count = u32::decode_borrowed(r)? as usize;
         if count > MAX_FIELD_LEN {
             return Err(WireError::LengthOverflow { claimed: count });
         }
+        // Each element consumes at least one byte; reject counts the buffer
+        // can never satisfy before allocating.
         if count > r.remaining() {
             return Err(WireError::Truncated {
                 needed: count,
@@ -528,17 +342,6 @@ impl<T: Wire> Wire for Option<T> {
         }
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode_from(r)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode_from(r)?)),
-            t => Err(WireError::BadDiscriminant {
-                ty: "Option",
-                got: t,
-            }),
-        }
-    }
-
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
         match u8::decode_borrowed(r)? {
             0 => Ok(None),
@@ -555,10 +358,6 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     fn encode_to(&self, buf: &mut Vec<u8>) {
         self.0.encode_to(buf);
         self.1.encode_to(buf);
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok((A::decode_from(r)?, B::decode_from(r)?))
     }
 
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
@@ -638,39 +437,18 @@ mod tests {
     }
 
     #[test]
-    fn string_requires_utf8() {
-        let mut buf = Vec::new();
-        2u32.encode_to(&mut buf);
-        buf.extend_from_slice(&[0xFF, 0xFE]);
-        assert!(matches!(
-            String::from_bytes(&Bytes::from(buf)),
-            Err(WireError::Invalid {
-                what: "utf-8 string"
-            })
-        ));
-    }
-
-    #[test]
-    fn borrowed_bytes_decode_is_zero_copy_and_counted() {
+    fn bytes_decode_is_zero_copy() {
         let payload = Bytes::from(vec![0x5Au8; 1024]);
         let framed = payload.to_bytes();
-        // Borrowing: the decoded view aliases the framed buffer, and the
-        // process-wide copy counter does not move.
-        let before = payload_bytes_copied();
+        // The decoded view aliases the framed buffer.
         let view = Bytes::from_bytes(&framed).unwrap();
         assert_eq!(view, payload);
         assert_eq!(view.as_ref().as_ptr(), framed.as_ref()[4..].as_ptr());
-        assert_eq!(payload_bytes_copied(), before);
-        // Copying: decode_from duplicates the payload and counts it.
-        let mut r = WireReader::new(framed.as_ref());
-        let copied = Bytes::decode_from(&mut r).unwrap();
-        assert_eq!(copied, payload);
-        assert_ne!(copied.as_ref().as_ptr(), framed.as_ref()[4..].as_ptr());
-        assert_eq!(payload_bytes_copied(), before + 1024);
+        assert_eq!(payload_bytes_copied(), 0);
     }
 
     #[test]
-    fn borrowing_reader_is_hardened_like_the_copying_one() {
+    fn reader_checks_lengths_before_slicing() {
         // Oversized length claim.
         let framed = u32::MAX.to_bytes();
         let mut r = BytesReader::new(&framed);
@@ -691,31 +469,6 @@ mod tests {
             r.take_bytes(100),
             Err(WireError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn default_decode_borrowed_bridges_and_advances_correctly() {
-        // A type with no override exercises the WireReader bridge: two
-        // values decoded in sequence must consume exactly their encodings.
-        struct Pair(u16, u16);
-        impl Wire for Pair {
-            fn encode_to(&self, buf: &mut Vec<u8>) {
-                self.0.encode_to(buf);
-                self.1.encode_to(buf);
-            }
-            fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                Ok(Pair(u16::decode_from(r)?, u16::decode_from(r)?))
-            }
-        }
-        let mut buf = Vec::new();
-        Pair(1, 2).encode_to(&mut buf);
-        Pair(3, 4).encode_to(&mut buf);
-        let buf = Bytes::from(buf);
-        let mut r = BytesReader::new(&buf);
-        let a = Pair::decode_borrowed(&mut r).unwrap();
-        let b = Pair::decode_borrowed(&mut r).unwrap();
-        assert_eq!((a.0, a.1, b.0, b.1), (1, 2, 3, 4));
-        assert!(r.is_empty());
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! replica serves (see `TcpKvCluster`) restores the invariant that every
 //! member of the new epoch holds the state a member of the old epoch held.
 
-use crate::codec::{BytesReader, Wire, WireError, WireReader};
+use crate::codec::{BytesReader, Wire, WireError};
 use crate::ids::ServerId;
 
 /// One fleet member: a server id plus its (possibly unknown) IPv4 socket
@@ -89,14 +89,6 @@ impl Wire for Member {
         self.id.encode_to(buf);
         self.ip.encode_to(buf);
         self.port.encode_to(buf);
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Member {
-            id: ServerId::decode_from(r)?,
-            ip: u32::decode_from(r)?,
-            port: u16::decode_from(r)?,
-        })
     }
 
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
@@ -221,14 +213,6 @@ impl Wire for EpochConfig {
         self.members.encode_to(buf);
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let epoch = u32::decode_from(r)?;
-        let members = Vec::<Member>::decode_from(r)?;
-        // Re-normalize: a Byzantine peer could ship unsorted/duplicated
-        // members to skew the digest; `at_epoch` restores the invariant.
-        Ok(EpochConfig::at_epoch(epoch, members))
-    }
-
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
         let epoch = u32::decode_borrowed(r)?;
         let members = Vec::<Member>::decode_borrowed(r)?;
@@ -260,13 +244,6 @@ impl Wire for ConfigStamp {
     fn encode_to(&self, buf: &mut Vec<u8>) {
         self.epoch.encode_to(buf);
         self.digest.encode_to(buf);
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ConfigStamp {
-            epoch: u32::decode_from(r)?,
-            digest: u64::decode_from(r)?,
-        })
     }
 
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
@@ -339,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn config_and_stamp_roundtrip_both_decode_paths() {
+    fn config_and_stamp_roundtrip() {
         let addr: std::net::SocketAddr = "127.0.0.1:9009".parse().unwrap();
         let cfg = EpochConfig::at_epoch(
             5,
@@ -350,8 +327,6 @@ mod tests {
         );
         let buf = cfg.to_bytes();
         assert_eq!(EpochConfig::from_bytes(&buf).unwrap(), cfg);
-        let mut copying = WireReader::new(buf.as_ref());
-        assert_eq!(EpochConfig::decode_from(&mut copying).unwrap(), cfg);
 
         let stamp = cfg.stamp();
         let sbuf = stamp.to_bytes();

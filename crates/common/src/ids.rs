@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::codec::{Wire, WireError, WireReader};
+use crate::codec::{BytesReader, Wire, WireError};
 
 /// Identifier of a server process (a replica holding register state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -159,8 +159,8 @@ impl Wire for ServerId {
         self.0.encode_to(buf);
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ServerId(u16::decode_from(r)?))
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
+        Ok(ServerId(u16::decode_borrowed(r)?))
     }
 }
 
@@ -169,8 +169,8 @@ impl Wire for WriterId {
         self.0.encode_to(buf);
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(WriterId(u16::decode_from(r)?))
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
+        Ok(WriterId(u16::decode_borrowed(r)?))
     }
 }
 
@@ -179,8 +179,8 @@ impl Wire for ReaderId {
         self.0.encode_to(buf);
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ReaderId(u16::decode_from(r)?))
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
+        Ok(ReaderId(u16::decode_borrowed(r)?))
     }
 }
 
@@ -198,10 +198,10 @@ impl Wire for ClientId {
         }
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode_from(r)? {
-            0 => Ok(ClientId::Reader(ReaderId::decode_from(r)?)),
-            1 => Ok(ClientId::Writer(WriterId::decode_from(r)?)),
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
+        match u8::decode_borrowed(r)? {
+            0 => Ok(ClientId::Reader(ReaderId::decode_borrowed(r)?)),
+            1 => Ok(ClientId::Writer(WriterId::decode_borrowed(r)?)),
             t => Err(WireError::BadDiscriminant {
                 ty: "ClientId",
                 got: t,
@@ -224,10 +224,10 @@ impl Wire for NodeId {
         }
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode_from(r)? {
-            0 => Ok(NodeId::Client(ClientId::decode_from(r)?)),
-            1 => Ok(NodeId::Server(ServerId::decode_from(r)?)),
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
+        match u8::decode_borrowed(r)? {
+            0 => Ok(NodeId::Client(ClientId::decode_borrowed(r)?)),
+            1 => Ok(NodeId::Server(ServerId::decode_borrowed(r)?)),
             t => Err(WireError::BadDiscriminant {
                 ty: "NodeId",
                 got: t,
@@ -273,19 +273,14 @@ mod tests {
             NodeId::Client(ClientId::Writer(WriterId(300))),
         ];
         for id in ids {
-            let mut buf = Vec::new();
-            id.encode_to(&mut buf);
-            let mut r = WireReader::new(&buf);
-            assert_eq!(NodeId::decode_from(&mut r).unwrap(), id);
-            assert!(r.is_empty());
+            assert_eq!(NodeId::from_bytes(&id.to_bytes()).unwrap(), id);
         }
     }
 
     #[test]
     fn bad_discriminant_is_reported() {
-        let mut r = WireReader::new(&[9]);
         assert!(matches!(
-            ClientId::decode_from(&mut r),
+            ClientId::from_bytes(&crate::buf::Bytes::from_static(&[9])),
             Err(WireError::BadDiscriminant {
                 ty: "ClientId",
                 got: 9

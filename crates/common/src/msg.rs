@@ -17,7 +17,7 @@
 //! the asynchronous model where messages may be arbitrarily delayed.
 
 use crate::buf::Bytes;
-use crate::codec::{BytesReader, Wire, WireError, WireReader};
+use crate::codec::{BytesReader, Wire, WireError};
 use crate::epoch::EpochConfig;
 use crate::ids::{ClientId, NodeId, ServerId};
 use crate::tag::Tag;
@@ -461,10 +461,10 @@ impl Wire for OpId {
         self.seq.encode_to(buf);
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
         Ok(OpId {
-            client: ClientId::decode_from(r)?,
-            seq: u64::decode_from(r)?,
+            client: ClientId::decode_borrowed(r)?,
+            seq: u64::decode_borrowed(r)?,
         })
     }
 }
@@ -474,14 +474,6 @@ impl Wire for CodedElement {
         self.index.encode_to(buf);
         self.value_len.encode_to(buf);
         self.data.encode_to(buf);
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(CodedElement {
-            index: u16::decode_from(r)?,
-            value_len: u32::decode_from(r)?,
-            data: Bytes::decode_from(r)?,
-        })
     }
 
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
@@ -504,17 +496,6 @@ impl Wire for Payload {
                 buf.push(1);
                 c.encode_to(buf);
             }
-        }
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode_from(r)? {
-            0 => Ok(Payload::Full(Value::decode_from(r)?)),
-            1 => Ok(Payload::Coded(CodedElement::decode_from(r)?)),
-            t => Err(WireError::BadDiscriminant {
-                ty: "Payload",
-                got: t,
-            }),
         }
     }
 
@@ -570,45 +551,6 @@ impl Wire for ClientToServer {
                 op.encode_to(buf);
             }
         }
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode_from(r)? {
-            0 => ClientToServer::QueryTag {
-                op: OpId::decode_from(r)?,
-            },
-            1 => ClientToServer::PutData {
-                op: OpId::decode_from(r)?,
-                tag: Tag::decode_from(r)?,
-                payload: Payload::decode_from(r)?,
-            },
-            2 => ClientToServer::QueryData {
-                op: OpId::decode_from(r)?,
-            },
-            3 => ClientToServer::QueryHistory {
-                op: OpId::decode_from(r)?,
-                above: Tag::decode_from(r)?,
-            },
-            4 => ClientToServer::QueryValueAt {
-                op: OpId::decode_from(r)?,
-                tag: Tag::decode_from(r)?,
-            },
-            5 => ClientToServer::QueryDataSub {
-                op: OpId::decode_from(r)?,
-            },
-            6 => ClientToServer::ReadComplete {
-                op: OpId::decode_from(r)?,
-            },
-            7 => ClientToServer::QueryTagList {
-                op: OpId::decode_from(r)?,
-            },
-            t => {
-                return Err(WireError::BadDiscriminant {
-                    ty: "ClientToServer",
-                    got: t,
-                })
-            }
-        })
     }
 
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
@@ -694,47 +636,6 @@ impl Wire for ServerToClient {
         }
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode_from(r)? {
-            0 => ServerToClient::TagResp {
-                op: OpId::decode_from(r)?,
-                tag: Tag::decode_from(r)?,
-            },
-            1 => ServerToClient::PutAck {
-                op: OpId::decode_from(r)?,
-                tag: Tag::decode_from(r)?,
-            },
-            2 => ServerToClient::DataResp {
-                op: OpId::decode_from(r)?,
-                tag: Tag::decode_from(r)?,
-                payload: Payload::decode_from(r)?,
-            },
-            3 => ServerToClient::HistoryResp {
-                op: OpId::decode_from(r)?,
-                entries: Vec::<(Tag, Payload)>::decode_from(r)?,
-            },
-            4 => ServerToClient::ValueAtResp {
-                op: OpId::decode_from(r)?,
-                tag: Tag::decode_from(r)?,
-                payload: Option::<Payload>::decode_from(r)?,
-            },
-            5 => ServerToClient::TagListResp {
-                op: OpId::decode_from(r)?,
-                tags: Vec::<Tag>::decode_from(r)?,
-            },
-            6 => ServerToClient::WrongEpoch {
-                op: OpId::decode_from(r)?,
-                config: EpochConfig::decode_from(r)?,
-            },
-            t => {
-                return Err(WireError::BadDiscriminant {
-                    ty: "ServerToClient",
-                    got: t,
-                })
-            }
-        })
-    }
-
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
         Ok(match u8::decode_borrowed(r)? {
             0 => ServerToClient::TagResp {
@@ -783,10 +684,10 @@ impl Wire for BroadcastId {
         self.seq.encode_to(buf);
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
         Ok(BroadcastId {
-            origin: ClientId::decode_from(r)?,
-            seq: u64::decode_from(r)?,
+            origin: ClientId::decode_borrowed(r)?,
+            seq: u64::decode_borrowed(r)?,
         })
     }
 }
@@ -806,21 +707,6 @@ impl Wire for PeerMessage {
                 tag.encode_to(buf);
                 payload.encode_to(buf);
             }
-        }
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let disc = u8::decode_from(r)?;
-        let bid = BroadcastId::decode_from(r)?;
-        let tag = Tag::decode_from(r)?;
-        let payload = Payload::decode_from(r)?;
-        match disc {
-            0 => Ok(PeerMessage::RbEcho { bid, tag, payload }),
-            1 => Ok(PeerMessage::RbReady { bid, tag, payload }),
-            t => Err(WireError::BadDiscriminant {
-                ty: "PeerMessage",
-                got: t,
-            }),
         }
     }
 
@@ -858,20 +744,6 @@ impl Wire for Message {
         }
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode_from(r)? {
-            0 => Message::ToServer(ClientToServer::decode_from(r)?),
-            1 => Message::ToClient(ServerToClient::decode_from(r)?),
-            2 => Message::Peer(PeerMessage::decode_from(r)?),
-            t => {
-                return Err(WireError::BadDiscriminant {
-                    ty: "Message",
-                    got: t,
-                })
-            }
-        })
-    }
-
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
         Ok(match u8::decode_borrowed(r)? {
             0 => Message::ToServer(ClientToServer::decode_borrowed(r)?),
@@ -892,14 +764,6 @@ impl Wire for Envelope {
         self.src.encode_to(buf);
         self.dst.encode_to(buf);
         self.msg.encode_to(buf);
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Envelope {
-            src: NodeId::decode_from(r)?,
-            dst: NodeId::decode_from(r)?,
-            msg: Message::decode_from(r)?,
-        })
     }
 
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {

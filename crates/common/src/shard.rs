@@ -37,7 +37,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::codec::{Wire, WireError, WireReader};
+use crate::codec::{BytesReader, Wire, WireError};
 use crate::config::QuorumConfig;
 use crate::ids::ServerId;
 
@@ -56,8 +56,8 @@ impl Wire for ShardId {
         self.0.encode_to(buf);
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ShardId(u16::decode_from(r)?))
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
+        Ok(ShardId(u16::decode_borrowed(r)?))
     }
 }
 

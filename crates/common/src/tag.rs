@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::codec::{Wire, WireError, WireReader};
+use crate::codec::{BytesReader, Wire, WireError};
 use crate::ids::WriterId;
 
 /// A logical timestamp `(num, writer)` attached to every written value.
@@ -79,10 +79,10 @@ impl Wire for Tag {
         self.writer.encode_to(buf);
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
         Ok(Tag {
-            num: u64::decode_from(r)?,
-            writer: WriterId::decode_from(r)?,
+            num: u64::decode_borrowed(r)?,
+            writer: WriterId::decode_borrowed(r)?,
         })
     }
 

@@ -25,7 +25,7 @@
 //! checker violation (which names an `OpId`) back to the spans of the
 //! offending operation without a lookup table.
 
-use crate::codec::{BytesReader, Wire, WireError, WireReader};
+use crate::codec::{BytesReader, Wire, WireError};
 use crate::ids::ClientId;
 use crate::msg::OpId;
 
@@ -188,17 +188,6 @@ impl Wire for TraceCtx {
         0u16.encode_to(buf); // reserved, must be zero
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let ctx = TraceCtx {
-            id: u64::decode_from(r)?,
-            op_seq: u32::decode_from(r)?,
-            phase: u8::decode_from(r)?,
-            hop: u8::decode_from(r)?,
-        };
-        let _reserved = u16::decode_from(r)?;
-        Ok(ctx)
-    }
-
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
         let ctx = TraceCtx {
             id: u64::decode_borrowed(r)?,
@@ -232,10 +221,6 @@ mod tests {
         ctx.encode_to(&mut buf);
         assert_eq!(buf.len(), TraceCtx::WIRE_LEN);
         assert_eq!(ctx.wire_len(), TraceCtx::WIRE_LEN);
-        let mut r = WireReader::new(&buf);
-        assert_eq!(TraceCtx::decode_from(&mut r).unwrap(), ctx);
-        assert!(r.is_empty());
-        // Borrowing decode consumes exactly the same bytes.
         let bytes = crate::buf::Bytes::from(buf);
         assert_eq!(TraceCtx::from_bytes(&bytes).unwrap(), ctx);
     }

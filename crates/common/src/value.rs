@@ -8,7 +8,7 @@
 use std::fmt;
 
 use crate::buf::Bytes;
-use crate::codec::{BytesReader, Wire, WireError, WireReader};
+use crate::codec::{BytesReader, Wire, WireError};
 
 /// An immutable register value (an element of the paper's domain `V`).
 ///
@@ -128,10 +128,6 @@ impl fmt::Display for Value {
 impl Wire for Value {
     fn encode_to(&self, buf: &mut Vec<u8>) {
         self.0.encode_to(buf);
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Value(Bytes::decode_from(r)?))
     }
 
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {

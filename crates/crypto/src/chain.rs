@@ -23,7 +23,7 @@
 //! lifetime; without it every supervised restart in the soak harness would
 //! read as a forked chain.
 
-use safereg_common::codec::{BytesReader, Wire, WireError, WireReader};
+use safereg_common::codec::{BytesReader, Wire, WireError};
 use safereg_common::ids::ServerId;
 use safereg_common::msg::OpId;
 use safereg_common::tag::Tag;
@@ -56,8 +56,8 @@ impl Wire for LinkKind {
         });
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode_from(r)? {
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
+        match u8::decode_borrowed(r)? {
             0 => Ok(LinkKind::TagResp),
             1 => Ok(LinkKind::PutAck),
             2 => Ok(LinkKind::DataResp),
@@ -137,15 +137,23 @@ impl Wire for ChainLink {
         buf.extend_from_slice(&self.mac);
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let server = ServerId::decode_from(r)?;
-        let incarnation = u64::decode_from(r)?;
-        let seq = u64::decode_from(r)?;
-        let op = OpId::decode_from(r)?;
-        let kind = LinkKind::decode_from(r)?;
-        let key_digest = u64::decode_from(r)?;
-        let tag = Tag::decode_from(r)?;
-        let value_digest = u64::decode_from(r)?;
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
+        // Fixed-size: a short buffer fails as one truncated link, before
+        // any field is read.
+        if r.remaining() < Self::WIRE_LEN {
+            return Err(WireError::Truncated {
+                needed: Self::WIRE_LEN,
+                remaining: r.remaining(),
+            });
+        }
+        let server = ServerId::decode_borrowed(r)?;
+        let incarnation = u64::decode_borrowed(r)?;
+        let seq = u64::decode_borrowed(r)?;
+        let op = OpId::decode_borrowed(r)?;
+        let kind = LinkKind::decode_borrowed(r)?;
+        let key_digest = u64::decode_borrowed(r)?;
+        let tag = Tag::decode_borrowed(r)?;
+        let value_digest = u64::decode_borrowed(r)?;
         let mut prev = [0u8; DIGEST_LEN];
         prev.copy_from_slice(r.take(DIGEST_LEN)?);
         let mut mac = [0u8; DIGEST_LEN];
@@ -162,13 +170,6 @@ impl Wire for ChainLink {
             prev,
             mac,
         })
-    }
-
-    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
-        // Fixed-size: decode from a scratch reader without allocation.
-        let bytes = r.take(Self::WIRE_LEN)?;
-        let mut inner = WireReader::new(bytes);
-        Self::decode_from(&mut inner)
     }
 
     fn wire_len(&self) -> usize {

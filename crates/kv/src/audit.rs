@@ -44,7 +44,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use safereg_common::buf::Bytes;
-use safereg_common::codec::{BytesReader, Wire, WireError, WireReader};
+use safereg_common::codec::{BytesReader, Wire, WireError};
 use safereg_common::ids::{ServerId, WriterId};
 use safereg_common::sync::Mutex;
 use safereg_common::tag::Tag;
@@ -85,8 +85,8 @@ impl Wire for Charge {
         });
     }
 
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode_from(r)? {
+    fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {
+        match u8::decode_borrowed(r)? {
             0 => Ok(Charge::InadmissibleTag),
             1 => Ok(Charge::Equivocation),
             2 => Ok(Charge::ForkedChain),
@@ -130,17 +130,6 @@ impl Wire for Evidence {
         self.other.encode_to(buf);
         self.frame.encode_to(buf);
         self.other_frame.encode_to(buf);
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Evidence {
-            accused: ServerId::decode_from(r)?,
-            charge: Charge::decode_from(r)?,
-            link: ChainLink::decode_from(r)?,
-            other: Option::<ChainLink>::decode_from(r)?,
-            frame: Bytes::decode_from(r)?,
-            other_frame: Bytes::decode_from(r)?,
-        })
     }
 
     fn decode_borrowed(r: &mut BytesReader<'_>) -> Result<Self, WireError> {

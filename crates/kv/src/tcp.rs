@@ -109,7 +109,7 @@ pub(crate) fn process_sealed_frame(
     queue_reply: &mut dyn FnMut(SealedKv),
 ) {
     // Borrowing decode: the frame's key and value fields are O(1)
-    // slices of `sealed`; `wire.bytes_copied` stays at zero here.
+    // slices of `sealed`, so no payload byte is copied here.
     let Ok(frame) = KvFrame::parse(sealed) else {
         return;
     };

@@ -171,6 +171,12 @@ fn evidence_survives_serialization_roundtrip() {
         let bytes = e.to_bytes();
         let decoded = Evidence::from_bytes(&bytes).expect("evidence decodes");
         assert_eq!(&decoded, e, "evidence must round-trip bit-exactly");
+        for cut in 0..bytes.len() {
+            assert!(
+                Evidence::from_bytes(&bytes.slice(..cut)).is_err(),
+                "a {cut}-byte prefix of evidence must not decode"
+            );
+        }
         assert!(
             decoded.verify(cluster.chain(), &writers),
             "decoded evidence must still convict s{}",

@@ -20,12 +20,6 @@ pub const KV_BACKOFF_WAIT_MS: &str = "kv.backoff.wait_ms";
 /// from a reachable server answering nothing, which is Byzantine silence).
 pub const KV_EXCHANGE_UNREACHABLE: &str = "kv.exchange.unreachable";
 
-/// Payload bytes memcpy'd while opening envelopes on the wire path. The
-/// zero-copy decode keeps this at 0 for every relayed frame; a regression
-/// that reintroduces an owned-`Vec<u8>` payload copy shows up here (and is
-/// grep-gated in `scripts/ci.sh`).
-pub const WIRE_BYTES_COPIED: &str = "wire.bytes_copied";
-
 /// Server hosts: connections evicted for misbehaving at the socket level
 /// (idle with no traffic, or stalled so writes time out), summed over all
 /// reasons. Per-reason breakdowns live under [`eviction_counter`].
@@ -208,7 +202,6 @@ mod tests {
     #[test]
     fn gauge_names_are_stable() {
         assert_eq!(super::link_state_gauge(3), "kv.link.state.s3");
-        assert_eq!(super::WIRE_BYTES_COPIED, "wire.bytes_copied");
     }
 
     #[test]

@@ -26,16 +26,14 @@
 //! [`SealedKv::write_to`] hands prefix, head, tail and MAC to the socket
 //! as one vectored write (the reactor does the same for a whole outbox
 //! from [`SealedKv::parts`]). Opening borrows: [`read_frame`] returns
-//! the payload as [`Bytes`] and [`KvFrame::parse`] decodes key and value
-//! as O(1) slices of it. Any payload byte a decode does copy lands on the
-//! [`wire.bytes_copied`](names::WIRE_BYTES_COPIED) counter, which
-//! therefore stays at zero on this path.
+//! the payload as [`Bytes`] and [`KvFrame::parse`] runs the codec's one
+//! decoder over it, so key and value come out as O(1) slices of the
+//! received buffer and no payload byte is copied.
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::sync::{Arc, OnceLock};
 
 use safereg_common::buf::Bytes;
-use safereg_common::codec::{payload_bytes_copied, BytesReader, Wire, WireError, MAX_FIELD_LEN};
+use safereg_common::codec::{BytesReader, Wire, WireError, MAX_FIELD_LEN};
 use safereg_common::epoch::ConfigStamp;
 use safereg_common::msg::Envelope;
 use safereg_common::shard::ShardId;
@@ -44,8 +42,6 @@ use safereg_crypto::auth::{AuthCodec, AuthError};
 use safereg_crypto::chain::ChainLink;
 use safereg_crypto::keychain::KeyChain;
 use safereg_crypto::sha256::DIGEST_LEN;
-use safereg_obs::metrics::Counter;
-use safereg_obs::names;
 
 /// Room a frame needs above its largest legal payload field: shard id,
 /// trace context, config stamp, chain link, key, envelope head and MAC.
@@ -146,11 +142,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Bytes, FrameError> {
     Ok(Bytes::from(payload))
 }
 
-fn bytes_copied_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| safereg_obs::global().counter(names::WIRE_BYTES_COPIED))
-}
-
 /// One shard- and key-addressed message with its MAC-covered metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KvFrame {
@@ -218,16 +209,8 @@ impl KvFrame {
             return Err(FrameError::Auth(AuthError::TooShort { len: sealed.len() }));
         }
         let body = sealed.slice(..sealed.len() - DIGEST_LEN);
-        let copied_before = payload_bytes_copied();
         let mut r = BytesReader::new(&body);
-        let frame = KvFrame::decode(&mut r);
-        // Global delta: a concurrent copying decode elsewhere can only
-        // inflate it, never hide a copy — safe for a "must be zero" gate.
-        let copied = payload_bytes_copied() - copied_before;
-        if copied > 0 {
-            bytes_copied_counter().add(copied);
-        }
-        let frame = frame.map_err(FrameError::Codec)?;
+        let frame = KvFrame::decode(&mut r).map_err(FrameError::Codec)?;
         if !r.is_empty() {
             return Err(FrameError::Codec(WireError::TrailingBytes {
                 count: r.remaining(),
@@ -441,9 +424,7 @@ mod tests {
         );
 
         let payload = payload_of(&sealed);
-        let before = payload_bytes_copied();
         let back = KvFrame::open(&chain, &payload).unwrap();
-        assert_eq!(payload_bytes_copied(), before, "open must not memcpy");
         match back.env.msg {
             Message::ToServer(ClientToServer::PutData {
                 payload: Payload::Full(v),
@@ -533,5 +514,78 @@ mod tests {
         ));
         let back = KvFrame::open(&chain, &payload_of(&SealedKv::seal(&chain, &frame))).unwrap();
         assert_eq!(back, frame);
+    }
+
+    /// Parses `sealed` and, when it parses, checks the frame re-encodes to
+    /// the parsed body. The trace context's two reserved bytes are ignored
+    /// on decode and re-encode as zero, so they are zeroed before comparing.
+    fn parse_reencodes(sealed: &[u8]) -> bool {
+        let Ok(frame) = KvFrame::parse(&Bytes::copy_from_slice(sealed)) else {
+            return false;
+        };
+        let mut body = sealed[..sealed.len() - DIGEST_LEN].to_vec();
+        let trace_end = 2 + TraceCtx::WIRE_LEN; // after the u16 shard id
+        body[trace_end - 2..trace_end].fill(0);
+        let (mut joined, tail) = frame.encode_parts();
+        joined.extend_from_slice(&tail);
+        assert_eq!(joined, body, "parsed frame does not re-encode to its body");
+        true
+    }
+
+    #[test]
+    fn parse_is_total_on_hostile_bytes() {
+        use safereg_common::msg::ServerToClient;
+        use safereg_common::rng::DetRng;
+        use safereg_crypto::chain::{LinkKind, ResponseChain};
+        let chain = KeyChain::from_master_seed(b"seed");
+        let op = OpId::new(ReaderId(1), 7);
+        let tag = Tag::new(4, WriterId(0));
+        let reply = KvFrame {
+            shard: ShardId(3),
+            trace: TraceCtx {
+                id: 0x0123_4567_89AB_CDEF,
+                op_seq: 7,
+                phase: 1,
+                hop: 2,
+            },
+            stamp: ConfigStamp {
+                epoch: 2,
+                digest: 0x00D1_6E57,
+            },
+            link: Some(ResponseChain::new(&chain, ServerId(0), 1).append(
+                op,
+                LinkKind::DataResp,
+                11,
+                tag,
+                13,
+            )),
+            key: Bytes::copy_from_slice(b"k"),
+            env: Envelope::to_client(
+                ServerId(0),
+                ReaderId(1).into(),
+                ServerToClient::DataResp {
+                    op,
+                    tag,
+                    payload: Payload::Full(Value::from("value")),
+                },
+            ),
+        };
+        let clean = payload_of(&SealedKv::seal(&chain, &reply)).to_vec();
+        assert!(parse_reencodes(&clean));
+        // Every single-byte flip either fails to parse or parses to a frame
+        // that re-encodes to the flipped bytes.
+        for byte in 0..clean.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut flipped = clean.clone();
+                flipped[byte] ^= mask;
+                parse_reencodes(&flipped);
+            }
+        }
+        let mut rng = DetRng::seed_from(0x0F2A_3E5E);
+        for _ in 0..2048 {
+            let mut junk = vec![0u8; rng.index(512)];
+            rng.fill_bytes(&mut junk);
+            parse_reencodes(&junk);
+        }
     }
 }
