@@ -31,6 +31,10 @@ use safereg_kv::{AuditLog, Charge, Evidence, KvClient, KvMode, TcpKvCluster, Tcp
 use safereg_obs::names;
 use safereg_transport::chaos::{FaultPlan, FaultSpec};
 
+use crate::cli::Report;
+use crate::json::Json;
+use crate::ops::{retry, set_role_everywhere};
+
 /// Knobs for one audit run.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
@@ -117,13 +121,15 @@ pub struct AuditReport {
     pub suspicion_correct_max: u64,
 }
 
-impl AuditReport {
-    /// The acceptance predicate `scripts/ci.sh` greps for: both injected
-    /// roles convicted on the right charge, evidence re-verifies offline
-    /// (including through serialization), nobody convicted under pure
-    /// network faults, zero false accusations, and conviction led to
-    /// quarantine + eviction with the cluster still serving.
-    pub fn ok(&self) -> bool {
+impl Report for AuditReport {
+    const NAME: &'static str = "audit";
+
+    /// Both injected roles convicted on the right charge, evidence
+    /// re-verifies offline (including through serialization), nobody
+    /// convicted under pure network faults, zero false accusations, and
+    /// conviction led to quarantine + eviction with the cluster still
+    /// serving.
+    fn ok(&self) -> bool {
         let injected_convicted = self
             .legs
             .iter()
@@ -148,73 +154,51 @@ impl AuditReport {
             && self.post_eviction_failures == 0
     }
 
-    /// Line-oriented JSON for `BENCH_audit.json`.
-    pub fn to_json(&self) -> String {
-        let legs: Vec<String> = self
-            .legs
-            .iter()
-            .map(|l| {
-                format!(
-                    concat!(
-                        "{{\"label\":\"{}\",\"accused\":{},\"rounds\":{},\"ops\":{},",
-                        "\"failures\":{},\"evidence\":{},\"verdict\":\"{}\",",
-                        "\"convicted\":{}}}"
-                    ),
-                    l.label,
-                    l.accused.map_or("null".into(), |s| s.to_string()),
-                    l.rounds,
-                    l.ops,
-                    l.failures,
-                    l.evidence,
-                    l.verdict,
-                    l.convicted
-                )
-            })
-            .collect();
-        let convictions: Vec<String> = self
+    fn json(&self) -> Json {
+        let legs = self.legs.iter().map(|l| {
+            Json::object()
+                .str("label", l.label)
+                .field("accused", Json::opt(l.accused))
+                .num("rounds", l.rounds)
+                .num("ops", l.ops)
+                .num("failures", l.failures)
+                .num("evidence", l.evidence)
+                .str("verdict", &l.verdict)
+                .num("convicted", l.convicted)
+                .end()
+        });
+        let convictions = self
             .convictions
             .iter()
-            .map(|(s, c)| format!("{{\"server\":{s},\"charge\":\"{c}\"}}"))
-            .collect();
-        let evicted: Vec<String> = self
+            .map(|(s, c)| Json::object().num("server", s).str("charge", c).end());
+        let evicted = self
             .evicted
             .iter()
-            .map(|(old, new)| format!("[{old},{new}]"))
-            .collect();
-        format!(
-            concat!(
-                "{{\"seed\":{},\"legs\":[{}],\"convictions\":[{}],",
-                "\"chaos_convictions\":{},\"false_accusations\":{},",
-                "\"evidence_total\":{},\"inadmissible_charge\":{},",
-                "\"equivocation_charge\":{},\"offline_reverify_ok\":{},",
-                "\"offline_roundtrip_ok\":{},\"quarantines\":{},",
-                "\"evicted\":[{}],\"epoch_after_eviction\":{},",
-                "\"post_eviction_ops\":{},\"post_eviction_failures\":{},",
-                "\"suspicion_correct_max\":{},\"ok\":{}}}\n"
-            ),
-            self.seed,
-            legs.join(","),
-            convictions.join(","),
-            self.chaos_convictions,
-            self.false_accusations,
-            self.evidence_total,
-            self.inadmissible_charge,
-            self.equivocation_charge,
-            self.offline_reverify_ok,
-            self.offline_roundtrip_ok,
-            self.quarantines,
-            evicted.join(","),
-            self.epoch_after_eviction,
-            self.post_eviction_ops,
-            self.post_eviction_failures,
-            self.suspicion_correct_max,
-            self.ok()
-        )
+            .map(|(old, new)| Json::array([Json::num(old), Json::num(new)]));
+        Json::object()
+            .num("seed", self.seed)
+            .field("legs", Json::array(legs))
+            .field("convictions", Json::array(convictions))
+            .num("chaos_convictions", self.chaos_convictions)
+            .num("false_accusations", self.false_accusations)
+            .num("evidence_total", self.evidence_total)
+            .num("inadmissible_charge", self.inadmissible_charge)
+            .num("equivocation_charge", self.equivocation_charge)
+            .num("offline_reverify_ok", self.offline_reverify_ok)
+            .num("offline_roundtrip_ok", self.offline_roundtrip_ok)
+            .num("quarantines", self.quarantines)
+            .field("evicted", Json::array(evicted))
+            .num("epoch_after_eviction", self.epoch_after_eviction)
+            .num("post_eviction_ops", self.post_eviction_ops)
+            .num("post_eviction_failures", self.post_eviction_failures)
+            .num("suspicion_correct_max", self.suspicion_correct_max)
+            .num("ok", self.ok())
+            .end()
     }
 }
 
-/// Retries per logical operation — the chaos leg drops and corrupts a few
-/// percent of frames, and the post-eviction phase crosses an epoch
+/// Attempts per logical operation — the chaos leg drops and corrupts a
+/// few percent of frames, and the post-eviction phase crosses an epoch
 /// adoption; each must still terminate.
 const OP_RETRIES: usize = 8;
 
@@ -271,19 +255,10 @@ impl Workload {
 
     /// Runs one operation with retries, counting completion or failure.
     fn one(&mut self, mut op: impl FnMut(&mut Self) -> Result<(), safereg_kv::KvError>) {
-        for attempt in 0..OP_RETRIES {
-            match op(self) {
-                Ok(()) => {
-                    self.completed += 1;
-                    return;
-                }
-                Err(_) if attempt + 1 < OP_RETRIES => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => {}
-            }
+        match retry(OP_RETRIES, Duration::from_millis(5), || op(self)) {
+            Some(()) => self.completed += 1,
+            None => self.failures += 1,
         }
-        self.failures += 1;
     }
 }
 
@@ -306,13 +281,6 @@ fn workload(cluster: &TcpKvCluster, audit: &std::sync::Arc<AuditLog>, keys: usiz
         seq: 0,
         completed: 0,
         failures: 0,
-    }
-}
-
-/// Sets `role` on every register group `sid` serves.
-fn set_role_everywhere(cluster: &TcpKvCluster, sid: ServerId, role: ByzRole, seed: u64) {
-    for g in cluster.map().shards_of_server(sid) {
-        cluster.set_shard_role(sid, g, role, seed ^ u64::from(g.0));
     }
 }
 

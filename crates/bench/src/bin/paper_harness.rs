@@ -7,8 +7,8 @@
 
 use safereg_bench::ablations;
 use safereg_bench::audit as audit_harness;
-use safereg_bench::chaos as chaos_scenario;
 use safereg_bench::churn as churn_scenario;
+use safereg_bench::cli::{finish, Flags, Report};
 use safereg_bench::experiments;
 use safereg_bench::runtime as runtime_bench;
 use safereg_bench::shard as shard_bench;
@@ -44,10 +44,7 @@ fn e1() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(&["protocol", "n", "f", "verdict", "evidence"], &rows)
-    );
+    table::print(&["protocol", "n", "f", "verdict", "evidence"], &rows);
 }
 
 fn e2() {
@@ -66,12 +63,9 @@ fn e2() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(
-            &["protocol", "read rounds", "write rounds", "one-shot"],
-            &rows
-        )
+    table::print(
+        &["protocol", "read rounds", "write rounds", "one-shot"],
+        &rows,
     );
 }
 
@@ -88,12 +82,9 @@ fn e3() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(
-            &["protocol", "write hops", "read hops", "write vs BSR"],
-            &rows
-        )
+    table::print(
+        &["protocol", "write hops", "read hops", "write vs BSR"],
+        &rows,
     );
 }
 
@@ -117,21 +108,18 @@ fn e4() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "n",
-                "k",
-                "repl bytes",
-                "coded bytes",
-                "measured save",
-                "theory k",
-                "repl wire",
-                "coded wire"
-            ],
-            &rows
-        )
+    table::print(
+        &[
+            "n",
+            "k",
+            "repl bytes",
+            "coded bytes",
+            "measured save",
+            "theory k",
+            "repl wire",
+            "coded wire",
+        ],
+        &rows,
     );
 }
 
@@ -141,10 +129,7 @@ fn replay_table(title: &str, rows: Vec<experiments::ReplayRow>) {
         .into_iter()
         .map(|r| vec![r.name, yes_no(r.safe), yes_no(r.fresh), r.read_returned])
         .collect();
-    println!(
-        "{}",
-        table::render(&["scenario", "safe", "fresh", "read returned"], &rows)
-    );
+    table::print(&["scenario", "safe", "fresh", "read returned"], &rows);
 }
 
 fn e5() {
@@ -186,22 +171,19 @@ fn e8() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "reads",
-                "protocol",
-                "ops",
-                "read lat",
-                "read p99",
-                "write lat",
-                "ops/ktick",
-                "B/op",
-                "safe"
-            ],
-            &rows
-        )
+    table::print(
+        &[
+            "reads",
+            "protocol",
+            "ops",
+            "read lat",
+            "read p99",
+            "write lat",
+            "ops/ktick",
+            "B/op",
+            "safe",
+        ],
+        &rows,
     );
 }
 
@@ -218,10 +200,7 @@ fn e9() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(&["protocol", "silent", "completed", "as expected"], &rows)
-    );
+    table::print(&["protocol", "silent", "completed", "as expected"], &rows);
 }
 
 fn e10() {
@@ -233,10 +212,7 @@ fn e10() {
         r.duplicates.to_string(),
         r.inversions.to_string(),
     ]];
-    println!(
-        "{}",
-        table::render(&["runs", "writes", "duplicate tags", "inversions"], &rows)
-    );
+    table::print(&["runs", "writes", "duplicate tags", "inversions"], &rows);
 }
 
 fn e11() {
@@ -252,10 +228,7 @@ fn e11() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(&["protocol", "safe", "fresh", "new/old inversions"], &rows)
-    );
+    table::print(&["protocol", "safe", "fresh", "new/old inversions"], &rows);
 }
 
 fn e12() {
@@ -272,18 +245,15 @@ fn e12() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "writes",
-                "BSR read B",
-                "BSR-H cold B",
-                "BSR-H warm B",
-                "BSR-2P read B"
-            ],
-            &rows
-        )
+    table::print(
+        &[
+            "writes",
+            "BSR read B",
+            "BSR-H cold B",
+            "BSR-H warm B",
+            "BSR-2P read B",
+        ],
+        &rows,
     );
 }
 
@@ -303,19 +273,24 @@ fn e13() {
             ]
         })
         .collect();
+    table::print(
+        &[
+            "scenario",
+            "protocol",
+            "fast reads",
+            "slow reads",
+            "fast ratio",
+            "validation fails",
+        ],
+        &rows,
+    );
+}
+
+/// Prints the whole global metrics registry, one JSON object per line.
+fn dump_metrics() {
     println!(
         "{}",
-        table::render(
-            &[
-                "scenario",
-                "protocol",
-                "fast reads",
-                "slow reads",
-                "fast ratio",
-                "validation fails"
-            ],
-            &rows
-        )
+        safereg_obs::render_jsonl(&safereg_obs::global().snapshot())
     );
 }
 
@@ -337,10 +312,7 @@ fn a1() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(&["threshold", "read returned", "safe", "fresh"], &rows)
-    );
+    table::print(&["threshold", "read returned", "safe", "fresh"], &rows);
 }
 
 fn a2() {
@@ -355,10 +327,7 @@ fn a2() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(&["selection", "tag.num after 3 writes", "inflated"], &rows)
-    );
+    table::print(&["selection", "tag.num after 3 writes", "inflated"], &rows);
 }
 
 fn a3() {
@@ -367,12 +336,9 @@ fn a3() {
         .into_iter()
         .map(|r| vec![r.strategy.into(), yes_no(r.recovered), r.returned])
         .collect();
-    println!(
-        "{}",
-        table::render(
-            &["strategy", "recovered fresh value", "read returned"],
-            &rows
-        )
+    table::print(
+        &["strategy", "recovered fresh value", "read returned"],
+        &rows,
     );
 }
 
@@ -382,10 +348,7 @@ fn a4() {
         .into_iter()
         .map(|r| vec![r.retention.into(), r.returned, yes_no(r.fresh)])
         .collect();
-    println!(
-        "{}",
-        table::render(&["retention", "BSR-H read returned", "fresh"], &rows)
-    );
+    table::print(&["retention", "BSR-H read returned", "fresh"], &rows);
 }
 
 fn a5() {
@@ -399,47 +362,7 @@ fn a5() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(&["fan-out m", "unsafe schedules"], &rows)
-    );
-}
-
-fn chaos() {
-    println!("== chaos: self-healing TCP under a seeded adversary (sever + blackhole <= f) ==");
-    let r = chaos_scenario::chaos_run(0xC4A0_5EED);
-    let rows = vec![vec![
-        format!("{:#x}", r.seed),
-        format!("{}/{}", r.ops_completed, r.ops_attempted),
-        r.reconnects.to_string(),
-        r.breaker_transitions.to_string(),
-        r.backoff_waits.to_string(),
-        r.faults_injected.to_string(),
-        yes_no(r.safe && r.order_violations == 0),
-        yes_no(r.schedule_reproducible),
-    ]];
-    println!(
-        "{}",
-        table::render(
-            &[
-                "seed",
-                "ops",
-                "reconnects",
-                "breaker flips",
-                "backoff waits",
-                "faults",
-                "safe",
-                "seed-stable"
-            ],
-            &rows
-        )
-    );
-    if r.self_healing_ok() {
-        println!("chaos: self-healing ok");
-    } else {
-        println!("chaos: FAILED ({r:?})");
-        std::process::exit(1);
-    }
+    table::print(&["fan-out m", "unsafe schedules"], &rows);
 }
 
 fn wire() {
@@ -455,25 +378,19 @@ fn wire() {
         format!("{}", r.relay_frames),
         r.relay_bytes_copied.to_string(),
     ]];
-    println!(
-        "{}",
-        table::render(
-            &[
-                "n",
-                "f",
-                "value",
-                "old allocs/write",
-                "new allocs/write",
-                "ratio",
-                "relay frames",
-                "relay B copied"
-            ],
-            &rows
-        )
+    table::print(
+        &[
+            "n",
+            "f",
+            "value",
+            "old allocs/write",
+            "new allocs/write",
+            "ratio",
+            "relay frames",
+            "relay B copied",
+        ],
+        &rows,
     );
-    if let Err(e) = std::fs::write("BENCH_wire.json", r.to_json()) {
-        eprintln!("wire: could not write BENCH_wire.json: {e}");
-    }
     println!(
         "wire: alloc ratio = {:.2}x (>= 2x required); relay bytes copied = {} (0 required)",
         r.alloc_ratio, r.relay_bytes_copied
@@ -482,12 +399,7 @@ fn wire() {
         "wire: batch flushes = {}, max frames/flush = {} (ceiling {})",
         r.batch_samples, r.batch_max_frames, r.batch_ceiling
     );
-    if r.ok() {
-        println!("wire: ok");
-    } else {
-        println!("wire: FAILED ({r:?})");
-        std::process::exit(1);
-    }
+    finish(&r);
 }
 
 fn trace() {
@@ -503,21 +415,18 @@ fn trace() {
         r.violation_tree_spans.to_string(),
         format!("{}‰", r.overhead_off_permille),
     ]];
-    println!(
-        "{}",
-        table::render(
-            &[
-                "seed",
-                "sim stable/lines",
-                "ops",
-                "slow reads",
-                "unattributed",
-                "violations",
-                "tree spans",
-                "off overhead"
-            ],
-            &rows
-        )
+    table::print(
+        &[
+            "seed",
+            "sim stable/lines",
+            "ops",
+            "slow reads",
+            "unattributed",
+            "violations",
+            "tree spans",
+            "off overhead",
+        ],
+        &rows,
     );
     // One line per nonzero cause: the CI smoke greps these as proof that
     // every slow read of the fault-injected run carried a concrete label.
@@ -542,15 +451,7 @@ fn trace() {
          ({:.0} vs {:.0} ops/sec in-memory)",
         r.overhead_off_permille, r.overhead_on_permille, r.ops_per_sec_on, r.ops_per_sec_off
     );
-    if let Err(e) = std::fs::write("BENCH_trace.json", r.to_json()) {
-        eprintln!("trace: could not write BENCH_trace.json: {e}");
-    }
-    if r.ok() {
-        println!("trace: ok");
-    } else {
-        println!("trace: FAILED ({r:?})");
-        std::process::exit(1);
-    }
+    finish(&r);
 }
 
 fn shard() {
@@ -575,12 +476,9 @@ fn shard() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(
-            &["shards", "skew", "ops", "ops/sec", "p99", "sockets"],
-            &rows
-        )
+    table::print(
+        &["shards", "skew", "ops", "ops/sec", "p99", "sockets"],
+        &rows,
     );
     println!(
         "shard: hottest shard under zipf at s=16 was g{} ({} ops)",
@@ -594,57 +492,31 @@ fn shard() {
         shard_bench::WIDE_FLEET,
         yes_no(r.monotone_ok())
     );
-    if let Err(e) = std::fs::write("BENCH_shard.json", r.to_json()) {
-        eprintln!("shard: could not write BENCH_shard.json: {e}");
-    }
-    if r.ok() {
-        println!("shard: ok");
-    } else {
-        println!("shard: FAILED ({r:?})");
-        std::process::exit(1);
-    }
+    finish(&r);
 }
 
 /// Parses `churn` flags and runs the scenario; exits nonzero on failure.
 ///
 /// ```text
-/// paper_harness churn [--ops 200] [--seed 0xC1124E] [--shards 2] [--keys 3]
+/// paper_harness churn [--ops 200] [--seed 12653134] [--shards 2] [--keys 3]
 ///                     [--continuous] [--events 6]
 /// ```
-fn churn(flags: &[String]) -> ! {
-    let mut cfg = churn_scenario::ChurnConfig::default();
-    let mut i = 0;
-    while i < flags.len() {
-        let flag = flags[i].as_str();
-        // Boolean flags take no value; handle them before the pair logic.
-        if flag == "--continuous" {
-            cfg.continuous = true;
-            i += 1;
-            continue;
-        }
-        let Some(value) = flags.get(i + 1) else {
-            eprintln!("churn: {flag} needs a value");
-            std::process::exit(2);
-        };
-        let parse = |what: &str| {
-            value.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("churn: {what} must be a number, got {value}");
-                std::process::exit(2);
-            })
-        };
-        match flag {
-            "--ops" => cfg.ops_per_phase = parse("--ops"),
-            "--seed" => cfg.seed = parse("--seed"),
-            "--shards" => cfg.shards = parse("--shards") as u16,
-            "--keys" => cfg.keys = parse("--keys") as usize,
-            "--events" => cfg.events = parse("--events"),
-            _ => {
-                eprintln!("churn: unknown flag {flag}");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+fn churn(args: &[String]) {
+    let flags = Flags::parse(
+        "churn",
+        args,
+        &["--ops", "--seed", "--shards", "--keys", "--events"],
+        &["--continuous"],
+    );
+    let d = churn_scenario::ChurnConfig::default();
+    let cfg = churn_scenario::ChurnConfig {
+        seed: flags.num("--seed", d.seed),
+        ops_per_phase: flags.num("--ops", d.ops_per_phase),
+        shards: flags.num("--shards", d.shards),
+        keys: flags.num("--keys", d.keys),
+        continuous: flags.switch("--continuous"),
+        events: flags.num("--events", d.events),
+    };
 
     if cfg.continuous {
         println!(
@@ -675,21 +547,18 @@ fn churn(flags: &[String]) -> ! {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "phase",
-                "epoch",
-                "ops",
-                "failures",
-                "ops/sec",
-                "p99",
-                "adoptions",
-                "stale frames"
-            ],
-            &rows
-        )
+    table::print(
+        &[
+            "phase",
+            "epoch",
+            "ops",
+            "failures",
+            "ops/sec",
+            "p99",
+            "adoptions",
+            "stale frames",
+        ],
+        &rows,
     );
     println!(
         "churn: {} steps applied ({} mode, {} expected), final epoch {}, \
@@ -717,49 +586,23 @@ fn churn(flags: &[String]) -> ! {
             r.reconfig_slow_reads
         );
     }
-    if let Err(e) = std::fs::write("BENCH_churn.json", r.to_json()) {
-        eprintln!("churn: could not write BENCH_churn.json: {e}");
-    }
-    if r.ok() {
-        println!("churn: ok");
-        std::process::exit(0);
-    }
-    println!("churn: FAILED (rerun with --seed {} to replay)", r.seed);
-    std::process::exit(1);
+    finish(&r);
 }
 
 /// Parses `audit` flags and runs the accountability harness; exits
 /// nonzero on failure.
 ///
 /// ```text
-/// paper_harness audit [--ops 64] [--seed 0xA0D17EED] [--keys 2]
+/// paper_harness audit [--ops 64] [--seed 2698084077] [--keys 2]
 /// ```
-fn audit(flags: &[String]) -> ! {
-    let mut cfg = audit_harness::AuditConfig::default();
-    let mut i = 0;
-    while i < flags.len() {
-        let flag = flags[i].as_str();
-        let Some(value) = flags.get(i + 1) else {
-            eprintln!("audit: {flag} needs a value");
-            std::process::exit(2);
-        };
-        let parse = |what: &str| {
-            value.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("audit: {what} must be a number, got {value}");
-                std::process::exit(2);
-            })
-        };
-        match flag {
-            "--ops" => cfg.ops = parse("--ops"),
-            "--seed" => cfg.seed = parse("--seed"),
-            "--keys" => cfg.keys = parse("--keys") as usize,
-            _ => {
-                eprintln!("audit: unknown flag {flag}");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+fn audit(args: &[String]) {
+    let flags = Flags::parse("audit", args, &["--ops", "--seed", "--keys"], &[]);
+    let d = audit_harness::AuditConfig::default();
+    let cfg = audit_harness::AuditConfig {
+        seed: flags.num("--seed", d.seed),
+        ops: flags.num("--ops", d.ops),
+        keys: flags.num("--keys", d.keys),
+    };
 
     println!(
         "== audit: convict injected Fabricator/Equivocator from chained evidence, \
@@ -781,12 +624,9 @@ fn audit(flags: &[String]) -> ! {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(
-            &["leg", "accused", "ops", "failures", "evidence", "verdict"],
-            &rows
-        )
+    table::print(
+        &["leg", "accused", "ops", "failures", "evidence", "verdict"],
+        &rows,
     );
     for (s, c) in &r.convictions {
         println!("audit: convicted s{s} of {c}");
@@ -817,21 +657,9 @@ fn audit(flags: &[String]) -> ! {
          max suspicion on a correct replica = {}",
         r.chaos_convictions, r.suspicion_correct_max
     );
-    if let Err(e) = std::fs::write("BENCH_audit.json", r.to_json()) {
-        eprintln!("audit: could not write BENCH_audit.json: {e}");
-    }
-    // Full metrics dump: the CI smoke greps this for the audit counters
-    // (`kv.audit.evidence`, `kv.audit.convictions`, ...).
-    println!(
-        "{}",
-        safereg_obs::render_jsonl(&safereg_obs::global().snapshot())
-    );
-    if r.ok() {
-        println!("audit: ok");
-        std::process::exit(0);
-    }
-    println!("audit: FAILED (rerun with --seed {} to replay)", r.seed);
-    std::process::exit(1);
+    // The CI smoke greps the dump for `kv.audit.convictions`.
+    dump_metrics();
+    finish(&r);
 }
 
 /// Parses `soak` flags and runs the harness; exits nonzero on failure.
@@ -841,47 +669,41 @@ fn audit(flags: &[String]) -> ! {
 ///                    [--writers 4] [--readers 4] [--keys 4] [--shards 4]
 ///                    [--minutes 10] [--continuous]
 /// ```
-fn soak(flags: &[String]) -> ! {
-    let mut cfg = soak_harness::SoakConfig::default();
-    let mut i = 0;
-    while i < flags.len() {
-        let flag = flags[i].as_str();
-        // Boolean flags take no value; handle them before the pair logic.
-        if flag == "--continuous" {
-            cfg.continuous = true;
-            i += 1;
-            continue;
-        }
-        let Some(value) = flags.get(i + 1) else {
-            eprintln!("soak: {flag} needs a value");
-            std::process::exit(2);
-        };
-        let parse = |what: &str| {
-            value.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("soak: {what} must be a number, got {value}");
-                std::process::exit(2);
-            })
-        };
-        match flag {
-            "--ops" => cfg.ops = parse("--ops"),
-            // `--byz f` pins the count to the deployment's resilience
-            // bound; a number is clamped to `f` by the harness anyway.
-            "--byz" if value == "f" => cfg.byz = usize::MAX,
-            "--byz" => cfg.byz = parse("--byz") as usize,
-            "--seed" => cfg.seed = parse("--seed"),
-            "--epochs" => cfg.epochs = parse("--epochs") as usize,
-            "--writers" => cfg.writers = parse("--writers") as usize,
-            "--readers" => cfg.readers = parse("--readers") as usize,
-            "--keys" => cfg.keys = parse("--keys") as usize,
-            "--shards" => cfg.shards = parse("--shards") as u16,
-            "--minutes" => cfg.minutes = parse("--minutes"),
-            _ => {
-                eprintln!("soak: unknown flag {flag}");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+fn soak(args: &[String]) {
+    let flags = Flags::parse(
+        "soak",
+        args,
+        &[
+            "--ops",
+            "--byz",
+            "--seed",
+            "--epochs",
+            "--writers",
+            "--readers",
+            "--keys",
+            "--shards",
+            "--minutes",
+        ],
+        &["--continuous"],
+    );
+    let d = soak_harness::SoakConfig::default();
+    let cfg = soak_harness::SoakConfig {
+        ops: flags.num("--ops", d.ops),
+        // `--byz f` pins the count to the deployment's resilience bound; a
+        // number is clamped to `f` by the harness anyway.
+        byz: match flags.text("--byz") {
+            Some("f") => usize::MAX,
+            _ => flags.num("--byz", d.byz),
+        },
+        seed: flags.num("--seed", d.seed),
+        epochs: flags.num("--epochs", d.epochs),
+        writers: flags.num("--writers", d.writers),
+        readers: flags.num("--readers", d.readers),
+        keys: flags.num("--keys", d.keys),
+        shards: flags.num("--shards", d.shards),
+        minutes: flags.num("--minutes", d.minutes),
+        continuous: flags.switch("--continuous"),
+    };
 
     println!(
         "== soak: {} ops, {} writers + {} readers, {} epochs, seed {} ==",
@@ -908,21 +730,18 @@ fn soak(flags: &[String]) -> ! {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "epoch",
-                "byzantine",
-                "ops",
-                "failures",
-                "wall",
-                "rss",
-                "evictions",
-                "restarts"
-            ],
-            &rows
-        )
+    table::print(
+        &[
+            "epoch",
+            "byzantine",
+            "ops",
+            "failures",
+            "wall",
+            "rss",
+            "evictions",
+            "restarts",
+        ],
+        &rows,
     );
     println!(
         "soak: {}/{} ops completed, {} failures, {} reads checked, \
@@ -956,75 +775,43 @@ fn soak(flags: &[String]) -> ! {
     for v in &r.violations {
         println!("  violation: {v}");
     }
-    if let Err(e) = std::fs::write("BENCH_soak.json", r.to_json()) {
-        eprintln!("soak: could not write BENCH_soak.json: {e}");
+    // The CI smoke greps the dump for `server.evictions` and
+    // `transport.batch.frames`.
+    dump_metrics();
+    // Sharded runs also pass the sharding verdict the CI smoke greps.
+    if r.ok() && r.shards > 1 {
+        println!("shard: ok");
     }
-    // Full metrics dump: the CI smoke greps this for the degradation
-    // counters (`server.evictions`, `transport.batch.frames`).
-    println!(
-        "{}",
-        safereg_obs::render_jsonl(&safereg_obs::global().snapshot())
-    );
-    if r.ok() {
-        if r.shards > 1 {
-            println!("shard: ok");
-        }
-        println!("soak: ok");
-        std::process::exit(0);
-    }
-    println!("soak: FAILED (rerun with --seed {} to replay)", r.seed);
-    std::process::exit(1);
+    finish(&r);
 }
 
 /// Parses `runtime` flags and runs the saturation ladder; exits nonzero
-/// on failure.
+/// on failure. `--quick` starts from the one-rung smoke configuration.
 ///
 /// ```text
 /// paper_harness runtime [--conns 1000,10000,50000] [--rate 2000]
 ///                       [--secs 6] [--reactors 2] [--quick]
 /// ```
-fn runtime(flags: &[String]) -> ! {
-    let mut cfg = runtime_bench::RuntimeConfig::default();
-    let mut i = 0;
-    while i < flags.len() {
-        let flag = flags[i].as_str();
-        if flag == "--quick" {
-            cfg = runtime_bench::RuntimeConfig::quick();
-            i += 1;
-            continue;
-        }
-        let Some(value) = flags.get(i + 1) else {
-            eprintln!("runtime: {flag} needs a value");
-            std::process::exit(2);
-        };
-        let parse = |what: &str| {
-            value.parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("runtime: {what} must be a number, got {value}");
-                std::process::exit(2);
-            })
-        };
-        match flag {
-            "--conns" => {
-                cfg.rungs = value
-                    .split(',')
-                    .map(|v| {
-                        v.parse::<usize>().unwrap_or_else(|_| {
-                            eprintln!("runtime: --conns wants a comma list, got {value}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            "--rate" => cfg.rate = parse("--rate"),
-            "--secs" => cfg.secs = parse("--secs"),
-            "--reactors" => cfg.reactors = parse("--reactors") as usize,
-            _ => {
-                eprintln!("runtime: unknown flag {flag}");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+fn runtime(args: &[String]) {
+    let flags = Flags::parse(
+        "runtime",
+        args,
+        &["--conns", "--rate", "--secs", "--reactors"],
+        &["--quick"],
+    );
+    let d = if flags.switch("--quick") {
+        runtime_bench::RuntimeConfig::quick()
+    } else {
+        runtime_bench::RuntimeConfig::default()
+    };
+    let cfg = runtime_bench::RuntimeConfig {
+        rungs: flags.text("--conns").map_or(d.rungs, |list| {
+            list.split(',').map(|c| flags.value("--conns", c)).collect()
+        }),
+        rate: flags.num("--rate", d.rate),
+        secs: flags.num("--secs", d.secs),
+        reactors: flags.num("--reactors", d.reactors),
+    };
 
     println!(
         "== runtime: reactor latency under load, rungs {:?} ==",
@@ -1046,95 +833,80 @@ fn runtime(flags: &[String]) -> ! {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        table::render(
-            &[
-                "conns (got/asked)",
-                "sent",
-                "received",
-                "ops/sec",
-                "p50",
-                "p99",
-                "threads"
-            ],
-            &rows
-        )
+    table::print(
+        &[
+            "conns (got/asked)",
+            "sent",
+            "received",
+            "ops/sec",
+            "p50",
+            "p99",
+            "threads",
+        ],
+        &rows,
     );
     for f in &r.failures {
         println!("runtime: check failed: {f}");
     }
-    if let Err(e) = std::fs::write("BENCH_runtime.json", r.to_json()) {
-        eprintln!("runtime: could not write BENCH_runtime.json: {e}");
-    }
-    // Full metrics dump: the CI smoke greps this for the reactor gauges
-    // and counters (`reactor.threads`, `reactor.events`, ...).
-    println!(
-        "{}",
-        safereg_obs::render_jsonl(&safereg_obs::global().snapshot())
-    );
-    if r.ok() {
-        println!("runtime: ok");
-        std::process::exit(0);
-    }
-    println!("runtime: FAILED");
-    std::process::exit(1);
+    // The CI smoke greps the dump for `reactor.threads` and
+    // `reactor.accept.handoffs`.
+    dump_metrics();
+    finish(&r);
 }
+
+/// A scenario command, run with the flags that follow its name.
+type Scenario = fn(&[String]);
+
+/// Scenarios: the first argument names one, the rest are its flags. The
+/// load generator `runtime` spawns is one too, left off the usage line on
+/// purpose.
+const SCENARIOS: [(&str, Scenario); 5] = [
+    ("runtime-loadgen", runtime_bench::loadgen_main),
+    ("runtime", runtime),
+    ("soak", soak),
+    ("churn", churn),
+    ("audit", audit),
+];
+
+/// Experiments: any subset by name, all of them with no argument.
+const EXPERIMENTS: [(&str, fn()); 22] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e11", e11),
+    ("e12", e12),
+    ("e13", e13),
+    ("wire", wire),
+    ("shard", shard),
+    ("trace", trace),
+    ("metrics", metrics),
+    ("a1", a1),
+    ("a2", a2),
+    ("a3", a3),
+    ("a4", a4),
+    ("a5", a5),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The hidden load-generator child (spawned by `runtime`): not part of
-    // the experiment list on purpose.
-    if args.first().map(String::as_str) == Some("runtime-loadgen") {
-        runtime_bench::loadgen_main(&args[1..]);
+    let first = args.first().map_or("", String::as_str);
+    if let Some((_, run)) = SCENARIOS.iter().find(|(name, _)| *name == first) {
+        return run(&args[1..]);
     }
-    if args.first().map(String::as_str) == Some("runtime") {
-        runtime(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("soak") {
-        soak(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("churn") {
-        churn(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("audit") {
-        audit(&args[1..]);
-    }
-    let all: Vec<(&str, fn())> = vec![
-        ("e1", e1),
-        ("e2", e2),
-        ("e3", e3),
-        ("e4", e4),
-        ("e5", e5),
-        ("e6", e6),
-        ("e7", e7),
-        ("e8", e8),
-        ("e9", e9),
-        ("e10", e10),
-        ("e11", e11),
-        ("e12", e12),
-        ("e13", e13),
-        ("chaos", chaos),
-        ("wire", wire),
-        ("shard", shard),
-        ("trace", trace),
-        ("metrics", metrics),
-        ("a1", a1),
-        ("a2", a2),
-        ("a3", a3),
-        ("a4", a4),
-        ("a5", a5),
-    ];
-    let selected: Vec<&(&str, fn())> = if args.is_empty() {
-        all.iter().collect()
-    } else {
-        all.iter()
-            .filter(|(name, _)| args.iter().any(|a| a == name))
-            .collect()
-    };
+    let selected: Vec<&(&str, fn())> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| args.is_empty() || args.iter().any(|a| a == name))
+        .collect();
     if selected.is_empty() {
         eprintln!(
-            "unknown experiment; available: e1..e13, a1..a5, chaos, wire, shard, trace, \
+            "unknown experiment; available: e1..e13, a1..a5, wire, shard, trace, \
              metrics, soak, churn, audit, runtime"
         );
         std::process::exit(2);

@@ -18,7 +18,7 @@
 //!   configs all while one replica forges tags (the role is re-asserted
 //!   after every step, since a re-placed group restarts honest);
 //! * one client drives a put/get workload across every boundary, judged
-//!   online by a [`WindowedChecker`] per key — the verdict must stay
+//!   online by a [`CheckedKeys`] checker per key — the verdict must stay
 //!   clean and every operation must terminate (bounded retries, zero
 //!   abandoned ops);
 //! * throughput and p99 latency are sampled **before**, **during** and
@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use safereg_checker::{Violation, WindowedChecker};
+use safereg_checker::Violation;
 use safereg_common::config::{BackoffPolicy, QuorumConfig, TransportConfig};
 use safereg_common::ids::{ReaderId, ServerId, WriterId};
 use safereg_common::msg::{OpId, Payload};
@@ -47,6 +47,10 @@ use safereg_mds::rs::ReedSolomon;
 use safereg_mds::stripe::encode_value;
 use safereg_obs::names;
 use safereg_transport::chaos::{FaultPlan, FaultSpec};
+
+use crate::cli::Report;
+use crate::json::Json;
+use crate::ops::{set_role_everywhere, CheckedKeys};
 
 /// Knobs for one churn run.
 #[derive(Debug, Clone)]
@@ -148,12 +152,13 @@ pub struct ChurnReport {
     pub coded_joiner_logical: u16,
 }
 
-impl ChurnReport {
-    /// The acceptance predicate `scripts/ci.sh` greps for: every
-    /// scheduled step applied, zero checker violations, zero abandoned
-    /// ops, every phase made progress, and the coded joiner rebuilt its
-    /// fragment.
-    pub fn ok(&self) -> bool {
+impl Report for ChurnReport {
+    const NAME: &'static str = "churn";
+
+    /// Every scheduled step applied, zero checker violations, zero
+    /// abandoned ops, every phase made progress, and the coded joiner
+    /// rebuilt its fragment.
+    fn ok(&self) -> bool {
         self.steps == self.expected_steps
             && self.final_epoch == self.expected_steps
             && self.violations.is_empty()
@@ -162,62 +167,43 @@ impl ChurnReport {
             && self.coded_digest_ok
     }
 
-    /// Line-oriented JSON for `BENCH_churn.json`.
-    pub fn to_json(&self) -> String {
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|p| {
-                format!(
-                    concat!(
-                        "{{\"label\":\"{}\",\"epoch\":{},\"ops\":{},\"failures\":{},",
-                        "\"ops_per_sec\":{:.1},\"p99_micros\":{},\"adoptions\":{},",
-                        "\"stale_frames\":{}}}"
-                    ),
-                    p.label,
-                    p.epoch,
-                    p.ops,
-                    p.failures,
-                    p.ops_per_sec,
-                    p.p99_micros,
-                    p.adoptions,
-                    p.stale_frames
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"seed\":{},\"mode\":\"{}\",\"expected_steps\":{},",
-                "\"steps\":{},\"final_epoch\":{},\"byz_role\":\"{}\",",
-                "\"phases\":[{}],\"violations\":{},\"ops_attempted\":{},",
-                "\"ops_completed\":{},\"failures\":{},\"transfer_keys\":{},",
-                "\"reconfig_slow_reads\":{},\"coded_digest_ok\":{},",
-                "\"coded_joiner_logical\":{},\"ok\":{}}}\n"
-            ),
-            self.seed,
-            self.mode,
-            self.expected_steps,
-            self.steps,
-            self.final_epoch,
-            self.byz_role,
-            phases.join(","),
-            self.violations.len(),
-            self.ops_attempted,
-            self.ops_completed,
-            self.failures,
-            self.transfer_keys,
-            self.reconfig_slow_reads,
-            self.coded_digest_ok,
-            self.coded_joiner_logical,
-            self.ok()
-        )
+    fn json(&self) -> Json {
+        let phases = self.phases.iter().map(|p| {
+            Json::object()
+                .str("label", &p.label)
+                .num("epoch", p.epoch)
+                .num("ops", p.ops)
+                .num("failures", p.failures)
+                .float("ops_per_sec", p.ops_per_sec, 1)
+                .num("p99_micros", p.p99_micros)
+                .num("adoptions", p.adoptions)
+                .num("stale_frames", p.stale_frames)
+                .end()
+        });
+        Json::object()
+            .num("seed", self.seed)
+            .str("mode", self.mode)
+            .num("expected_steps", self.expected_steps)
+            .num("steps", self.steps)
+            .num("final_epoch", self.final_epoch)
+            .str("byz_role", self.byz_role)
+            .field("phases", Json::array(phases))
+            .num("violations", self.violations.len())
+            .num("ops_attempted", self.ops_attempted)
+            .num("ops_completed", self.ops_completed)
+            .num("failures", self.failures)
+            .num("transfer_keys", self.transfer_keys)
+            .num("reconfig_slow_reads", self.reconfig_slow_reads)
+            .num("coded_digest_ok", self.coded_digest_ok)
+            .num("coded_joiner_logical", self.coded_joiner_logical)
+            .num("ok", self.ok())
+            .end()
     }
 }
 
-/// Retries per logical operation; each retry is a fresh protocol op, the
-/// checker keeps judging the one logical op. Generous because an op can
-/// land in the middle of a flip *and* meet a Fabricator on the same
-/// quorum — it must still terminate.
+/// Attempts per logical operation. Generous because an op can land in the
+/// middle of a flip *and* meet a Fabricator on the same quorum — it must
+/// still terminate.
 const OP_RETRIES: usize = 8;
 
 /// The replica that plays the Fabricator: it survives the add, the remove
@@ -247,14 +233,9 @@ struct Workload {
     client: KvClient,
     transport: TcpKvTransport,
     keys: Vec<Vec<u8>>,
-    checkers: Vec<WindowedChecker>,
-    /// Logical clock for checker instants.
-    clock: u64,
+    checked: CheckedKeys,
     /// Next OpId sequence per identity (writes, reads).
     seq: (u64, u64),
-    attempted: u64,
-    completed: u64,
-    failures: u64,
 }
 
 impl Workload {
@@ -262,81 +243,21 @@ impl Workload {
     /// judged by the key's checker. Returns the op latency in micros.
     fn one_op(&mut self, i: u64) -> u64 {
         let kidx = (i as usize) % self.keys.len();
-        self.attempted += 1;
+        let key = &self.keys[kidx];
         let started = Instant::now();
         if i.is_multiple_of(2) {
             self.seq.0 += 1;
-            let value = format!("churn:w{}", self.seq.0);
+            let value = Value::from(format!("churn:w{}", self.seq.0).into_bytes());
             let op = OpId::new(WriterId(1), self.seq.0);
-            self.clock += 1;
-            let h = self.checkers[kidx].begin_write(
-                op,
-                Value::from(value.clone().into_bytes()),
-                self.clock,
-            );
-            let mut tag = None;
-            for attempt in 0..OP_RETRIES {
-                match self.client.put(
-                    &mut self.transport,
-                    &self.keys[kidx],
-                    value.clone().into_bytes(),
-                ) {
-                    Ok(t) => {
-                        tag = Some(t);
-                        break;
-                    }
-                    Err(_) if attempt + 1 < OP_RETRIES => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => {}
-                }
-            }
-            self.clock += 1;
-            match tag {
-                Some(t) => {
-                    self.checkers[kidx].complete_write(h, t, self.clock);
-                    self.completed += 1;
-                }
-                None => {
-                    self.checkers[kidx].abandon(h);
-                    self.failures += 1;
-                }
-            }
+            self.checked.write(kidx, op, &value, || {
+                self.client.put(&mut self.transport, key, value.clone())
+            });
         } else {
             self.seq.1 += 1;
             let op = OpId::new(ReaderId(1), self.seq.1);
-            self.clock += 1;
-            let h = self.checkers[kidx].begin_read(op, self.clock);
-            let mut out = None;
-            for attempt in 0..OP_RETRIES {
-                match self
-                    .client
-                    .get_with_tag(&mut self.transport, &self.keys[kidx])
-                {
-                    Ok(vt) => {
-                        out = Some(vt);
-                        break;
-                    }
-                    Err(_) if attempt + 1 < OP_RETRIES => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => {}
-                }
-            }
-            self.clock += 1;
-            match out {
-                Some((v, t)) => {
-                    self.checkers[kidx].complete_read(h, v, t, self.clock);
-                    self.completed += 1;
-                }
-                None => {
-                    self.checkers[kidx].abandon(h);
-                    self.failures += 1;
-                }
-            }
-        }
-        if i % 32 == 31 {
-            self.checkers[kidx].prune();
+            self.checked.read(kidx, op, || {
+                self.client.get_with_tag(&mut self.transport, key)
+            });
         }
         started.elapsed().as_micros() as u64
     }
@@ -353,8 +274,8 @@ impl Workload {
         let reg = safereg_obs::global();
         let adoptions0 = reg.counter(names::KV_EPOCH_ADOPTIONS).get();
         let stale0 = reg.counter(names::KV_EPOCH_STALE_FRAMES).get();
-        let completed0 = self.completed;
-        let failures0 = self.failures;
+        let completed0 = self.checked.completed();
+        let failures0 = self.checked.failures();
         let started = Instant::now();
         let mut latencies = Vec::new();
         let mut i = 0u64;
@@ -372,26 +293,17 @@ impl Workload {
         let elapsed = started.elapsed().as_secs_f64().max(1e-9);
         latencies.sort_unstable();
         let p99 = latencies[((latencies.len() * 99) / 100).min(latencies.len() - 1)];
-        let ops = self.completed - completed0;
+        let ops = self.checked.completed() - completed0;
         PhaseStat {
             label: label.into(),
             epoch: epoch_after,
             ops,
-            failures: self.failures - failures0,
+            failures: self.checked.failures() - failures0,
             ops_per_sec: ops as f64 / elapsed,
             p99_micros: p99,
             adoptions: reg.counter(names::KV_EPOCH_ADOPTIONS).get() - adoptions0,
             stale_frames: reg.counter(names::KV_EPOCH_STALE_FRAMES).get() - stale0,
         }
-    }
-}
-
-/// Re-asserts the Fabricator role on every shard the victim serves — a
-/// reconfiguration step restarts re-placed groups honest, and the point
-/// of the scenario is a forger that stays live across every step.
-fn assert_fabricator(cluster: &TcpKvCluster, seed: u64) {
-    for g in cluster.map().shards_of_server(FABRICATOR) {
-        cluster.set_shard_role(FABRICATOR, g, ByzRole::Fabricator, seed ^ u64::from(g.0));
     }
 }
 
@@ -418,7 +330,7 @@ fn coded_fragment_check(seed: u64) -> (bool, u16) {
         return (false, 0);
     }
     // The forger answers the transfer's decode reads too.
-    let _ = cluster.set_role(ServerId(2), KvMode::Coded, ByzRole::Fabricator, seed);
+    let _ = cluster.set_role(ServerId(2), ByzRole::Fabricator, seed);
     let Ok((value, tag)) = client.get_with_tag(&mut transport, b"fragment") else {
         return (false, 0);
     };
@@ -469,7 +381,7 @@ pub fn churn_run(cfg: &ChurnConfig) -> ChurnReport {
         .chaos(FaultPlan::new(cfg.seed, FaultSpec::calm()))
         .start()
         .expect("start churn cluster");
-    assert_fabricator(&cluster, cfg.seed);
+    set_role_everywhere(&cluster, FABRICATOR, ByzRole::Fabricator, cfg.seed);
     let cluster = Mutex::new(cluster);
 
     let mut wl = Workload {
@@ -481,14 +393,8 @@ pub fn churn_run(cfg: &ChurnConfig) -> ChurnReport {
         keys: (0..cfg.keys.max(1))
             .map(|k| format!("churn-k{k}").into_bytes())
             .collect(),
-        checkers: (0..cfg.keys.max(1))
-            .map(|_| WindowedChecker::new())
-            .collect(),
-        clock: 0,
+        checked: CheckedKeys::new(cfg.keys.max(1), OP_RETRIES),
         seq: (0, 0),
-        attempted: 0,
-        completed: 0,
-        failures: 0,
     };
     wl.client.set_policy(tconfig);
 
@@ -606,12 +512,13 @@ pub fn churn_run(cfg: &ChurnConfig) -> ChurnReport {
         if step_ok.is_ok() {
             applied += 1;
         }
-        {
+        // A step restarts re-placed groups honest; the point of the
+        // scenario is a forger that stays live across every step.
+        let epoch_after = {
             let cl = cluster.lock().expect("cluster lock");
-            assert_fabricator(&cl, cfg.seed);
-        }
-
-        let epoch_after = cluster.lock().expect("cluster lock").epoch();
+            set_role_everywhere(&cl, FABRICATOR, ByzRole::Fabricator, cfg.seed);
+            cl.epoch()
+        };
         phases.push(wl.run_phase(
             &format!("{name}:after"),
             epoch_after,
@@ -620,11 +527,7 @@ pub fn churn_run(cfg: &ChurnConfig) -> ChurnReport {
         ));
     }
 
-    let mut violations = Vec::new();
-    for c in &mut wl.checkers {
-        c.prune();
-        violations.extend(c.take_violations());
-    }
+    let violations = wl.checked.close().violations;
     if !violations.is_empty() {
         safereg_obs::dump_flight("violation");
     }
@@ -645,9 +548,9 @@ pub fn churn_run(cfg: &ChurnConfig) -> ChurnReport {
         byz_role: ByzRole::Fabricator.label(),
         phases,
         violations,
-        ops_attempted: wl.attempted,
-        ops_completed: wl.completed,
-        failures: wl.failures,
+        ops_attempted: wl.checked.attempted(),
+        ops_completed: wl.checked.completed(),
+        failures: wl.checked.failures(),
         transfer_keys: reg.counter(names::KV_TRANSFER_KEYS).get() - transfer0,
         reconfig_slow_reads: reg
             .counter(&names::slow_cause_counter("reconfig_transfer"))

@@ -21,23 +21,32 @@
 //!
 //! plus the design ablations [`ablations::a1_witness_threshold`],
 //! [`ablations::a2_tag_selection`], [`ablations::a3_decode_strategy`] and
-//! [`ablations::a4_history_retention`], the [`chaos`] scenario that
-//! tortures the real TCP stack behind seeded fault-injection proxies, and
-//! the [`soak`] harness that runs the kv store for epochs under rotating
-//! live-Byzantine replicas, server-side chaos and crash/restarts with a
-//! memory-bounded online safety checker, and the [`churn`] scenario that
-//! rolls add/remove/replace reconfigurations through a live cluster while
-//! a Fabricator stays active and a checker judges every op, and the
-//! [`audit`] harness that convicts every injected Byzantine replica from
-//! HMAC-chained evidence (and nobody else, even under wire corruption).
+//! [`ablations::a4_history_retention`], and the deployed-stack scenarios:
+//!
+//! | Scenario | What it checks | Report |
+//! |----------|----------------|--------|
+//! | [`wire`] | zero-copy relay, ≥ 2× fewer allocations per coded write | `BENCH_wire.json` |
+//! | [`shard`] | `n` sockets per client at any shard count; monotone scaling | `BENCH_shard.json` |
+//! | [`trace`] | deterministic spans, every slow read attributed, violation dumps | `BENCH_trace.json` |
+//! | [`soak`] | epochs of rotating live-Byzantine replicas, chaos and restarts | `BENCH_soak.json` |
+//! | [`churn`] | add/remove/replace under a live Fabricator, every op judged | `BENCH_churn.json` |
+//! | [`audit`] | every injected Byzantine replica convicted, nobody else | `BENCH_audit.json` |
+//! | [`runtime`] | reactor latency and thread count at high connection counts | `BENCH_runtime.json` |
+//!
+//! The scenarios share one flag parser and verdict path ([`cli`]), one
+//! JSON writer ([`json`]) and one retry helper ([`ops`]). (Client
+//! self-healing under a seeded network adversary is tier-1:
+//! `tests/chaos_torture.rs`.)
 //!
 //! Run everything: `cargo run -p safereg-bench --bin paper_harness`.
 
 pub mod ablations;
 pub mod audit;
-pub mod chaos;
 pub mod churn;
+pub mod cli;
 pub mod experiments;
+pub mod json;
+pub mod ops;
 pub mod runtime;
 pub mod search;
 pub mod shard;

@@ -44,6 +44,9 @@ use safereg_crypto::keychain::KeyChain;
 use safereg_kv::{encode_request, KvMode, KvServerHost};
 use safereg_transport::poll::{Interest, PollEvent, Poller};
 
+use crate::cli::{Flags, Report};
+use crate::json::Json;
+
 /// Per-child connection ceiling: keeps every generator comfortably under
 /// its own fd limit and spreads connect/read work across processes.
 const CONNS_PER_CHILD: usize = 6000;
@@ -134,52 +137,39 @@ pub struct RuntimeReport {
     pub failures: Vec<String>,
 }
 
-impl RuntimeReport {
-    /// Whether every acceptance check held.
-    pub fn ok(&self) -> bool {
+impl Report for RuntimeReport {
+    const NAME: &'static str = "runtime";
+
+    fn ok(&self) -> bool {
         self.failures.is_empty()
     }
 
-    /// Hand-rolled JSON (the workspace is dependency-free).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"fd_limit\":{},\"rate\":{},\"secs\":{},\"reactors\":{},\"ok\":{},",
-            self.fd_limit,
-            self.rate,
-            self.secs,
-            self.reactors,
-            self.ok()
-        ));
-        out.push_str("\"failures\":[");
-        for (i, f) in self.failures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", f.replace('"', "'")));
-        }
-        out.push_str("],\"runs\":[");
-        for (i, r) in self.runs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"requested_conns\":{},\"achieved_conns\":{},\
-                 \"sent\":{},\"received\":{},\"ops_per_sec\":{:.1},\"p50_micros\":{},\
-                 \"p99_micros\":{},\"max_micros\":{},\"threads_peak\":{}}}",
-                r.requested_conns,
-                r.achieved_conns,
-                r.sent,
-                r.received,
-                r.ops_per_sec,
-                r.p50_micros,
-                r.p99_micros,
-                r.max_micros,
-                r.threads_peak
-            ));
-        }
-        out.push_str("]}");
-        out
+    fn json(&self) -> Json {
+        let runs = self.runs.iter().map(|r| {
+            Json::object()
+                .num("requested_conns", r.requested_conns)
+                .num("achieved_conns", r.achieved_conns)
+                .num("sent", r.sent)
+                .num("received", r.received)
+                .float("ops_per_sec", r.ops_per_sec, 1)
+                .num("p50_micros", r.p50_micros)
+                .num("p99_micros", r.p99_micros)
+                .num("max_micros", r.max_micros)
+                .num("threads_peak", r.threads_peak)
+                .end()
+        });
+        Json::object()
+            .num("fd_limit", self.fd_limit)
+            .num("rate", self.rate)
+            .num("secs", self.secs)
+            .num("reactors", self.reactors)
+            .num("ok", self.ok())
+            .field(
+                "failures",
+                Json::array(self.failures.iter().map(|f| Json::str(f))),
+            )
+            .field("runs", Json::array(runs))
+            .end()
     }
 }
 
@@ -222,13 +212,14 @@ fn fd_soft_limit() -> usize {
         .unwrap_or(1024)
 }
 
-/// The current `Threads:` count of this process.
-fn thread_count() -> u64 {
+/// The numeric `field` (e.g. `"Threads:"`) of this process's
+/// `/proc/self/status`, 0 where `/proc` is unavailable.
+pub(crate) fn proc_status(field: &str) -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
-                .find(|l| l.starts_with("Threads:"))
+                .find(|l| l.starts_with(field))
                 .and_then(|l| l.split_whitespace().nth(1))
                 .and_then(|v| v.parse().ok())
         })
@@ -293,11 +284,11 @@ fn run_cell(
 
     // Sample the server's thread count while the generators run; the peak
     // is the number the O(reactors)-threads claim is judged on.
-    let mut threads_peak = thread_count();
+    let mut threads_peak = proc_status("Threads:");
     let mut done = vec![false; children.len()];
     while !done.iter().all(|d| *d) {
         std::thread::sleep(Duration::from_millis(100));
-        threads_peak = threads_peak.max(thread_count());
+        threads_peak = threads_peak.max(proc_status("Threads:"));
         for (i, child) in children.iter_mut().enumerate() {
             if !done[i] && child.try_wait()?.is_some() {
                 done[i] = true;
@@ -440,35 +431,34 @@ struct GenConn {
 ///
 /// # Panics
 ///
-/// Panics on malformed flags or when the target address is unreachable.
-pub fn loadgen_main(flags: &[String]) -> ! {
-    let mut addr = String::new();
-    let mut conns = 0usize;
-    let mut rate = 100u64;
-    let mut secs = 5u64;
-    let mut secret = String::from("runtime-bench");
-    let mut stagger_us = 200u64;
-    let mut i = 0;
-    while i + 1 < flags.len() {
-        let (flag, value) = (flags[i].as_str(), flags[i + 1].as_str());
-        match flag {
-            "--addr" => addr = value.to_string(),
-            "--conns" => conns = value.parse().expect("--conns"),
-            "--rate" => rate = value.parse().expect("--rate"),
-            "--secs" => secs = value.parse().expect("--secs"),
-            "--secret" => secret = value.to_string(),
-            "--stagger-us" => stagger_us = value.parse().expect("--stagger-us"),
-            other => panic!("runtime-loadgen: unknown flag {other}"),
-        }
-        i += 2;
-    }
+/// Panics when the target address is unreachable.
+pub fn loadgen_main(args: &[String]) {
+    let flags = Flags::parse(
+        "runtime-loadgen",
+        args,
+        &[
+            "--addr",
+            "--conns",
+            "--rate",
+            "--secs",
+            "--secret",
+            "--stagger-us",
+        ],
+        &[],
+    );
+    let addr = flags.text("--addr").unwrap_or_default();
+    let conns: usize = flags.num("--conns", 0);
+    let rate: u64 = flags.num("--rate", 100);
+    let secs: u64 = flags.num("--secs", 5);
+    let secret = flags.text("--secret").unwrap_or("runtime-bench");
+    let stagger_us: u64 = flags.num("--stagger-us", 200);
     let chain = KeyChain::from_master_seed(secret.as_bytes());
     let request = canned_request(&chain, 1);
 
     let mut poller = Poller::new().expect("poller");
     let mut table: Vec<GenConn> = Vec::with_capacity(conns);
     for t in 0..conns {
-        let stream = match TcpStream::connect(&addr) {
+        let stream = match TcpStream::connect(addr) {
             Ok(s) => s,
             Err(_) => break, // clamp: hold what connected, report it
         };
@@ -598,5 +588,4 @@ pub fn loadgen_main(flags: &[String]) -> ! {
         "loadgen sent={sent} received={received} conns={held} samples={}",
         list.join(",")
     );
-    std::process::exit(0)
 }

@@ -40,6 +40,9 @@ use safereg_kv::client::KvClient;
 use safereg_kv::server::KvMode;
 use safereg_kv::tcp::TcpKvCluster;
 
+use crate::cli::Report;
+use crate::json::Json;
+
 /// Synchronous client workers per cell. More threads than cores is the
 /// point: contention on the server-side group mutex is what shards split.
 pub const THREADS: usize = 8;
@@ -126,13 +129,42 @@ pub struct ShardBenchResult {
     pub hot_shard_ops: u64,
 }
 
-impl ShardBenchResult {
+impl Report for ShardBenchResult {
+    const NAME: &'static str = "shard";
+
     /// Both invariants: exactly-`n` sockets everywhere, and per-skew
     /// throughput monotone (within [`MONOTONE_SLACK`]) in shard count.
-    pub fn ok(&self) -> bool {
+    fn ok(&self) -> bool {
         self.sockets_ok() && self.monotone_ok()
     }
 
+    fn json(&self) -> Json {
+        Json::object()
+            .num("n", self.n)
+            .num("hot_shard", self.hot_shard)
+            .num("hot_shard_ops", self.hot_shard_ops)
+            .num("sockets_ok", self.sockets_ok())
+            .num("monotone_ok", self.monotone_ok())
+            .field(
+                "cells",
+                Json::array(self.cells.iter().map(|c| {
+                    Json::object()
+                        .num("shards", c.shards)
+                        .str("skew", c.skew)
+                        .num("ops", c.ops)
+                        .float("ops_per_sec", c.ops_per_sec, 1)
+                        .num("p99_micros", c.p99_micros)
+                        .num("sockets_min", c.sockets_min)
+                        .num("sockets_max", c.sockets_max)
+                        .num("fleet", c.fleet)
+                        .end()
+                })),
+            )
+            .end()
+    }
+}
+
+impl ShardBenchResult {
     /// Every cell's every transport ended with exactly its fleet's worth
     /// of sockets — `n` for the m = n matrix, [`WIDE_FLEET`] for the
     /// s = 64 m &lt; n leg, and never `s × m` anywhere.
@@ -165,40 +197,6 @@ impl ShardBenchResult {
         }
         true
     }
-
-    /// Renders `BENCH_shard.json`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"n\":{},", self.n));
-        out.push_str(&format!(
-            "\"hot_shard\":{},\"hot_shard_ops\":{},",
-            self.hot_shard, self.hot_shard_ops
-        ));
-        out.push_str(&format!(
-            "\"sockets_ok\":{},\"monotone_ok\":{},\"cells\":[",
-            self.sockets_ok(),
-            self.monotone_ok()
-        ));
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"shards\":{},\"skew\":\"{}\",\"ops\":{},\"ops_per_sec\":{:.1},\
-                 \"p99_micros\":{},\"sockets_min\":{},\"sockets_max\":{},\"fleet\":{}}}",
-                c.shards,
-                c.skew,
-                c.ops,
-                c.ops_per_sec,
-                c.p99_micros,
-                c.sockets_min,
-                c.sockets_max,
-                c.fleet
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// The synthetic key for popularity rank `r`.
@@ -230,23 +228,7 @@ impl Cell {
         } else {
             ShardMap::new(0x5AFE_BE9C, shards, fleet, cfg).expect("m = n fits the fleet")
         };
-        let cluster = TcpKvCluster::builder(KvMode::Replicated, b"shard-bench")
-            .shards(map.clone())
-            .start()?;
-        let workers = (0..THREADS)
-            .map(|t| {
-                let c = KvClient::sharded(map.clone(), WriterId(t as u16), ReaderId(t as u16));
-                (c, cluster.transport())
-            })
-            .collect();
-        Ok(Cell {
-            shards,
-            skew,
-            _cluster: cluster,
-            map,
-            workers,
-            trials: Vec::with_capacity(TRIALS),
-        })
+        Cell::serve(map, skew, b"shard-bench")
     }
 
     /// The wide m &lt; n leg: [`WIDE_SHARDS`] register groups placed over a
@@ -255,7 +237,12 @@ impl Cell {
         let fleet: Vec<ServerId> = (0..WIDE_FLEET as u16).map(ServerId).collect();
         let map = ShardMap::with_replicas(0x5AFE_3164, WIDE_SHARDS, fleet, WIDE_M, WIDE_F)
             .expect("m < n fits the fleet");
-        let cluster = TcpKvCluster::builder(KvMode::Replicated, b"shard-bench-wide")
+        Cell::serve(map, skew, b"shard-bench-wide")
+    }
+
+    /// Starts a cluster serving `map` and one client per worker thread.
+    fn serve(map: ShardMap, skew: Skew, master_seed: &[u8]) -> std::io::Result<Cell> {
+        let cluster = TcpKvCluster::builder(KvMode::Replicated, master_seed)
             .shards(map.clone())
             .start()?;
         let workers = (0..THREADS)
@@ -265,7 +252,7 @@ impl Cell {
             })
             .collect();
         Ok(Cell {
-            shards: WIDE_SHARDS,
+            shards: map.num_shards(),
             skew,
             _cluster: cluster,
             map,

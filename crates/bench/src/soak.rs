@@ -1,10 +1,8 @@
 //! Memory-bounded soak: the live TCP kv stack under rotating Byzantine
 //! replicas, server-side chaos and crash/restarts, checked incrementally.
 //!
-//! The [`chaos`](crate::chaos) scenario runs a short, client-side-faulted
-//! workload and checks the full recorded history afterwards. The soak is
-//! the long-haul complement: `N` writer and `M` reader threads hammer a
-//! chaos-fronted [`TcpKvCluster`] for several *epochs*, and in every epoch
+//! `N` writer and `M` reader threads hammer a chaos-fronted
+//! [`TcpKvCluster`] for several *epochs*, and in every epoch
 //!
 //! * up to `f` replicas play a live Byzantine role from
 //!   [`ByzRole::FAULTY`], rotating both the afflicted replica and the role
@@ -21,7 +19,8 @@
 //!   take fresh ids and only joiners ever depart — so the rotating
 //!   Byzantine host is always a base member and faults stay ≤ `f`.
 //!
-//! Safety is judged online by one [`WindowedChecker`] per key, so memory
+//! Safety is judged online by one windowed checker per key
+//! ([`CheckedKeys`]), so memory
 //! stays flat no matter how many operations run: reads are checked at
 //! completion and forgotten, superseded writes are pruned. A watchdog
 //! snapshots `VmRSS` and the completed-op counter per epoch; the run fails
@@ -34,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use safereg_checker::{Violation, WindowedChecker};
+use safereg_checker::Violation;
 use safereg_common::config::{BackoffPolicy, QuorumConfig, TransportConfig};
 use safereg_common::ids::{ReaderId, ServerId, WriterId};
 use safereg_common::msg::OpId;
@@ -45,6 +44,11 @@ use safereg_core::behavior::ByzRole;
 use safereg_kv::{KvClient, KvMode, TcpKvCluster};
 use safereg_obs::names;
 use safereg_transport::chaos::{Direction, FaultPlan, FaultSpec};
+
+use crate::cli::Report;
+use crate::json::Json;
+use crate::ops::{set_role_everywhere, CheckedKeys};
+use crate::runtime::proc_status;
 
 /// Knobs for one soak run.
 #[derive(Debug, Clone)]
@@ -178,11 +182,13 @@ pub struct SoakReport {
     pub reconfig_events: u64,
 }
 
-impl SoakReport {
-    /// The acceptance predicate the CI smoke run greps for. Individual
-    /// operation failures under chaos are expected (and retried); what
-    /// must hold is safety, bounded memory, progress and replayability.
-    pub fn ok(&self) -> bool {
+impl Report for SoakReport {
+    const NAME: &'static str = "soak";
+
+    /// Individual operation failures under chaos are expected (and
+    /// retried); what must hold is safety, bounded memory, progress and
+    /// replayability.
+    fn ok(&self) -> bool {
         self.violations.is_empty()
             && self.rss_bounded
             && self.progressed
@@ -190,60 +196,34 @@ impl SoakReport {
             && (!self.continuous || self.reconfig_events > 0)
     }
 
-    /// Line-oriented JSON for `BENCH_soak.json`.
-    pub fn to_json(&self) -> String {
-        let shard_stats: Vec<String> = self
-            .shard_stats
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"shard\":{},\"ops\":{},\"fast_ratio_permille\":{}}}",
-                    s.shard, s.ops, s.fast_ratio_permille
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"seed\":{},\"shards\":{},\"shard_stats\":[{}],",
-                "\"ops_attempted\":{},\"ops_completed\":{},",
-                "\"failures\":{},\"violations\":{},\"reads_checked\":{},",
-                "\"peak_window\":{},\"pruned\":{},\"epochs\":{},",
-                "\"rss_bounded\":{},\"progressed\":{},",
-                "\"schedule_reproducible\":{},\"continuous\":{},",
-                "\"reconfig_events\":{},\"ok\":{}}}\n"
-            ),
-            self.seed,
-            self.shards,
-            shard_stats.join(","),
-            self.ops_attempted,
-            self.ops_completed,
-            self.failures,
-            self.violations.len(),
-            self.reads_checked,
-            self.peak_window,
-            self.pruned,
-            self.epochs.len(),
-            self.rss_bounded,
-            self.progressed,
-            self.schedule_reproducible,
-            self.continuous,
-            self.reconfig_events,
-            self.ok()
-        )
+    fn json(&self) -> Json {
+        let shard_stats = self.shard_stats.iter().map(|s| {
+            Json::object()
+                .num("shard", s.shard)
+                .num("ops", s.ops)
+                .num("fast_ratio_permille", s.fast_ratio_permille)
+                .end()
+        });
+        Json::object()
+            .num("seed", self.seed)
+            .num("shards", self.shards)
+            .field("shard_stats", Json::array(shard_stats))
+            .num("ops_attempted", self.ops_attempted)
+            .num("ops_completed", self.ops_completed)
+            .num("failures", self.failures)
+            .num("violations", self.violations.len())
+            .num("reads_checked", self.reads_checked)
+            .num("peak_window", self.peak_window)
+            .num("pruned", self.pruned)
+            .num("epochs", self.epochs.len())
+            .num("rss_bounded", self.rss_bounded)
+            .num("progressed", self.progressed)
+            .num("schedule_reproducible", self.schedule_reproducible)
+            .num("continuous", self.continuous)
+            .num("reconfig_events", self.reconfig_events)
+            .num("ok", self.ok())
+            .end()
     }
-}
-
-/// `VmRSS` of this process in KiB, 0 where `/proc` is unavailable.
-fn rss_kib() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmRSS:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
 }
 
 /// Growth slack for the RSS watchdog: strictly-monotone growth below this
@@ -276,8 +256,7 @@ fn pin_malloc_arena() {
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
 fn pin_malloc_arena() {}
 
-/// Soak-level retries per operation; each retry is a fresh protocol
-/// operation, the checker keeps judging the one logical op.
+/// Soak-level attempts per logical operation.
 const OP_RETRIES: usize = 4;
 
 /// Transport policy tuned for the soak's fault mix. The kv transport is
@@ -301,7 +280,6 @@ fn soak_transport() -> TransportConfig {
             cap: Duration::from_millis(1000),
             jitter_permille: 200,
         },
-        breaker_threshold: 3,
         ..TransportConfig::aggressive()
     }
 }
@@ -355,62 +333,29 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
     let keys: Vec<Vec<u8>> = (0..cfg.keys.max(1))
         .map(|k| format!("soak-k{k}").into_bytes())
         .collect();
-    let checkers: Vec<Mutex<WindowedChecker>> = keys
-        .iter()
-        .map(|_| Mutex::new(WindowedChecker::new()))
-        .collect();
-    // Logical clock for checker instants; fetched while holding the key's
-    // checker lock, so per key the feed order matches the instant order.
-    let clock = AtomicU64::new(1);
+    let checked = CheckedKeys::new(keys.len(), OP_RETRIES);
 
     // Clients persist across epochs: a fresh client would restart its
     // sequence numbers, and the replicas would rightly ignore the stale
     // tags — which the checker would then flag as failed writes.
-    let mut writer_clients: Vec<(KvClient, safereg_kv::TcpKvTransport)> = (0..cfg.writers.max(1))
-        .map(|w| {
-            let mut c =
-                KvClient::sharded(map.clone(), WriterId(w as u16), ReaderId(100 + w as u16));
-            c.set_policy(tconfig);
-            (
-                c,
-                cluster
-                    .lock()
-                    .expect("cluster lock")
-                    .transport_with(tconfig),
-            )
-        })
+    let client = |w: u16, r: u16| {
+        let mut c = KvClient::sharded(map.clone(), WriterId(w), ReaderId(r));
+        c.set_policy(tconfig);
+        let transport = cluster
+            .lock()
+            .expect("cluster lock")
+            .transport_with(tconfig);
+        (c, transport)
+    };
+    let mut writer_clients: Vec<_> = (0..cfg.writers.max(1) as u16)
+        .map(|w| client(w, 100 + w))
         .collect();
-    let mut reader_clients: Vec<(KvClient, safereg_kv::TcpKvTransport)> = (0..cfg.readers.max(1))
-        .map(|r| {
-            let mut c =
-                KvClient::sharded(map.clone(), WriterId(200 + r as u16), ReaderId(r as u16));
-            c.set_policy(tconfig);
-            (
-                c,
-                cluster
-                    .lock()
-                    .expect("cluster lock")
-                    .transport_with(tconfig),
-            )
-        })
+    let mut reader_clients: Vec<_> = (0..cfg.readers.max(1) as u16)
+        .map(|r| client(200 + r, r))
         .collect();
     // Dedicated writer for the sharded boundary scrub (see the epoch loop);
     // its own identity keeps its sequence numbers off the workload writers'.
-    let mut scrub: (KvClient, safereg_kv::TcpKvTransport) = {
-        let mut c = KvClient::sharded(map.clone(), WriterId(250), ReaderId(250));
-        c.set_policy(tconfig);
-        (
-            c,
-            cluster
-                .lock()
-                .expect("cluster lock")
-                .transport_with(tconfig),
-        )
-    };
-
-    let attempted = AtomicU64::new(0);
-    let completed = AtomicU64::new(0);
-    let failures = AtomicU64::new(0);
+    let mut scrub = client(250, 250);
 
     let threads = (writer_clients.len() + reader_clients.len()) as u64;
     let quota = (cfg.ops / (epochs as u64 * threads)).max(1);
@@ -458,13 +403,12 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
                     .collect();
                 for sid in current_byz.drain(..) {
                     if !next.iter().any(|(s, _)| *s == sid) {
-                        cl.set_role(sid, KvMode::Replicated, ByzRole::Correct, 0)
+                        cl.set_role(sid, ByzRole::Correct, 0)
                             .expect("restore replica");
                     }
                 }
                 for (sid, role) in &next {
-                    cl.set_role(*sid, KvMode::Replicated, *role, eseed)
-                        .expect("convert replica");
+                    cl.set_role(*sid, *role, eseed).expect("convert replica");
                 }
                 current_byz = next.iter().map(|(s, _)| *s).collect();
                 next.iter().map(|(s, r)| (*s, r.label())).collect()
@@ -476,9 +420,7 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
                 // victim to honest service (live — its register state is
                 // frozen at whatever it held before turning Byzantine).
                 for sid in current_byz.drain(..) {
-                    for g in cl.map().shards_of_server(sid) {
-                        cl.set_shard_role(sid, g, ByzRole::Correct, 0);
-                    }
+                    set_role_everywhere(&cl, sid, ByzRole::Correct, 0);
                 }
                 Vec::new()
             }
@@ -496,42 +438,14 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
         let byz_now: Vec<(ServerId, &'static str)> = if map.num_shards() > 1 && byz_n > 0 {
             let (scrub_client, scrub_transport) = &mut scrub;
             for (kidx, key) in keys.iter().enumerate() {
-                let value = format!("scrub:e{e}:{kidx}");
+                let value = Value::from(format!("scrub:e{e}:{kidx}").into_bytes());
                 let op = OpId::new(
                     WriterId(250),
                     e as u64 * keys.len() as u64 + kidx as u64 + 1,
                 );
-                attempted.fetch_add(1, Ordering::Relaxed);
-                let h = {
-                    let mut c = checkers[kidx].lock().expect("checker lock");
-                    let at = clock.fetch_add(1, Ordering::Relaxed);
-                    c.begin_write(op, Value::from(value.clone().into_bytes()), at)
-                };
-                let mut tag = None;
-                for attempt in 0..OP_RETRIES {
-                    match scrub_client.put(scrub_transport, key, value.clone().into_bytes()) {
-                        Ok(t) => {
-                            tag = Some(t);
-                            break;
-                        }
-                        Err(_) if attempt + 1 < OP_RETRIES => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => {}
-                    }
-                }
-                let mut c = checkers[kidx].lock().expect("checker lock");
-                let at = clock.fetch_add(1, Ordering::Relaxed);
-                match tag {
-                    Some(t) => {
-                        c.complete_write(h, t, at);
-                        completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => {
-                        c.abandon(h);
-                        failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                checked.write(kidx, op, &value, || {
+                    scrub_client.put(scrub_transport, key, value.clone())
+                });
             }
             let cl = cluster.lock().expect("cluster lock");
             let victim = ServerId((e % n) as u16);
@@ -550,16 +464,12 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
             byz_now
         };
 
-        let epoch_completed_base = completed.load(Ordering::Relaxed);
-        let epoch_failures_base = failures.load(Ordering::Relaxed);
+        let epoch_completed_base = checked.completed();
+        let epoch_failures_base = checked.failures();
         let epoch_started = std::time::Instant::now();
 
         let keys = &keys;
-        let checkers = &checkers;
-        let clock = &clock;
-        let attempted = &attempted;
-        let completed = &completed;
-        let failures = &failures;
+        let checked = &checked;
         let cluster_ref = &cluster;
         let supervisor_byz = current_byz.clone();
         let joiners = &joiners;
@@ -578,22 +488,17 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
                 std::thread::sleep(Duration::from_millis(200));
                 let mut cl = cluster_ref.lock().expect("cluster lock");
                 if supervisor_byz.is_empty() {
-                    let _ = cl.restart(ServerId((e % n) as u16), KvMode::Replicated);
+                    let _ = cl.restart(ServerId((e % n) as u16));
                 } else if cl.map().num_shards() == 1 {
                     for (i, sid) in supervisor_byz.iter().enumerate() {
-                        let _ = cl.set_role(
-                            *sid,
-                            KvMode::Replicated,
-                            ByzRole::for_epoch(e as u64, i),
-                            eseed,
-                        );
+                        let _ = cl.set_role(*sid, ByzRole::for_epoch(e as u64, i), eseed);
                     }
                 } else {
                     // Crash-recover the (already faulty) victim, then put
                     // its per-shard roles back: the faulty set never grows
                     // beyond the one host, in any shard.
                     for sid in supervisor_byz {
-                        let _ = cl.restart(sid, KvMode::Replicated);
+                        let _ = cl.restart(sid);
                         for g in cl.map().shards_of_server(sid) {
                             cl.set_shard_role(
                                 sid,
@@ -640,89 +545,23 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
 
             for (w, (client, transport)) in writer_clients.iter_mut().enumerate() {
                 s.spawn(move || {
-                    let nk = keys.len();
                     for i in 0..quota {
-                        let kidx = (w + i as usize) % nk;
-                        let value = format!("w{w}:e{e}:{i}");
+                        let kidx = (w + i as usize) % keys.len();
+                        let value = Value::from(format!("w{w}:e{e}:{i}").into_bytes());
                         let op = OpId::new(WriterId(w as u16), e as u64 * quota + i + 1);
-                        attempted.fetch_add(1, Ordering::Relaxed);
-                        let h = {
-                            let mut c = checkers[kidx].lock().expect("checker lock");
-                            let at = clock.fetch_add(1, Ordering::Relaxed);
-                            c.begin_write(op, Value::from(value.clone().into_bytes()), at)
-                        };
-                        let mut tag = None;
-                        for attempt in 0..OP_RETRIES {
-                            match client.put(transport, &keys[kidx], value.clone().into_bytes()) {
-                                Ok(t) => {
-                                    tag = Some(t);
-                                    break;
-                                }
-                                Err(_) if attempt + 1 < OP_RETRIES => {
-                                    std::thread::sleep(Duration::from_millis(10));
-                                }
-                                Err(_) => {}
-                            }
-                        }
-                        let mut c = checkers[kidx].lock().expect("checker lock");
-                        let at = clock.fetch_add(1, Ordering::Relaxed);
-                        match tag {
-                            Some(t) => {
-                                c.complete_write(h, t, at);
-                                completed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            None => {
-                                c.abandon(h);
-                                failures.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        if i % 32 == 31 {
-                            c.prune();
-                        }
+                        checked.write(kidx, op, &value, || {
+                            client.put(transport, &keys[kidx], value.clone())
+                        });
                     }
                 });
             }
 
             for (r, (client, transport)) in reader_clients.iter_mut().enumerate() {
                 s.spawn(move || {
-                    let nk = keys.len();
                     for i in 0..quota {
-                        let kidx = (r + i as usize) % nk;
+                        let kidx = (r + i as usize) % keys.len();
                         let op = OpId::new(ReaderId(r as u16), e as u64 * quota + i + 1);
-                        attempted.fetch_add(1, Ordering::Relaxed);
-                        let h = {
-                            let mut c = checkers[kidx].lock().expect("checker lock");
-                            let at = clock.fetch_add(1, Ordering::Relaxed);
-                            c.begin_read(op, at)
-                        };
-                        let mut out = None;
-                        for attempt in 0..OP_RETRIES {
-                            match client.get_with_tag(transport, &keys[kidx]) {
-                                Ok(vt) => {
-                                    out = Some(vt);
-                                    break;
-                                }
-                                Err(_) if attempt + 1 < OP_RETRIES => {
-                                    std::thread::sleep(Duration::from_millis(10));
-                                }
-                                Err(_) => {}
-                            }
-                        }
-                        let mut c = checkers[kidx].lock().expect("checker lock");
-                        let at = clock.fetch_add(1, Ordering::Relaxed);
-                        match out {
-                            Some((v, t)) => {
-                                c.complete_read(h, v, t, at);
-                                completed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            None => {
-                                c.abandon(h);
-                                failures.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        if i % 32 == 31 {
-                            c.prune();
-                        }
+                        checked.read(kidx, op, || client.get_with_tag(transport, &keys[kidx]));
                     }
                 });
             }
@@ -731,10 +570,10 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
         stats.push(EpochStat {
             epoch: e,
             byz: byz_now,
-            ops_completed: completed.load(Ordering::Relaxed) - epoch_completed_base,
-            failures: failures.load(Ordering::Relaxed) - epoch_failures_base,
+            ops_completed: checked.completed() - epoch_completed_base,
+            failures: checked.failures() - epoch_failures_base,
             millis: epoch_started.elapsed().as_millis() as u64,
-            rss_kib: rss_kib(),
+            rss_kib: proc_status("VmRSS:"),
             evictions: reg.counter(names::SERVER_EVICTIONS).get() - evictions_base,
             restarts: reg.counter(names::SERVER_RESTARTS).get() - restarts_base,
         });
@@ -748,18 +587,7 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
         }
     }
 
-    let mut violations = Vec::new();
-    let mut reads_checked = 0;
-    let mut peak_window = 0;
-    let mut pruned = 0;
-    for c in &checkers {
-        let mut c = c.lock().expect("checker lock");
-        c.prune();
-        violations.extend(c.take_violations());
-        reads_checked += c.reads_checked();
-        peak_window = peak_window.max(c.peak_window());
-        pruned += c.pruned();
-    }
+    let judged = checked.close();
 
     let rss: Vec<u64> = stats.iter().map(|s| s.rss_kib).collect();
     let strictly_up = rss.len() >= 2 && rss.windows(2).all(|w| w[1] > w[0]);
@@ -777,7 +605,7 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
     if !rss_bounded || !progressed {
         safereg_obs::dump_flight("watchdog");
     }
-    if !violations.is_empty() {
+    if !judged.violations.is_empty() {
         safereg_obs::dump_flight("violation");
     }
 
@@ -817,13 +645,13 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
         seed: cfg.seed,
         shards: map.num_shards(),
         shard_stats,
-        ops_attempted: attempted.into_inner(),
-        ops_completed: completed.into_inner(),
-        failures: failures.into_inner(),
-        violations,
-        reads_checked,
-        peak_window,
-        pruned,
+        ops_attempted: checked.attempted(),
+        ops_completed: checked.completed(),
+        failures: checked.failures(),
+        violations: judged.violations,
+        reads_checked: judged.reads_checked,
+        peak_window: judged.peak_window,
+        pruned: judged.pruned,
         epochs: stats,
         rss_bounded,
         progressed,
@@ -844,15 +672,12 @@ mod tests {
     fn tiny_soak_is_safe_and_reproducible() {
         let cfg = SoakConfig {
             ops: 160,
-            byz: 1,
             seed: 11,
             epochs: 2,
             writers: 1,
             readers: 1,
             keys: 2,
-            shards: 1,
-            minutes: 0,
-            continuous: false,
+            ..SoakConfig::default()
         };
         let report = soak_run(&cfg);
         for s in &report.epochs {
@@ -884,15 +709,13 @@ mod tests {
     fn tiny_sharded_soak_is_safe_with_per_shard_roles() {
         let cfg = SoakConfig {
             ops: 240,
-            byz: 1,
             seed: 13,
             epochs: 2,
             writers: 2,
             readers: 2,
             keys: 8,
             shards: 4,
-            minutes: 0,
-            continuous: false,
+            ..SoakConfig::default()
         };
         let report = soak_run(&cfg);
         assert!(
@@ -922,15 +745,13 @@ mod tests {
     fn tiny_continuous_soak_reconfigures_and_stays_safe() {
         let cfg = SoakConfig {
             ops: 160,
-            byz: 1,
             seed: 17,
             epochs: 2,
             writers: 1,
             readers: 1,
             keys: 2,
-            shards: 1,
-            minutes: 0,
             continuous: true,
+            ..SoakConfig::default()
         };
         let report = soak_run(&cfg);
         assert!(

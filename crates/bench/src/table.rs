@@ -1,7 +1,11 @@
 //! Minimal fixed-width table rendering for harness output.
 
-/// Renders rows as a fixed-width text table with a header line.
-pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
+/// Prints rows as a fixed-width text table with a header line.
+pub fn print(headers: &[&str], rows: &[Vec<String>]) {
+    println!("{}", render(headers, rows));
+}
+
+fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         if row.len() > widths.len() {

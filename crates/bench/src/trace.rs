@@ -43,6 +43,10 @@ use safereg_obs::{dump_flight, flight, violation_trees, SpanLog};
 use safereg_simnet::workload::{ByzKind, Protocol, WorkloadSpec};
 use safereg_transport::chaos::{FaultPlan, FaultSpec};
 
+use crate::cli::Report;
+use crate::json::Json;
+use crate::ops::retry;
+
 /// Per-cause slot of the slow-read histogram.
 #[derive(Debug, Clone)]
 pub struct CauseCount {
@@ -110,9 +114,10 @@ pub struct TraceReport {
     pub overhead_on_permille: u64,
 }
 
-impl TraceReport {
-    /// The acceptance predicate `paper_harness trace` exits on.
-    pub fn ok(&self) -> bool {
+impl Report for TraceReport {
+    const NAME: &'static str = "trace";
+
+    fn ok(&self) -> bool {
         self.sim_deterministic
             && self.sim_span_lines > 0
             && self.sim_unsampled_lines == 0
@@ -131,56 +136,42 @@ impl TraceReport {
             && self.overhead_off_permille < 50
     }
 
-    /// Line-oriented JSON for `BENCH_trace.json`.
-    pub fn to_json(&self) -> String {
-        let causes: Vec<String> = self
-            .causes
-            .iter()
-            .map(|c| format!("{{\"cause\":\"{}\",\"count\":{}}}", c.cause, c.count))
-            .collect();
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"phase\":\"{}\",\"count\":{},\"p99_us\":{}}}",
-                    p.phase, p.count, p.p99_us
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"seed\":{},\"sim_span_lines\":{},\"sim_deterministic\":{},",
-                "\"sim_unsampled_lines\":{},\"ops_attempted\":{},",
-                "\"ops_completed\":{},\"slow_reads\":{},\"causes\":[{}],",
-                "\"unattributed_slow\":{},\"sampled_ops\":{},\"phases\":[{}],",
-                "\"violations_found\":{},\"violation_tree_spans\":{},",
-                "\"flight_records_dumped\":{},\"ops_per_sec_off\":{:.0},",
-                "\"ops_per_sec_off2\":{:.0},\"ops_per_sec_on\":{:.0},",
-                "\"overhead_off_permille\":{},\"overhead_on_permille\":{},",
-                "\"ok\":{}}}\n"
-            ),
-            self.seed,
-            self.sim_span_lines,
-            self.sim_deterministic,
-            self.sim_unsampled_lines,
-            self.ops_attempted,
-            self.ops_completed,
-            self.slow_reads,
-            causes.join(","),
-            self.unattributed_slow,
-            self.sampled_ops,
-            phases.join(","),
-            self.violations_found,
-            self.violation_tree_spans,
-            self.flight_records_dumped,
-            self.ops_per_sec_off,
-            self.ops_per_sec_off2,
-            self.ops_per_sec_on,
-            self.overhead_off_permille,
-            self.overhead_on_permille,
-            self.ok()
-        )
+    fn json(&self) -> Json {
+        let causes = self.causes.iter().map(|c| {
+            Json::object()
+                .str("cause", c.cause)
+                .num("count", c.count)
+                .end()
+        });
+        let phases = self.phases.iter().map(|p| {
+            Json::object()
+                .str("phase", p.phase)
+                .num("count", p.count)
+                .num("p99_us", p.p99_us)
+                .end()
+        });
+        Json::object()
+            .num("seed", self.seed)
+            .num("sim_span_lines", self.sim_span_lines)
+            .num("sim_deterministic", self.sim_deterministic)
+            .num("sim_unsampled_lines", self.sim_unsampled_lines)
+            .num("ops_attempted", self.ops_attempted)
+            .num("ops_completed", self.ops_completed)
+            .num("slow_reads", self.slow_reads)
+            .field("causes", Json::array(causes))
+            .num("unattributed_slow", self.unattributed_slow)
+            .num("sampled_ops", self.sampled_ops)
+            .field("phases", Json::array(phases))
+            .num("violations_found", self.violations_found)
+            .num("violation_tree_spans", self.violation_tree_spans)
+            .num("flight_records_dumped", self.flight_records_dumped)
+            .float("ops_per_sec_off", self.ops_per_sec_off, 0)
+            .float("ops_per_sec_off2", self.ops_per_sec_off2, 0)
+            .float("ops_per_sec_on", self.ops_per_sec_on, 0)
+            .num("overhead_off_permille", self.overhead_off_permille)
+            .num("overhead_on_permille", self.overhead_on_permille)
+            .num("ok", self.ok())
+            .end()
     }
 }
 
@@ -208,7 +199,6 @@ fn trace_transport(sample_permille: u16) -> TransportConfig {
             cap: Duration::from_millis(50),
             jitter_permille: 200,
         },
-        breaker_threshold: 3,
         trace_sample: sample_permille,
         ..TransportConfig::aggressive()
     }
@@ -239,7 +229,7 @@ fn chaos_leg(seed: u64) -> ChaosLeg {
         .start()
         .expect("start trace cluster");
     cluster
-        .set_role(ServerId(4), KvMode::Replicated, ByzRole::Fabricator, seed)
+        .set_role(ServerId(4), ByzRole::Fabricator, seed)
         .expect("convert replica");
 
     let slow_before = reg.counter(&names::shard_reads_counter(0, "slow")).get();
@@ -257,58 +247,37 @@ fn chaos_leg(seed: u64) -> ChaosLeg {
     client.set_policy(tconfig);
     let mut transport = cluster.transport_with(tconfig);
 
+    let pause = Duration::from_millis(5);
     let mut attempted = 0u64;
     let mut completed = 0u64;
     for i in 0..24u32 {
         let key = format!("trace-k{}", i % 3).into_bytes();
-        attempted += 1;
-        for attempt in 0..4 {
-            match client.put(&mut transport, &key, format!("v{i}").into_bytes()) {
-                Ok(_) => {
-                    completed += 1;
-                    break;
-                }
-                Err(_) if attempt < 3 => std::thread::sleep(Duration::from_millis(5)),
-                Err(_) => {}
-            }
-        }
-        attempted += 1;
-        for attempt in 0..4 {
-            match client.get_with_tag(&mut transport, &key) {
-                Ok(_) => {
-                    completed += 1;
-                    break;
-                }
-                Err(_) if attempt < 3 => std::thread::sleep(Duration::from_millis(5)),
-                Err(_) => {}
-            }
-        }
+        attempted += 2;
+        let put = retry(4, pause, || {
+            client.put(&mut transport, &key, format!("v{i}").into_bytes())
+        });
+        let get = retry(4, pause, || client.get_with_tag(&mut transport, &key));
+        completed += u64::from(put.is_some()) + u64::from(get.is_some());
     }
 
     // Slow-read phase: crash-recover four honest replicas one at a time
     // (never more than f = 1 down at once — a restart is a transient
-    // crash). The amnesiac respawn is deliberate — `restart()` would pull
-    // the register state back from a quorum and keep reads fast; skipping
-    // the pull means afterwards no f + 1 = 2 replicas still witness the
-    // reader's cached pair, so every following read is forced onto the
-    // slow path and must carry a concrete cause.
+    // crash). The amnesiac respawn (`set_role` to Correct) is deliberate —
+    // `restart()` would pull the register state back from a quorum and
+    // keep reads fast; skipping the pull means afterwards no f + 1 = 2
+    // replicas still witness the reader's cached pair, so every following
+    // read is forced onto the slow path and must carry a concrete cause.
     for sid in [ServerId(0), ServerId(1), ServerId(2), ServerId(3)] {
         cluster
-            .restart_amnesiac(sid, KvMode::Replicated)
+            .set_role(sid, ByzRole::Correct, 0)
             .expect("respawn replica");
     }
     for _ in 0..6 {
         attempted += 1;
-        for attempt in 0..4 {
-            match client.get_with_tag(&mut transport, b"trace-k0") {
-                Ok(_) => {
-                    completed += 1;
-                    break;
-                }
-                Err(_) if attempt < 3 => std::thread::sleep(Duration::from_millis(5)),
-                Err(_) => {}
-            }
-        }
+        let get = retry(4, pause, || {
+            client.get_with_tag(&mut transport, b"trace-k0")
+        });
+        completed += u64::from(get.is_some());
     }
 
     let causes: Vec<CauseCount> = SlowCause::ALL
@@ -372,7 +341,7 @@ fn violation_leg(seed: u64) -> (usize, usize, usize) {
     // out of reach, so op 2 must starve.
     for sid in [ServerId(3), ServerId(4)] {
         cluster
-            .set_role(sid, KvMode::Replicated, ByzRole::Silent, seed)
+            .set_role(sid, ByzRole::Silent, seed)
             .expect("convert replica");
     }
     let read_op = OpId::new(ReaderId(51), 2);

@@ -54,6 +54,9 @@ use safereg_mds::rs::ReedSolomon;
 use safereg_mds::stripe::encode_value;
 use safereg_transport::frame::{KvFrame, SealedKv, MAX_BATCH_FRAMES};
 
+use crate::cli::Report;
+use crate::json::Json;
+
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// A pass-through allocator that counts every allocation (alloc,
@@ -120,9 +123,10 @@ pub struct WireBenchResult {
     pub batch_max_frames: u64,
 }
 
-impl WireBenchResult {
-    /// Whether every acceptance bar holds.
-    pub fn ok(&self) -> bool {
+impl Report for WireBenchResult {
+    const NAME: &'static str = "wire";
+
+    fn ok(&self) -> bool {
         self.alloc_ratio >= 2.0
             && self.relay_bytes_copied == 0
             && self.relay_frames > 0
@@ -130,31 +134,23 @@ impl WireBenchResult {
             && self.batch_max_frames <= self.batch_ceiling as u64
     }
 
-    /// The result as one JSON object (BENCH_wire.json).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"bench\":\"wire\",\"n\":{},\"f\":{},\"value_bytes\":{},",
-                "\"iters\":{},\"old_allocs_per_write\":{:.2},",
-                "\"new_allocs_per_write\":{:.2},\"alloc_ratio\":{:.2},",
-                "\"relay_frames\":{},\"relay_bytes_copied\":{},",
-                "\"batch_ceiling\":{},\"batch_samples\":{},",
-                "\"batch_max_frames\":{},\"ok\":{}}}\n"
-            ),
-            self.n,
-            self.f,
-            self.value_bytes,
-            self.iters,
-            self.old_allocs_per_write,
-            self.new_allocs_per_write,
-            self.alloc_ratio,
-            self.relay_frames,
-            self.relay_bytes_copied,
-            self.batch_ceiling,
-            self.batch_samples,
-            self.batch_max_frames,
-            self.ok(),
-        )
+    fn json(&self) -> Json {
+        Json::object()
+            .str("bench", Self::NAME)
+            .num("n", self.n)
+            .num("f", self.f)
+            .num("value_bytes", self.value_bytes)
+            .num("iters", self.iters)
+            .float("old_allocs_per_write", self.old_allocs_per_write, 2)
+            .float("new_allocs_per_write", self.new_allocs_per_write, 2)
+            .float("alloc_ratio", self.alloc_ratio, 2)
+            .num("relay_frames", self.relay_frames)
+            .num("relay_bytes_copied", self.relay_bytes_copied)
+            .num("batch_ceiling", self.batch_ceiling)
+            .num("batch_samples", self.batch_samples)
+            .num("batch_max_frames", self.batch_max_frames)
+            .num("ok", self.ok())
+            .end()
     }
 }
 

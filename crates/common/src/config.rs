@@ -271,12 +271,11 @@ impl BackoffPolicy {
 }
 
 /// Tunables for the real network path: how long to wait for connections
-/// and exchanges, how much to retry, how the per-server circuit breaker
-/// behaves, and how hosts bound and drain their reply outboxes.
+/// and exchanges, how much to retry, how fast a failed link may be
+/// retried, and how hosts bound and drain their reply outboxes.
 ///
 /// Defaults: 5 s connects and exchanges, two retry passes per operation,
-/// capped exponential backoff between reconnect attempts, and a breaker
-/// that opens after three consecutive dead connections.
+/// and capped exponential backoff between reconnect attempts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
     /// TCP connect timeout per attempt.
@@ -286,11 +285,9 @@ pub struct TransportConfig {
     /// How many extra passes an operation makes over the servers that
     /// were unreachable or silent before giving up (0 = single shot).
     pub retry_budget: u32,
-    /// Reconnect pacing.
+    /// Reconnect pacing: a link that failed fails fast until its backoff
+    /// cooldown elapses.
     pub backoff: BackoffPolicy,
-    /// Consecutive dead connections (refused, or closed before delivering
-    /// a single frame) before the breaker opens for that server.
-    pub breaker_threshold: u32,
     /// Capacity of each host connection's bounded reply outbox. A full
     /// outbox stops the host reading that connection's requests until
     /// it drains: backpressure reaches the client and no reply is lost.
@@ -317,7 +314,6 @@ impl Default for TransportConfig {
             io_timeout: Duration::from_secs(5),
             retry_budget: 2,
             backoff: BackoffPolicy::default(),
-            breaker_threshold: 3,
             chan_capacity: 1024,
             idle_timeout: Duration::from_secs(60),
             stall_timeout: Duration::from_secs(5),
@@ -328,8 +324,8 @@ impl Default for TransportConfig {
 
 impl TransportConfig {
     /// A configuration with tight timings for tests and chaos runs:
-    /// sub-second connects, fast retries, a breaker that reacts after two
-    /// failures, smaller wire-path queues.
+    /// sub-second connects, fast retries and reconnects, smaller wire-path
+    /// queues.
     pub fn aggressive() -> Self {
         TransportConfig {
             connect_timeout: Duration::from_millis(250),
@@ -340,7 +336,6 @@ impl TransportConfig {
                 cap: Duration::from_millis(200),
                 jitter_permille: 200,
             },
-            breaker_threshold: 2,
             chan_capacity: 256,
             idle_timeout: Duration::from_secs(10),
             stall_timeout: Duration::from_millis(1500),
@@ -490,7 +485,7 @@ mod tests {
         assert!(cfg.retry_budget > 0);
         let fast = TransportConfig::aggressive();
         assert!(fast.connect_timeout < cfg.connect_timeout);
-        assert!(fast.breaker_threshold <= cfg.breaker_threshold);
+        assert!(fast.backoff.cap <= cfg.backoff.cap);
         // Wire-path queues are bounded but roomy.
         assert!(cfg.chan_capacity >= 64);
         assert!(fast.chan_capacity <= cfg.chan_capacity);

@@ -15,7 +15,7 @@ use safereg_common::buf::Bytes;
 use safereg_common::config::{QuorumConfig, TransportConfig};
 use safereg_common::epoch::EpochConfig;
 use safereg_common::ids::{ClientId, ReaderId, ServerId, WriterId};
-use safereg_common::msg::{ClientToServer, Envelope, Message, OpId, ServerToClient};
+use safereg_common::msg::{ClientToServer, Envelope, Message, OpId, Payload, ServerToClient};
 use safereg_common::shard::{ShardId, ShardMap};
 use safereg_common::tag::Tag;
 use safereg_common::trace::{Phase, TraceCtx};
@@ -550,9 +550,10 @@ impl KvClient {
         let mut votes: BTreeMap<(u32, u64), (BTreeSet<ServerId>, EpochConfig)> = BTreeMap::new();
         // Quorum cross-check (replicated mode only — coded replicas hold
         // *different* fragments at one tag by design): the first full
-        // value vouched per tag within this operation; a contradicting
-        // second voucher makes both parties suspects.
-        let mut vouched: BTreeMap<Tag, (u64, ServerId)> = BTreeMap::new();
+        // value vouched per tag within this operation (an O(1) `Bytes`
+        // clone); a contradicting second voucher makes both parties
+        // suspects.
+        let mut vouched: BTreeMap<Tag, (Payload, ServerId)> = BTreeMap::new();
         let mut pass: u32 = 0;
         let done = |op: &mut dyn ClientOp, evidence: &mut SlowEvidence, pass, unr: usize| {
             evidence.retry_passes = pass;
@@ -667,9 +668,10 @@ impl KvClient {
                         for reply in proto {
                             if self.mode == KvMode::Replicated {
                                 if let ServerToClient::DataResp { tag, payload, .. } = &reply {
-                                    let digest = crate::server::entry_digest(tag, payload);
                                     match vouched.get(tag) {
-                                        Some((d, first)) if *d != digest => {
+                                        Some((first_payload, first))
+                                            if first_payload != payload =>
+                                        {
                                             // Same tag, different value: one
                                             // of the two vouchers is lying,
                                             // and the client cannot tell
@@ -679,7 +681,7 @@ impl KvClient {
                                         }
                                         Some(_) => {}
                                         None => {
-                                            vouched.insert(*tag, (digest, phys));
+                                            vouched.insert(*tag, (payload.clone(), phys));
                                         }
                                     }
                                 }
@@ -855,5 +857,72 @@ mod tests {
             .map(|g| reg.counter(&safereg_obs::names::shard_ops_counter(g)).get())
             .sum();
         assert_eq!(after - before, 20, "every op lands in some shard counter");
+    }
+
+    /// An in-memory cluster behind a transport that can make one replica
+    /// answer `DataResp` with a forged value at the genuine tag, and that
+    /// records every server the client suspects.
+    struct Recording {
+        inner: InMemKvCluster,
+        liar: Option<ServerId>,
+        suspects: BTreeSet<ServerId>,
+    }
+
+    impl KvTransport for Recording {
+        fn exchange(
+            &mut self,
+            from: ClientId,
+            to: ServerId,
+            shard: ShardId,
+            key: &[u8],
+            msg: &ClientToServer,
+            trace: TraceCtx,
+        ) -> Result<Vec<ServerToClient>, Unreachable> {
+            let mut replies = self.inner.exchange(from, to, shard, key, msg, trace)?;
+            if self.liar == Some(to) {
+                for reply in &mut replies {
+                    if let ServerToClient::DataResp { payload, .. } = reply {
+                        *payload = Payload::Full(Value::from("forged"));
+                    }
+                }
+            }
+            Ok(replies)
+        }
+
+        fn suspect(&mut self, server: ServerId) {
+            self.suspects.insert(server);
+        }
+    }
+
+    #[test]
+    fn contradicting_values_at_one_tag_suspect_both_vouchers() {
+        let cfg = QuorumConfig::minimal_bsr(1).unwrap();
+        let mut transport = Recording {
+            inner: InMemKvCluster::new(cfg),
+            liar: None,
+            suspects: BTreeSet::new(),
+        };
+        let mut client = KvClient::new(cfg, WriterId(0), ReaderId(0));
+        client.put(&mut transport, b"k", "truth").unwrap();
+        assert_eq!(
+            client.get(&mut transport, b"k").unwrap().as_bytes(),
+            b"truth"
+        );
+        assert!(
+            transport.suspects.is_empty(),
+            "replicas agreeing on (tag, value) were suspected: {:?}",
+            transport.suspects
+        );
+
+        transport.liar = Some(ServerId(2));
+        assert_eq!(
+            client.get(&mut transport, b"k").unwrap().as_bytes(),
+            b"truth"
+        );
+        assert!(
+            transport.suspects.contains(&ServerId(2)) && transport.suspects.len() >= 2,
+            "the liar and the replica it contradicts must both be suspected: {:?}",
+            transport.suspects
+        );
     }
 }

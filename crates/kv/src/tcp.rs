@@ -702,10 +702,9 @@ impl KvLink {
 /// exchange) but *self-healing*: a dead connection is torn down, backed
 /// off, and lazily re-established on a later exchange, so a replica that
 /// restarts rejoins the quorum instead of being silently dropped forever.
-/// Each server carries a circuit breaker — after
-/// [`TransportConfig::breaker_threshold`](safereg_common::config::TransportConfig)
-/// consecutive failures the link fails fast (no blocking connect on the
-/// hot path) until its backoff cooldown elapses.
+/// Each failed connect or exchange makes the link fail fast (no blocking
+/// connect on the hot path) until its backoff cooldown elapses, and its
+/// circuit breaker reads Open from that first failure.
 pub struct TcpKvTransport {
     chain: KeyChain,
     links: BTreeMap<ServerId, KvLink>,
@@ -829,17 +828,15 @@ impl TcpKvTransport {
         self.links.values().filter(|l| l.stream.is_some()).count()
     }
 
-    /// Marks a link failed: drops the stream, escalates the breaker, and
+    /// Marks a link failed: drops the stream, opens the breaker, and
     /// schedules the earliest reconnect.
     fn fail_link(&mut self, to: ServerId) -> Unreachable {
         let roll = self.rng.next_u64();
-        let (backoff, threshold) = (self.config.backoff, self.config.breaker_threshold);
+        let backoff = self.config.backoff;
         if let Some(link) = self.links.get_mut(&to) {
             link.stream = None;
             link.failures = link.failures.saturating_add(1);
-            if link.failures >= threshold {
-                link.set_state(to, STATE_OPEN);
-            }
+            link.set_state(to, STATE_OPEN);
             let wait = backoff.delay(link.failures.saturating_sub(1), roll);
             safereg_obs::global()
                 .histogram(safereg_obs::names::KV_BACKOFF_WAIT_MS)
@@ -1305,8 +1302,8 @@ impl TcpKvCluster {
     ///
     /// Propagates bind errors (e.g. the old port was reclaimed) and
     /// quorum failures during the state pull.
-    pub fn restart(&mut self, sid: ServerId, mode: KvMode) -> std::io::Result<()> {
-        self.respawn(sid, mode, ByzRole::Correct, 0)?;
+    pub fn restart(&mut self, sid: ServerId) -> std::io::Result<()> {
+        self.respawn(sid, ByzRole::Correct, 0)?;
         let needs = BTreeMap::from([(sid, self.map.shards_of_server(sid))]);
         // Same-epoch pull: donors and receiver share the current config,
         // so the transferred entries are installed directly (no flip).
@@ -1322,40 +1319,20 @@ impl TcpKvCluster {
         Ok(())
     }
 
-    /// Restarts a replica **without** the state pull: it rejoins with
-    /// empty registers, exactly the amnesiac crash-recovery hazard
-    /// [`restart`] exists to close. Fault-injection harnesses use this to
-    /// manufacture slow reads deliberately — after enough amnesiac
-    /// restarts no `f + 1` replicas still witness a reader's cached pair,
-    /// so every following read is forced onto the slow path. Production
-    /// paths must use [`restart`].
-    ///
-    /// [`restart`]: TcpKvCluster::restart
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors (e.g. the old port was reclaimed).
-    pub fn restart_amnesiac(&mut self, sid: ServerId, mode: KvMode) -> std::io::Result<()> {
-        self.respawn(sid, mode, ByzRole::Correct, 0)
-    }
-
     /// Converts a replica to `role` by restarting it in place (old
     /// advertised address, fresh state). State loss is acceptable both
     /// ways: a Byzantine replica's state is untrusted, and restoring to
     /// `Correct` is the crash-recovery case the protocol already absorbs
-    /// for `≤ f` replicas. Updates the `server.byz.active` gauge.
+    /// for `≤ f` replicas — `set_role(sid, ByzRole::Correct, 0)` is the
+    /// amnesiac restart [`restart`](Self::restart) exists to avoid, which
+    /// fault-injection harnesses use to force slow reads. Updates the
+    /// `server.byz.active` gauge.
     ///
     /// # Errors
     ///
     /// Propagates bind errors.
-    pub fn set_role(
-        &mut self,
-        sid: ServerId,
-        mode: KvMode,
-        role: ByzRole,
-        seed: u64,
-    ) -> std::io::Result<()> {
-        self.respawn(sid, mode, role, seed)
+    pub fn set_role(&mut self, sid: ServerId, role: ByzRole, seed: u64) -> std::io::Result<()> {
+        self.respawn(sid, role, seed)
     }
 
     /// The role each replica currently plays.
@@ -1409,13 +1386,7 @@ impl TcpKvCluster {
         self.plan = plan;
     }
 
-    fn respawn(
-        &mut self,
-        sid: ServerId,
-        mode: KvMode,
-        role: ByzRole,
-        seed: u64,
-    ) -> std::io::Result<()> {
+    fn respawn(&mut self, sid: ServerId, role: ByzRole, seed: u64) -> std::io::Result<()> {
         let Some(old) = self.hosts.get(&sid) else {
             return Ok(());
         };
@@ -1424,7 +1395,7 @@ impl TcpKvCluster {
         let host = KvServerHost::spawn_inner(
             sid,
             self.map.shard_config(),
-            mode,
+            self.mode,
             self.chain.clone(),
             addr,
             KvHostOptions {
@@ -1911,7 +1882,7 @@ mod tests {
             client.put(&mut transport, b"k", "truth").unwrap();
         }
         cluster
-            .set_role(ServerId(3), KvMode::Replicated, ByzRole::Fabricator, 99)
+            .set_role(ServerId(3), ByzRole::Fabricator, 99)
             .unwrap();
         assert_eq!(cluster.roles()[&ServerId(3)], ByzRole::Fabricator);
         // With one live fabricating replica (f = 1), writes still reach a
@@ -1923,9 +1894,7 @@ mod tests {
         assert_eq!(value.as_bytes(), b"still truth");
         assert!(tag.num < 1_000_000, "forged tag did not win");
         // Rotation back to honest service is a restart-in-place.
-        cluster
-            .set_role(ServerId(3), KvMode::Replicated, ByzRole::Correct, 0)
-            .unwrap();
+        cluster.set_role(ServerId(3), ByzRole::Correct, 0).unwrap();
         assert_eq!(cluster.roles()[&ServerId(3)], ByzRole::Correct);
     }
 
@@ -1960,7 +1929,7 @@ mod tests {
         let addrs = cluster.addrs();
         let before = safereg_obs::global().counter(names::SERVER_RESTARTS).get();
         cluster.crash(ServerId(2));
-        cluster.restart(ServerId(2), KvMode::Replicated).unwrap();
+        cluster.restart(ServerId(2)).unwrap();
         assert_eq!(cluster.addrs(), addrs, "restart keeps the old address");
         assert!(safereg_obs::global().counter(names::SERVER_RESTARTS).get() > before);
         let mut transport = cluster.transport();
@@ -2110,27 +2079,47 @@ mod tests {
 
     #[test]
     fn restarted_replica_is_rehydrated_not_amnesiac() {
-        let cfg = QuorumConfig::minimal_bsr(1).unwrap();
-        let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"kv-amnesia")
-            .quorum(cfg)
-            .start()
-            .unwrap();
-        let mut transport = cluster.transport();
-        let mut client = KvClient::new(cfg, WriterId(0), ReaderId(0));
-        client.put(&mut transport, b"k", "v1").unwrap();
-        client.put(&mut transport, b"k", "v2").unwrap();
-        let (value, tag) = client.get_with_tag(&mut transport, b"k").unwrap();
-        let expected = crate::server::entry_digest(&tag, &Payload::Full(value));
+        for (mode, cfg) in [
+            (KvMode::Replicated, QuorumConfig::minimal_bsr(1).unwrap()),
+            (KvMode::Coded, QuorumConfig::new(8, 1).unwrap()), // k = 3
+        ] {
+            let mut cluster = TcpKvCluster::builder(mode, b"kv-amnesia")
+                .quorum(cfg)
+                .start()
+                .unwrap();
+            let mut transport = cluster.transport();
+            let mut client = match mode {
+                KvMode::Replicated => KvClient::new(cfg, WriterId(0), ReaderId(0)),
+                KvMode::Coded => KvClient::new_coded(cfg, WriterId(0), ReaderId(0)),
+            };
+            client.put(&mut transport, b"k", "v1").unwrap();
+            client.put(&mut transport, b"k", "v2").unwrap();
+            let (value, tag) = client.get_with_tag(&mut transport, b"k").unwrap();
+            let g = cluster.map().shard_of(b"k");
+            // A coded replica stores only the fragment of its own slot.
+            let payload = match mode {
+                KvMode::Replicated => Payload::Full(value),
+                KvMode::Coded => {
+                    let code = ReedSolomon::new(cfg.n(), cfg.mds_k().unwrap()).unwrap();
+                    let logical = cluster.map().logical_of(g, ServerId(2)).unwrap().0 as usize;
+                    Payload::Coded(encode_value(&code, &value)[logical].clone())
+                }
+            };
+            let expected = crate::server::entry_digest(&tag, &payload);
 
-        cluster.crash(ServerId(2));
-        cluster.restart(ServerId(2), KvMode::Replicated).unwrap();
-        // The restart pulled `(tag, value)` back from a quorum before the
-        // replica serves again: it can never vouch for the pre-crash tag
-        // (or an empty register) in a read quorum — the StaleRead hazard
-        // an amnesiac restart would reintroduce.
-        let g = cluster.map().shard_of(b"k");
-        assert_eq!(cluster.payload_digest(ServerId(2), g, b"k"), Some(expected));
-        transport.set_timeout(Duration::from_millis(500));
-        assert_eq!(client.get(&mut transport, b"k").unwrap().as_bytes(), b"v2");
+            cluster.crash(ServerId(2));
+            cluster.restart(ServerId(2)).unwrap();
+            // The restart pulled `(tag, payload)` back from a quorum before
+            // the replica serves again: it can never vouch for the
+            // pre-crash tag (or an empty register) in a read quorum — the
+            // StaleRead hazard an amnesiac restart would reintroduce.
+            assert_eq!(
+                cluster.payload_digest(ServerId(2), g, b"k"),
+                Some(expected),
+                "{mode:?}"
+            );
+            transport.set_timeout(Duration::from_millis(500));
+            assert_eq!(client.get(&mut transport, b"k").unwrap().as_bytes(), b"v2");
+        }
     }
 }

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use crate::metrics::{MetricValue, Snapshot};
 
 /// Escapes a string for a JSON string literal (quotes not included).
-fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -47,17 +47,6 @@ metrics_out=$(harness metrics)
 grep -q '"metric":"sim.read.fast_ratio_permille"' <<< "$metrics_out" ||
     { echo "ci.sh: metrics dump missing fast-read-ratio gauge" >&2; exit 1; }
 
-# Chaos smoke: one bounded seeded run over the deployed KV stack behind the
-# fault-injection proxies. The scenario itself asserts the self-healing
-# predicate (all ops complete, checker safety holds, nonzero reconnects
-# and breaker transitions, seed-stable schedule) and exits nonzero on
-# failure; the grep pins the human-readable verdict line too.
-echo "==> paper_harness chaos | grep 'chaos: self-healing ok'"
-chaos_out=$(harness chaos)
-echo "$chaos_out"
-grep -q 'chaos: self-healing ok' <<< "$chaos_out" ||
-    { echo "ci.sh: chaos smoke run did not self-heal" >&2; exit 1; }
-
 # Wire smoke: the zero-copy wire-path microbench (BCSR write fan-out at
 # n=11, f=2). The run emits BENCH_wire.json and exits nonzero when either
 # acceptance bar fails; the greps pin both bars on the verdict line — the

@@ -121,7 +121,7 @@ fn sever_then_restart(
             net.sever(ServerId(4));
         } else if round == restart_round {
             cluster.crash(ServerId(4));
-            cluster.restart(ServerId(4), KvMode::Replicated).unwrap();
+            cluster.restart(ServerId(4)).unwrap();
         }
     }
 }

@@ -292,7 +292,7 @@ fn a_client_outlives_crash_and_restart_of_f_nodes() {
     let mut reader = KvClient::new(cfg, WriterId(1), ReaderId(1));
     assert_eq!(reader.get(&mut fresh, b"k").unwrap().as_bytes(), b"two");
 
-    cluster.restart(ServerId(4), KvMode::Replicated).unwrap();
+    cluster.restart(ServerId(4)).unwrap();
     client.put(&mut transport, b"k", "three").unwrap();
     assert_eq!(
         client.get(&mut transport, b"k").unwrap().as_bytes(),
