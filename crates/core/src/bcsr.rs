@@ -15,10 +15,12 @@
 //!    with corrupted bytes are **errors** the RS decoder corrects. The
 //!    worst case is `f` missing + `2f` stale + `f` corrupted:
 //!    `2·f + (f + 2f) = 5f ≤ n − k`.
-//! 4. Re-encode the decoded value and demand `≥ f + 1` received elements
-//!    match it exactly, so at least one correct server vouches for the
-//!    decoded codeword. Any failure returns `v_0` (Fig. 5 line 4,
-//!    "if possible; otherwise return `v_0`").
+//! 4. Demand `≥ f + 1` received elements match the decoded value's
+//!    codeword exactly, so at least one correct server vouches for it. The
+//!    decoder already verified that codeword against the elements, so it
+//!    returns it rather than the reader encoding the value again. Any
+//!    failure returns `v_0` (Fig. 5 line 4, "if possible; otherwise return
+//!    `v_0`").
 
 use std::collections::BTreeMap;
 
@@ -28,7 +30,7 @@ use safereg_common::msg::{ClientToServer, CodedElement, Envelope, OpId, Payload,
 use safereg_common::tag::Tag;
 use safereg_common::value::Value;
 use safereg_mds::rs::ReedSolomon;
-use safereg_mds::stripe::{column_count, decode_elements, encode_value, ElementView};
+use safereg_mds::stripe::{column_count, decode_verified, ElementView};
 
 use crate::op::{ClientOp, OpOutput, ReadPath};
 
@@ -174,25 +176,22 @@ impl BcsrReadOp {
                 .map(|(_, (_, e))| ElementView::of(e))
                 .collect(),
         };
-        if views.is_empty() && value_len > 0 {
-            return None;
-        }
-        let value = decode_elements(&self.code, value_len, &views).ok()?;
+        let decoded = decode_verified(&self.code, value_len, &views).ok()?;
 
         // Step 4: at least f + 1 received elements must match the decoded
         // codeword exactly, so one correct server vouches for it.
-        let reencoded = encode_value(&self.code, &value);
         let matching = claimers
             .iter()
             .filter(|(sid, e)| {
                 let i = sid.0 as usize;
                 e.index as usize == i
-                    && reencoded
+                    && decoded
+                        .elements
                         .get(i)
                         .is_some_and(|r| r.data == e.data && r.value_len == e.value_len)
             })
             .count();
-        (matching >= self.cfg.witness_threshold()).then_some(value)
+        (matching >= self.cfg.witness_threshold()).then_some(decoded.value)
     }
 }
 
@@ -260,6 +259,7 @@ impl ClientOp for BcsrReadOp {
 mod tests {
     use super::*;
     use safereg_common::ids::WriterId;
+    use safereg_mds::stripe::encode_value;
 
     fn setup() -> (QuorumConfig, ReedSolomon) {
         let cfg = QuorumConfig::minimal_bcsr(1).unwrap(); // n = 6, f = 1, k = 1

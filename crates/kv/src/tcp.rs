@@ -1751,18 +1751,19 @@ impl TcpKvCluster {
                 if tag == Tag::ZERO {
                     continue; // never written: a fresh register transfers nothing
                 }
+                let elements = code.as_ref().map(|code| encode_value(code, &value));
                 for &target in &targets {
-                    let payload = match &code {
+                    let payload = match &elements {
                         None => Payload::Full(value.clone()),
-                        Some(code) => {
+                        Some(elements) => {
                             let logical = target_map
                                 .logical_of(g, target)
                                 .expect("needs lists only placed shards");
                             Payload::Coded(
-                                encode_value(code, &value)
-                                    .into_iter()
-                                    .nth(logical.0 as usize)
-                                    .expect("one element per logical slot"),
+                                elements
+                                    .get(logical.0 as usize)
+                                    .expect("one element per logical slot")
+                                    .clone(),
                             )
                         }
                     };

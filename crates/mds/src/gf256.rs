@@ -6,6 +6,10 @@
 //! compile time by `const fn`s, so multiplication and division are two table
 //! lookups with no runtime setup.
 //!
+//! The slice kernel `mul_acc` instead reads one 256-entry row of a
+//! compile-time product table per coefficient: one lookup per byte and no
+//! zero branch. It is what the Reed–Solomon codec spends its time in.
+//!
 //! Addition and subtraction are both XOR (characteristic 2).
 
 /// The reduction polynomial x⁸ + x⁴ + x³ + x² + 1 (top bit implicit).
@@ -16,6 +20,10 @@ const EXP: [u8; 512] = build_exp();
 
 /// `LOG[v] = log_α(v)` for `v ∈ 1..=255`; `LOG[0]` is a sentinel (unused).
 const LOG: [u16; 256] = build_log();
+
+/// `MUL[a][b] = a·b`. Held behind a reference so indexing never copies the
+/// 64 KiB table, even in unoptimised builds.
+const MUL: &[[u8; 256]; 256] = &build_mul();
 
 const fn build_exp() -> [u8; 512] {
     let mut exp = [0u8; 512];
@@ -47,6 +55,36 @@ const fn build_log() -> [u16; 256] {
         i += 1;
     }
     log
+}
+
+const fn build_mul() -> [[u8; 256]; 256] {
+    let mut table = [[0u8; 256]; 256];
+    let mut a = 1;
+    while a < 256 {
+        let mut b = 1;
+        while b < 256 {
+            table[a][b] = EXP[(LOG[a] + LOG[b]) as usize];
+            b += 1;
+        }
+        a += 1;
+    }
+    table
+}
+
+/// `dst[i] ^= c·src[i]` for every `i`: the multiply-accumulate the
+/// Reed–Solomon codec applies to whole elements.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length (a codec bug; element lengths are
+/// checked where elements enter).
+#[inline]
+pub(crate) fn mul_acc(dst: &mut [u8], src: &[u8], c: u8) {
+    assert_eq!(dst.len(), src.len(), "mul_acc over unequal slices");
+    let row = &MUL[c as usize];
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= row[*s as usize];
+    }
 }
 
 /// Field addition (XOR).
@@ -145,6 +183,18 @@ mod tests {
         for a in 0..=255u8 {
             for b in [0u8, 1, 2, 3, 5, 29, 76, 128, 200, 255] {
                 assert_eq!(mul(a, b), slow_mul(a, b), "a={a} b={b}");
+            }
+        }
+    }
+
+    #[test]
+    fn mul_acc_matches_scalar_mul() {
+        let src: Vec<u8> = (0..=255).collect();
+        for c in 0..=255u8 {
+            let mut dst = vec![0x5A; 256];
+            mul_acc(&mut dst, &src, c);
+            for (d, s) in dst.iter().zip(&src) {
+                assert_eq!(*d, 0x5A ^ mul(c, *s), "c={c} s={s}");
             }
         }
     }

@@ -6,13 +6,18 @@
 //! exactly the error-and-erasure capability of a Reed–Solomon code:
 //! `2·errors + erasures ≤ n − k`. This crate implements, from scratch:
 //!
-//! * [`gf256`] — arithmetic in GF(2⁸) with compile-time tables,
+//! * [`gf256`] — arithmetic in GF(2⁸) with compile-time tables, including a
+//!   product table for multiply-accumulate over whole slices,
 //! * [`poly`] — polynomial helpers over the field,
-//! * [`rs`] — a systematic Reed–Solomon encoder and a decoder that corrects
-//!   both erasures (positions known) and errors (positions unknown) via
-//!   Forney syndromes, Berlekamp–Massey, Chien search and Forney's formula,
-//! * [`stripe`] — striping of arbitrary-length values into per-server
-//!   [`safereg_common::msg::CodedElement`]s and back.
+//! * [`rs`] — a systematic Reed–Solomon code held as its generator rows,
+//!   with a symbol decoder that corrects both erasures (positions known)
+//!   and errors (positions unknown) via Forney syndromes, Berlekamp–Massey,
+//!   Chien search and Forney's formula,
+//! * [`stripe`] — a value cut into `k` contiguous chunks and coded a whole
+//!   per-server [`safereg_common::msg::CodedElement`] at a time; decoding
+//!   solves from `k` elements, verifies the rest against the re-encoded
+//!   codeword, and locates a Byzantine element once with the symbol
+//!   decoder instead of decoding every column.
 //!
 //! # Examples
 //!

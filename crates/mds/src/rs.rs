@@ -7,7 +7,14 @@
 //! on with `ρ ≤ f` missing servers and `ν ≤ e = 2f` stale/Byzantine
 //! elements when `k = n − 5f`.
 //!
-//! Decoder pipeline (textbook, e.g. Blahut §7.4): syndromes → erasure
+//! The code is held as its `n × k` generator rows, derived once in
+//! [`ReedSolomon::new`] from the generator polynomial. Encoding is one pass
+//! over the `n − k` parity rows, applied either to one column of symbols
+//! ([`ReedSolomon::encode`]) or to whole elements at once (the striping
+//! layer); the striping layer also inverts `k` rows to solve for a message.
+//!
+//! The symbol decoder [`ReedSolomon::decode`] corrects one column at a
+//! time. Its pipeline (textbook, e.g. Blahut §7.4): syndromes → erasure
 //! locator Γ → Forney syndromes Ξ = S·Γ mod x^{2t} → Berlekamp–Massey on
 //! Ξ_ρ.. → error locator σ → Chien search → errata locator Λ = Γ·σ →
 //! errata evaluator Ω = S·Λ mod x^{2t} → Forney's formula
@@ -99,8 +106,9 @@ impl Error for MdsError {}
 pub struct ReedSolomon {
     n: usize,
     k: usize,
-    /// Generator polynomial `g(x) = ∏_{j=0}^{n−k−1} (x − αʲ)`, ascending.
-    gen: Vec<u8>,
+    /// Generator rows, `n × k` row-major: symbol `i` of the codeword of
+    /// message `m` is `Σⱼ rows[i·k + j]·mⱼ`. Rows `n−k..n` are the identity.
+    rows: Vec<u8>,
 }
 
 impl ReedSolomon {
@@ -113,12 +121,25 @@ impl ReedSolomon {
         if k == 0 || k > n || n > 255 {
             return Err(MdsError::BadParameters { n, k });
         }
+        let two_t = n - k;
+        // g(x) = ∏_{j<2t} (x + αʲ); ascending, so (x + αʲ) is [αʲ, 1].
         let mut gen = vec![1u8];
-        for j in 0..(n - k) {
-            // (x + α^j) ascending: [α^j, 1].
+        for j in 0..two_t {
             gen = poly::mul(&gen, &[gf256::alpha_pow(j as i64), 1]);
         }
-        Ok(ReedSolomon { n, k, gen })
+        // A codeword is C(x) = M(x)·x^{2t} + (M(x)·x^{2t} mod g(x)), linear in
+        // M, so message symbol j contributes column j of the parity rows:
+        // the coefficients of x^{2t+j} mod g(x).
+        let mut rows = vec![0u8; n * k];
+        for j in 0..k {
+            let mut monomial = vec![0u8; two_t + j + 1];
+            monomial[two_t + j] = 1;
+            for (i, c) in poly::rem(&monomial, &gen).iter().enumerate() {
+                rows[i * k + j] = *c;
+            }
+            rows[(two_t + j) * k + j] = 1;
+        }
+        Ok(ReedSolomon { n, k, rows })
     }
 
     /// Codeword length `n`.
@@ -144,20 +165,78 @@ impl ReedSolomon {
     /// striping layer always supplies exactly `k` symbols.
     pub fn encode(&self, message: &[u8]) -> Vec<u8> {
         assert_eq!(message.len(), self.k, "message must have exactly k symbols");
-        let two_t = self.parity();
-        if two_t == 0 {
-            return message.to_vec();
-        }
-        // C(x) = M(x)·x^{2t} + (M(x)·x^{2t} mod g(x)); parity occupies the
-        // low positions so the message stays visible at n−k..n.
-        let shifted = poly::shift(message, two_t);
-        let parity = poly::rem(&shifted, &self.gen);
         let mut cw = vec![0u8; self.n];
-        for (i, c) in parity.iter().enumerate() {
-            cw[i] = *c;
-        }
-        cw[two_t..].copy_from_slice(message);
+        cw[self.parity()..].copy_from_slice(message);
+        self.fill_parity(&mut cw, 1);
         cw
+    }
+
+    /// Generator row of codeword position `i` (`k` coefficients).
+    pub(crate) fn row(&self, i: usize) -> &[u8] {
+        &self.rows[i * self.k..(i + 1) * self.k]
+    }
+
+    /// Encodes a codeword stored element by element: position `i` is
+    /// `word[i·len..(i+1)·len]`. The message elements `n−k..n` must be in
+    /// place and the parity elements `0..n−k` zero; this fills the parity,
+    /// one coefficient × element multiply-accumulate per generator entry.
+    /// [`ReedSolomon::encode`] is the `len = 1` case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word.len() != n·len`.
+    pub(crate) fn fill_parity(&self, word: &mut [u8], len: usize) {
+        assert_eq!(word.len(), self.n * len, "word must hold n elements");
+        let (parity, message) = word.split_at_mut(self.parity() * len);
+        for i in 0..self.parity() {
+            let out = &mut parity[i * len..(i + 1) * len];
+            for (j, &c) in self.row(i).iter().enumerate() {
+                gf256::mul_acc(out, &message[j * len..(j + 1) * len], c);
+            }
+        }
+    }
+
+    /// The `k × k` matrix (row-major) that maps the symbols at `positions`
+    /// back to the message: the inverse of their generator rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `positions` holds `k` distinct positions below `n`.
+    pub(crate) fn decoding_matrix(&self, positions: &[usize]) -> Vec<u8> {
+        let k = self.k;
+        assert_eq!(positions.len(), k, "need exactly k positions");
+        // Gauss–Jordan on [A | I], where A stacks the chosen rows.
+        let mut a: Vec<u8> = positions
+            .iter()
+            .flat_map(|&i| self.row(i))
+            .copied()
+            .collect();
+        let mut inv = vec![0u8; k * k];
+        for i in 0..k {
+            inv[i * k + i] = 1;
+        }
+        for col in 0..k {
+            let pivot = (col..k)
+                .find(|&r| a[r * k + col] != 0)
+                .expect("any k rows of an MDS generator are independent");
+            // Column `col` of A after the swap, read before A changes.
+            let mut factors: Vec<u8> = (0..k).map(|r| a[r * k + col]).collect();
+            factors.swap(col, pivot);
+            let scale = gf256::inv(factors[col]);
+            for m in [&mut a, &mut inv] {
+                for j in 0..k {
+                    m.swap(col * k + j, pivot * k + j);
+                }
+                for x in &mut m[col * k..(col + 1) * k] {
+                    *x = gf256::mul(*x, scale);
+                }
+                let pivot_row = m[col * k..(col + 1) * k].to_vec();
+                for r in (0..k).filter(|&r| r != col) {
+                    gf256::mul_acc(&mut m[r * k..(r + 1) * k], &pivot_row, factors[r]);
+                }
+            }
+        }
+        inv
     }
 
     /// The message symbols of a codeword (systematic positions).
@@ -476,6 +555,28 @@ mod tests {
                     }
                     let fixed = code.decode(&rx).unwrap();
                     assert_eq!(code.message_of(&fixed), &msg[..], "subset {a},{b},{c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decoding_matrix_inverts_any_k_rows() {
+        let code = ReedSolomon::new(7, 3).unwrap();
+        for a in 0..7 {
+            for b in (a + 1)..7 {
+                for c in (b + 1)..7 {
+                    let inv = code.decoding_matrix(&[a, b, c]);
+                    // inv · [row a; row b; row c] = I.
+                    for i in 0..3 {
+                        for j in 0..3 {
+                            let mut dot = 0u8;
+                            for (r, pos) in [a, b, c].into_iter().enumerate() {
+                                dot ^= gf256::mul(inv[i * 3 + r], code.row(pos)[j]);
+                            }
+                            assert_eq!(dot, u8::from(i == j), "rows {a},{b},{c}");
+                        }
+                    }
                 }
             }
         }

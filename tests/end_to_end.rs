@@ -4,10 +4,18 @@
 
 use safereg::checker::rounds::read_round_profile;
 use safereg::checker::CheckSummary;
+use safereg::common::buf::Bytes;
 use safereg::common::config::QuorumConfig;
 use safereg::common::history::OpKind;
 use safereg::common::ids::{ReaderId, ServerId, WriterId};
+use safereg::common::msg::{CodedElement, Payload, ServerToClient};
+use safereg::common::rng::DetRng;
+use safereg::common::tag::Tag;
 use safereg::common::value::Value;
+use safereg::core::bcsr::BcsrReadOp;
+use safereg::core::op::{ClientOp, ReadPath};
+use safereg::mds::stripe::{decode_verified, encode_value, ElementView};
+use safereg::mds::ReedSolomon;
 use safereg::simnet::delay::UniformDelay;
 use safereg::simnet::driver::{Action, Plan, StartRule};
 use safereg::simnet::sim::Sim;
@@ -349,4 +357,75 @@ fn bcsr_large_values_roundtrip_under_faults() {
         } => assert_eq!(v.as_bytes(), &big[..]),
         other => panic!("unexpected {other:?}"),
     }
+}
+
+/// The paper's worst case for a coded read (§IV-A) at 64 KiB, through the
+/// reader itself: `f` servers missing, `2f` answering with an older tag and
+/// `f` Byzantine servers answering with the fresh tag but corrupting half
+/// of their element's columns, `2·f + 3f = n − k`. The liars corrupt
+/// disjoint halves, so no one column shows them all.
+#[test]
+fn bcsr_worst_case_at_64_kib_reads_fresh_on_the_fast_path() {
+    read_worst_case(11, 1, &[5], &[6, 7], &[8]);
+    read_worst_case(16, 2, &[10, 11], &[12, 13, 14, 15], &[0, 1]);
+}
+
+fn read_worst_case(n: usize, f: usize, missing: &[u16], stale: &[u16], liars: &[u16]) {
+    let cfg = QuorumConfig::new(n, f).unwrap();
+    let code = ReedSolomon::new(n, cfg.mds_k().unwrap()).unwrap();
+    let mut bytes = vec![0u8; 64 * 1024];
+    DetRng::seed_from(n as u64).fill_bytes(&mut bytes);
+    let fresh = Value::from(bytes);
+    let fresh_e = encode_value(&code, &fresh);
+    let old_e = encode_value(&code, &Value::from(vec![0x0D; 64 * 1024]));
+    let (t_old, t_new) = (Tag::new(1, WriterId(0)), Tag::new(2, WriterId(0)));
+    let cols = fresh_e[0].data.len();
+
+    let mut op = BcsrReadOp::new(ReaderId(0), 1, cfg, code.clone());
+    op.start();
+    let id = op.op_id();
+    let mut claimed = Vec::new();
+    for i in (0..n as u16).filter(|i| !missing.contains(i)) {
+        let honest = fresh_e[i as usize].clone();
+        let (tag, elem) = if stale.contains(&i) {
+            (t_old, old_e[i as usize].clone())
+        } else if let Some(nth) = liars.iter().position(|l| *l == i) {
+            let half = if nth == 0 {
+                0..cols / 2
+            } else {
+                cols / 2..cols
+            };
+            let mut data = honest.data.to_vec();
+            for b in &mut data[half] {
+                *b ^= 0xA5;
+            }
+            let data = Bytes::from(data);
+            (t_new, CodedElement { data, ..honest })
+        } else {
+            (t_new, honest)
+        };
+        if tag == t_new {
+            claimed.push(elem.clone());
+        }
+        let payload = Payload::Coded(elem);
+        op.on_message(
+            ServerId(i),
+            &ServerToClient::DataResp {
+                op: id,
+                tag,
+                payload,
+            },
+        );
+    }
+    let out = op.output().expect("n − f responses conclude the read");
+    assert_eq!(out.tag(), t_new, "n = {n}");
+    assert_eq!(out.read_value(), Some(&fresh), "n = {n}");
+    assert_eq!(op.read_path(), Some(ReadPath::Fast), "n = {n}");
+
+    // The decoder found every liar by locating, one pass per liar, without
+    // falling back to decoding column by column.
+    let views: Vec<ElementView<'_>> = claimed.iter().map(ElementView::of).collect();
+    let decoded = decode_verified(&code, fresh.len(), &views).unwrap();
+    let expected: Vec<usize> = liars.iter().map(|l| *l as usize).collect();
+    assert_eq!(decoded.located, Some(expected), "n = {n}");
 }
