@@ -24,7 +24,7 @@
 use std::time::Duration;
 
 use safereg_common::codec::Wire;
-use safereg_common::config::{BackoffPolicy, QuorumConfig, TransportConfig};
+use safereg_common::config::QuorumConfig;
 use safereg_common::ids::{ReaderId, ServerId, WriterId};
 use safereg_core::behavior::ByzRole;
 use safereg_kv::{AuditLog, Charge, Evidence, KvClient, KvMode, TcpKvCluster, TcpKvTransport};
@@ -33,7 +33,7 @@ use safereg_transport::chaos::{FaultPlan, FaultSpec};
 
 use crate::cli::Report;
 use crate::json::Json;
-use crate::ops::{retry, set_role_everywhere};
+use crate::ops::{retry, scenario_transport, set_role_everywhere};
 
 /// Knobs for one audit run.
 #[derive(Debug, Clone)]
@@ -211,22 +211,6 @@ const EQUIVOCATOR: ServerId = ServerId(2);
 /// conviction must come from equivocation pooling, not tag admissibility.
 const EQUIVOCATOR_FORGED_WRITER: WriterId = WriterId(8888);
 
-/// Short-timeout transport policy: chaos drops must cost milliseconds,
-/// not the default multi-second deadline.
-fn audit_transport() -> TransportConfig {
-    TransportConfig {
-        connect_timeout: Duration::from_millis(250),
-        io_timeout: Duration::from_millis(50),
-        retry_budget: 1,
-        backoff: BackoffPolicy {
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(200),
-            jitter_permille: 200,
-        },
-        ..TransportConfig::aggressive()
-    }
-}
-
 /// Two audited clients (one writing, both reading) over one shared log.
 struct Workload {
     a: (KvClient, TcpKvTransport),
@@ -264,7 +248,7 @@ impl Workload {
 
 /// Builds the two audited clients for `cluster`, all feeding `audit`.
 fn workload(cluster: &TcpKvCluster, audit: &std::sync::Arc<AuditLog>, keys: usize) -> Workload {
-    let tconfig = audit_transport();
+    let tconfig = scenario_transport();
     let make = |w: u16, r: u16| {
         let mut client = KvClient::sharded(cluster.map().clone(), WriterId(w), ReaderId(r));
         client.set_policy(tconfig);
@@ -362,7 +346,7 @@ pub fn audit_run(cfg: &AuditConfig) -> AuditReport {
     let q = QuorumConfig::minimal_bsr(1).expect("n = 5, f = 1 is valid");
     let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"audit-harness")
         .quorum(q)
-        .config(audit_transport())
+        .config(scenario_transport())
         .start()
         .expect("start audit cluster");
     let audit = cluster.audit_log();
@@ -444,7 +428,7 @@ pub fn audit_run(cfg: &AuditConfig) -> AuditReport {
     };
     let chaos_cluster = TcpKvCluster::builder(KvMode::Replicated, b"audit-chaos")
         .quorum(q)
-        .config(audit_transport())
+        .config(scenario_transport())
         .chaos(FaultPlan::new(cfg.seed, chaos_spec))
         .start()
         .expect("start chaos cluster");

@@ -32,10 +32,10 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use safereg_checker::Violation;
-use safereg_common::config::{BackoffPolicy, QuorumConfig, TransportConfig};
+use safereg_common::config::QuorumConfig;
 use safereg_common::ids::{ReaderId, ServerId, WriterId};
 use safereg_common::msg::{OpId, Payload};
 use safereg_common::rng::DetRng;
@@ -50,7 +50,7 @@ use safereg_transport::chaos::{FaultPlan, FaultSpec};
 
 use crate::cli::Report;
 use crate::json::Json;
-use crate::ops::{set_role_everywhere, CheckedKeys};
+use crate::ops::{scenario_transport, set_role_everywhere, CheckedKeys};
 
 /// Knobs for one churn run.
 #[derive(Debug, Clone)]
@@ -210,24 +210,6 @@ const OP_RETRIES: usize = 8;
 /// and the replace, so the role overlaps every epoch change.
 const FABRICATOR: ServerId = ServerId(3);
 
-/// Transport policy for the churn workload: short I/O timeouts keep the
-/// retire window cheap (a drained leaver's dead socket costs one timeout,
-/// not the default several seconds), and one in-op retry pass heals the
-/// requeued envelopes a `WrongEpoch` redirect leaves behind.
-fn churn_transport() -> TransportConfig {
-    TransportConfig {
-        connect_timeout: Duration::from_millis(250),
-        io_timeout: Duration::from_millis(50),
-        retry_budget: 1,
-        backoff: BackoffPolicy {
-            base: Duration::from_millis(20),
-            cap: Duration::from_millis(500),
-            jitter_permille: 200,
-        },
-        ..TransportConfig::aggressive()
-    }
-}
-
 /// Mutable workload state threaded through every phase.
 struct Workload {
     client: KvClient,
@@ -363,7 +345,7 @@ fn coded_fragment_check(seed: u64) -> (bool, u16) {
 #[allow(clippy::too_many_lines)]
 pub fn churn_run(cfg: &ChurnConfig) -> ChurnReport {
     let q = QuorumConfig::minimal_bsr(1).expect("n = 5, f = 1 is valid");
-    let tconfig = churn_transport();
+    let tconfig = scenario_transport();
     let map = ShardMap::new(cfg.seed, cfg.shards.max(1), q.servers().collect(), q)
         .expect("m = n fits the fleet");
 

@@ -1,13 +1,15 @@
-//! What the deployed-stack scenarios do to a cluster: retried client
-//! operations, the per-key checker bookkeeping that judges each one in the
-//! checked scenarios ([`soak`](crate::soak), [`churn`](crate::churn)), and
-//! live role rotation.
+//! What the deployed-stack scenarios do to a cluster: the one transport
+//! policy they run with, retried client operations, the per-key checker
+//! bookkeeping that judges each one in the checked scenarios
+//! ([`soak`](crate::soak), [`churn`](crate::churn)), and live role
+//! rotation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use safereg_checker::{Violation, WinHandle, WindowedChecker};
+use safereg_common::config::TransportConfig;
 use safereg_common::history::Instant;
 use safereg_common::ids::ServerId;
 use safereg_common::msg::OpId;
@@ -32,6 +34,24 @@ pub fn retry<T, E>(
         }
     }
     None
+}
+
+/// The transport policy of every live-cluster scenario: the
+/// [`aggressive`](TransportConfig::aggressive) preset with a 50 ms
+/// exchange timeout and one in-op retry pass. The kv transport is
+/// synchronous, so every dropped, corrupted or unanswered frame stalls the
+/// client one full `io_timeout`: correct replicas on loopback answer in
+/// microseconds and injected chaos delays cap at 5 ms, so 50 ms keeps a
+/// 10× margin while a fault costs milliseconds, not the default seconds.
+/// The one retry pass re-asks unreachable and silent servers and the
+/// envelopes a `WrongEpoch` redirect requeues; beyond it the scenarios
+/// retry with a fresh operation.
+pub fn scenario_transport() -> TransportConfig {
+    TransportConfig {
+        io_timeout: Duration::from_millis(50),
+        retry_budget: 1,
+        ..TransportConfig::aggressive()
+    }
 }
 
 /// Sets `role` live on every register group `sid` serves, seeding each

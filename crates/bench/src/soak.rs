@@ -34,7 +34,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use safereg_checker::Violation;
-use safereg_common::config::{BackoffPolicy, QuorumConfig, TransportConfig};
+use safereg_common::config::QuorumConfig;
 use safereg_common::ids::{ReaderId, ServerId, WriterId};
 use safereg_common::msg::OpId;
 use safereg_common::rng::DetRng;
@@ -47,7 +47,7 @@ use safereg_transport::chaos::{Direction, FaultPlan, FaultSpec};
 
 use crate::cli::Report;
 use crate::json::Json;
-use crate::ops::{set_role_everywhere, CheckedKeys};
+use crate::ops::{scenario_transport, set_role_everywhere, CheckedKeys};
 use crate::runtime::proc_status;
 
 /// Knobs for one soak run.
@@ -259,31 +259,6 @@ fn pin_malloc_arena() {}
 /// Soak-level attempts per logical operation.
 const OP_RETRIES: usize = 4;
 
-/// Transport policy tuned for the soak's fault mix. The kv transport is
-/// synchronous, so every dropped/killed frame stalls the client one full
-/// `io_timeout` on the critical path — and the mild chaos spec faults a
-/// few percent of frames, so the timeout is the soak's unit of wasted
-/// time. Correct replicas on loopback answer in microseconds and injected
-/// delays cap at 5 ms, so 30 ms is still a 6× margin. In-op retries
-/// re-ask unreachable servers *and* reachable-but-silent ones (dropped
-/// or corrupted responses), so one extra pass heals most single-frame
-/// faults; beyond that the soak retries with a fresh operation, which
-/// re-asks everyone. The long breaker cooldown keeps Silent-replica
-/// probes rare.
-fn soak_transport() -> TransportConfig {
-    TransportConfig {
-        connect_timeout: Duration::from_millis(250),
-        io_timeout: Duration::from_millis(30),
-        retry_budget: 1,
-        backoff: BackoffPolicy {
-            base: Duration::from_millis(20),
-            cap: Duration::from_millis(1000),
-            jitter_permille: 200,
-        },
-        ..TransportConfig::aggressive()
-    }
-}
-
 /// Runs the soak against an `n = 4f + 1`, `f = 1` replicated deployment
 /// (each of `cfg.shards` register groups runs that same `(m, f)` point
 /// over the shared fleet).
@@ -299,7 +274,7 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
     let n = q.n();
     let byz_n = cfg.byz.min(q.f());
     let epochs = cfg.epochs.max(1);
-    let tconfig = soak_transport();
+    let tconfig = scenario_transport();
     let shards = cfg.shards.max(1);
     let map = if shards == 1 {
         ShardMap::single(q)

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use safereg_checker::CheckSummary;
-use safereg_common::config::{BackoffPolicy, QuorumConfig, TransportConfig};
+use safereg_common::config::{QuorumConfig, TransportConfig};
 use safereg_common::history::History;
 use safereg_common::ids::{ReaderId, ServerId, WriterId};
 use safereg_common::msg::OpId;
@@ -45,7 +45,7 @@ use safereg_transport::chaos::{FaultPlan, FaultSpec};
 
 use crate::cli::Report;
 use crate::json::Json;
-use crate::ops::retry;
+use crate::ops::{retry, scenario_transport};
 
 /// Per-cause slot of the slow-read histogram.
 #[derive(Debug, Clone)]
@@ -187,20 +187,12 @@ fn sim_stream(seed: u64, sample_permille: u16) -> String {
     log.render_jsonl()
 }
 
-/// Transport policy for the faulted TCP legs: short timeouts so injected
-/// faults cost milliseconds, not the default multi-second deadlines.
-fn trace_transport(sample_permille: u16) -> TransportConfig {
+/// Transport policy for the faulted TCP legs: the scenarios' shared
+/// preset, with every operation sampled.
+fn trace_transport() -> TransportConfig {
     TransportConfig {
-        connect_timeout: Duration::from_millis(250),
-        io_timeout: Duration::from_millis(30),
-        retry_budget: 1,
-        backoff: BackoffPolicy {
-            base: Duration::from_millis(5),
-            cap: Duration::from_millis(50),
-            jitter_permille: 200,
-        },
-        trace_sample: sample_permille,
-        ..TransportConfig::aggressive()
+        trace_sample: 1000,
+        ..scenario_transport()
     }
 }
 
@@ -221,7 +213,7 @@ struct ChaosLeg {
 fn chaos_leg(seed: u64) -> ChaosLeg {
     let reg = safereg_obs::global();
     let q = QuorumConfig::minimal_bsr(1).expect("n = 5, f = 1 is valid");
-    let tconfig = trace_transport(1000);
+    let tconfig = trace_transport();
     let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"trace-bench")
         .shards(ShardMap::single(q))
         .config(tconfig)
@@ -317,7 +309,7 @@ fn chaos_leg(seed: u64) -> ChaosLeg {
 /// doomed read, nothing is re-run.
 fn violation_leg(seed: u64) -> (usize, usize, usize) {
     let q = QuorumConfig::minimal_bsr(1).expect("n = 5, f = 1 is valid");
-    let tconfig = trace_transport(1000);
+    let tconfig = trace_transport();
     let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"trace-violation")
         .quorum(q)
         .start()

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 
-use safereg_common::config::QuorumConfig;
+use safereg_common::config::{QuorumConfig, TransportConfig};
 use safereg_common::ids::{ReaderId, ServerId, WriterId};
 use safereg_crypto::keychain::KeyChain;
 use safereg_kv::{KvClient, TcpKvTransport};
@@ -99,7 +99,7 @@ fn main() {
         .map(|(i, a)| (ServerId(i as u16), *a))
         .collect();
     let chain = KeyChain::from_master_seed(args.secret.as_bytes());
-    let mut transport = TcpKvTransport::connect(&addrs, chain);
+    let mut transport = TcpKvTransport::connect_with(&addrs, chain, TransportConfig::default());
     let (writer, reader) = (WriterId(args.client_id), ReaderId(args.client_id));
     let mut client = if args.coded {
         KvClient::new_coded(cfg, writer, reader)

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
+use safereg_common::config::TransportConfig;
 use safereg_common::ids::{ClientId, ReaderId, ServerId};
 use safereg_crypto::keychain::KeyChain;
 use safereg_kv::tcp::{fetch_metrics, TcpKvTransport};
@@ -42,7 +43,7 @@ fn main() -> ExitCode {
     let chain = KeyChain::from_master_seed(seed.as_bytes());
     let mut servers = BTreeMap::new();
     servers.insert(sid, addr);
-    let mut transport = TcpKvTransport::connect(&servers, chain);
+    let mut transport = TcpKvTransport::connect_with(&servers, chain, TransportConfig::default());
     match fetch_metrics(&mut transport, ClientId::Reader(ReaderId(u16::MAX)), sid, 1) {
         Some(dump) => {
             print!("{dump}");

@@ -190,7 +190,7 @@ impl KvClient {
     }
 
     /// Creates a single-shard coded-mode client for a
-    /// [`crate::server::KvServer::new_coded`] deployment.
+    /// [`KvMode::Coded`](crate::server::KvMode::Coded) deployment.
     ///
     /// # Panics
     ///

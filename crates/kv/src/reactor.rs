@@ -151,6 +151,12 @@ mod imp {
             }
         }
 
+        /// Number of event loops in the pool.
+        #[cfg(test)]
+        pub(crate) fn len(&self) -> usize {
+            self.shared.slots.len()
+        }
+
         /// Wakes every reactor and joins it. The host's stop flag must
         /// already be set — the wake is what makes a parked `wait` observe
         /// it.
@@ -505,6 +511,11 @@ impl ReactorPool {
 
     pub(crate) fn handle(&self) -> ReactorHandle {
         ReactorHandle
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        0
     }
 
     pub(crate) fn shutdown(&mut self) {}
