@@ -16,6 +16,18 @@ run() {
 }
 
 run cargo fmt --check
+
+# Size gate: a source file past 1,200 lines is several modules that were
+# never split. Every offender is named.
+echo "==> size gate: every crates/**/*.rs file at most 1200 lines"
+oversized=$(find crates -name '*.rs' -exec wc -l {} + |
+    awk '$2 != "total" && $1 > 1200 { print "  " $2 ": " $1 " lines" }')
+if [ -n "$oversized" ]; then
+    echo "ci.sh: source files over 1200 lines:" >&2
+    echo "$oversized" >&2
+    exit 1
+fi
+
 run cargo build --release --offline
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo test -q --offline
