@@ -2,7 +2,7 @@
 //!
 //! Verified against RFC 4231 test vectors in the tests.
 
-use crate::sha256::{Sha256, DIGEST_LEN};
+use crate::sha256::{Kernel, Sha256, DIGEST_LEN};
 
 const BLOCK_LEN: usize = 64;
 
@@ -27,10 +27,16 @@ impl HmacSha256 {
     /// Creates an HMAC instance keyed with `key` (any length; keys longer
     /// than one block are hashed first, per RFC 2104).
     pub fn new(key: &[u8]) -> Self {
+        HmacSha256::with_kernel(key, Kernel::detect())
+    }
+
+    /// [`HmacSha256::new`], with every hash on `kernel`.
+    pub(crate) fn with_kernel(key: &[u8], kernel: Kernel) -> Self {
         let mut k = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
-            let d = Sha256::digest(key);
-            k[..DIGEST_LEN].copy_from_slice(&d);
+            let mut h = Sha256::with_kernel(kernel);
+            h.update(key);
+            k[..DIGEST_LEN].copy_from_slice(&h.finalize());
         } else {
             k[..key.len()].copy_from_slice(key);
         }
@@ -40,7 +46,7 @@ impl HmacSha256 {
             ipad[i] = k[i] ^ 0x36;
             opad[i] = k[i] ^ 0x5c;
         }
-        let mut inner = Sha256::new();
+        let mut inner = Sha256::with_kernel(kernel);
         inner.update(&ipad);
         HmacSha256 {
             inner,
@@ -55,8 +61,8 @@ impl HmacSha256 {
 
     /// Completes the MAC.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        let mut outer = Sha256::with_kernel(self.inner.kernel());
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
         outer.update(&self.opad_key);
         outer.update(&inner_digest);
         outer.finalize()
@@ -89,51 +95,52 @@ impl HmacSha256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::tests::kernels;
 
-    fn hex(mac: &[u8; DIGEST_LEN]) -> String {
-        Sha256::to_hex(mac)
+    /// Checks an RFC 4231 vector on each kernel directly, and through
+    /// dispatch.
+    fn assert_mac(key: &[u8], data: &[u8], expect: &str) {
+        for kernel in kernels() {
+            let mut h = HmacSha256::with_kernel(key, kernel);
+            h.update(data);
+            assert_eq!(Sha256::to_hex(&h.finalize()), expect, "{kernel:?}");
+        }
+        assert_eq!(Sha256::to_hex(&HmacSha256::mac(key, data)), expect);
     }
 
     #[test]
     fn rfc4231_case_1() {
-        let key = [0x0b; 20];
-        let mac = HmacSha256::mac(&key, b"Hi There");
-        assert_eq!(
-            hex(&mac),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        assert_mac(
+            &[0x0b; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
     }
 
     #[test]
     fn rfc4231_case_2_short_key() {
-        let mac = HmacSha256::mac(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            hex(&mac),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        assert_mac(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
     }
 
     #[test]
     fn rfc4231_case_3_repeated_bytes() {
-        let key = [0xaa; 20];
-        let data = [0xdd; 50];
-        let mac = HmacSha256::mac(&key, &data);
-        assert_eq!(
-            hex(&mac),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        assert_mac(
+            &[0xaa; 20],
+            &[0xdd; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
         );
     }
 
     #[test]
     fn rfc4231_case_6_long_key() {
-        let key = [0xaa; 131];
-        let mac = HmacSha256::mac(
-            &key,
+        assert_mac(
+            &[0xaa; 131],
             b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            hex(&mac),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
     }
 

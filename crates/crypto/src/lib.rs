@@ -8,7 +8,8 @@
 //! channels, so this crate implements — from scratch, with no external
 //! crypto dependency —
 //!
-//! * [`sha256`]: FIPS 180-4 SHA-256,
+//! * [`sha256`]: FIPS 180-4 SHA-256, on the x86_64 SHA extensions when the
+//!   CPU has them and portable scalar rounds otherwise,
 //! * [`hmac`]: RFC 2104 HMAC-SHA-256,
 //! * [`keychain`]: pairwise key derivation for all processes in a system,
 //! * [`auth`]: MAC-framed messages used by the TCP transport.
@@ -31,6 +32,8 @@
 //! let rx = AuthCodec::new(chain.pair_key(server, reader)); // same pair key
 //! assert_eq!(rx.open(&framed).unwrap(), b"QUERY-DATA");
 //! ```
+
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod auth;
 pub mod chain;

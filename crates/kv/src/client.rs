@@ -839,24 +839,32 @@ mod tests {
 
     #[test]
     fn sharded_ops_count_per_shard() {
+        // The `kv.shard.g{i}.ops` series are process-global, and other
+        // tests in this binary run ops concurrently on maps of at most 4
+        // shards. So this test spreads keys over 16 shards and counts only
+        // ops on shards 8 and up, which no other test here touches.
+        const OWN: std::ops::Range<u16> = 8..16;
         let cfg = QuorumConfig::minimal_bsr(1).unwrap();
         let fleet: Vec<ServerId> = (0..5).map(ServerId).collect();
-        let map = ShardMap::new(9, 2, fleet, cfg).unwrap();
+        let map = ShardMap::new(9, OWN.end, fleet, cfg).unwrap();
+        let keys: Vec<String> = (0..)
+            .map(|i| format!("count-{i}"))
+            .filter(|key| OWN.contains(&map.shard_of(key.as_bytes()).0))
+            .take(10)
+            .collect();
         let mut cluster = InMemKvCluster::new_sharded(map.clone(), KvMode::Replicated);
         let mut client = KvClient::sharded(map, WriterId(7), ReaderId(7));
         let reg = safereg_obs::global();
-        let before: u64 = (0..2)
-            .map(|g| reg.counter(&safereg_obs::names::shard_ops_counter(g)).get())
-            .sum();
-        for i in 0..10 {
-            let key = format!("count-{i}");
+        let count = || -> u64 {
+            OWN.map(|g| reg.counter(&safereg_obs::names::shard_ops_counter(g)).get())
+                .sum()
+        };
+        let before = count();
+        for key in &keys {
             client.put(&mut cluster, key.as_bytes(), "v").unwrap();
             client.get(&mut cluster, key.as_bytes()).unwrap();
         }
-        let after: u64 = (0..2)
-            .map(|g| reg.counter(&safereg_obs::names::shard_ops_counter(g)).get())
-            .sum();
-        assert_eq!(after - before, 20, "every op lands in some shard counter");
+        assert_eq!(count() - before, 20, "every op lands in some shard counter");
     }
 
     /// An in-memory cluster behind a transport that can make one replica

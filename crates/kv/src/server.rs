@@ -33,6 +33,7 @@ use safereg_core::behavior::{ByzRole, ServerBehavior};
 use safereg_core::server::ServerNode;
 use safereg_crypto::chain::{ChainLink, LinkKind, ResponseChain};
 use safereg_crypto::keychain::KeyChain;
+use safereg_crypto::sha256::Sha256;
 use safereg_mds::rs::ReedSolomon;
 use safereg_mds::stripe::encode_value;
 use safereg_obs::span::{self, SpanKind};
@@ -192,19 +193,35 @@ impl ShardGroup {
 /// real writer's tag space (the tag itself is the *original* writer's).
 pub(crate) const TRANSFER_WRITER: WriterId = WriterId(0xFFFE);
 
-/// FNV-1a digest over the wire encoding of a `(tag, payload)` register
-/// entry. Pinned here (next to [`KvServer::payload_digest`], which uses
-/// it) so harnesses can compute the *expected* digest of a rebuilt coded
-/// fragment independently and compare it against what a joiner stores.
+/// The first 8 bytes (big-endian) of SHA-256 over the wire encoding of a
+/// `(tag, payload)` register entry — the value digest audit [`ChainLink`]s
+/// carry, so two values with one digest cannot be found. Pinned here (next
+/// to [`KvServer::payload_digest`], which uses it) so harnesses can compute
+/// the *expected* digest of a rebuilt coded fragment independently and
+/// compare it against what a joiner stores.
 pub fn entry_digest(tag: &Tag, payload: &Payload) -> u64 {
-    let mut buf = Vec::new();
-    tag.encode_to(&mut buf);
-    payload.encode_to(&mut buf);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in buf {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    // Everything before the payload's trailing byte string is a short
+    // header; the bytes themselves are hashed in place, not copied.
+    let mut head = Vec::with_capacity(32);
+    tag.encode_to(&mut head);
+    let body = match payload {
+        Payload::Full(v) => {
+            head.push(0);
+            v.as_bytes()
+        }
+        Payload::Coded(c) => {
+            head.push(1);
+            c.index.encode_to(&mut head);
+            c.value_len.encode_to(&mut head);
+            &c.data[..]
+        }
+    };
+    (body.len() as u32).encode_to(&mut head);
+    let mut h = Sha256::new();
+    h.update(&head);
+    h.update(body);
+    let digest = h.finalize();
+    u64::from_be_bytes(digest[..8].try_into().expect("a digest has 8 bytes"))
 }
 
 /// FNV-1a digest of a register key, the form a key takes inside audit
@@ -510,7 +527,7 @@ impl KvServer {
             .unwrap_or_default()
     }
 
-    /// FNV-1a digest of the highest-tag `(tag, payload)` entry stored for
+    /// [`entry_digest`] of the highest-tag `(tag, payload)` entry stored for
     /// `key` in `shard` — `None` when the shard is unserved or the key has
     /// no state. The churn harness compares a rebuilt coded fragment
     /// against an independently computed expectation through this.
@@ -665,6 +682,35 @@ mod tests {
                 tag: Tag::new(num, WriterId(0)),
                 payload: Payload::Full(Value::from(val)),
             },
+        );
+    }
+
+    #[test]
+    fn entry_digest_is_a_sha256_prefix_of_the_wire_encoding() {
+        let tag = Tag::new(3, WriterId(1));
+        let payloads = [
+            Payload::Full(Value::from("")),
+            Payload::Full(Value::from(vec![7u8; 65_537])),
+            Payload::Coded(safereg_common::msg::CodedElement {
+                index: 4,
+                value_len: 1000,
+                data: Bytes::from(vec![9u8; 167]),
+            }),
+        ];
+        for payload in &payloads {
+            let mut wire = Vec::new();
+            tag.encode_to(&mut wire);
+            payload.encode_to(&mut wire);
+            let sha = Sha256::digest(&wire);
+            assert_eq!(
+                entry_digest(&tag, payload).to_be_bytes(),
+                sha[..8],
+                "{payload:?}"
+            );
+        }
+        assert_ne!(
+            entry_digest(&tag, &payloads[0]),
+            entry_digest(&Tag::new(4, WriterId(1)), &payloads[0])
         );
     }
 
