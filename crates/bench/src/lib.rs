@@ -40,6 +40,8 @@
 //!
 //! Run everything: `cargo run -p safereg-bench --bin paper_harness`.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod ablations;
 pub mod audit;
 pub mod churn;

@@ -248,6 +248,8 @@ fn pin_malloc_arena() {
     extern "C" {
         fn mallopt(param: i32, value: i32) -> i32;
     }
+    // SAFETY: `mallopt` takes two integers and touches no memory of ours,
+    // and glibc allows the call at any point in a process's life.
     unsafe {
         mallopt(M_ARENA_MAX, 1);
     }

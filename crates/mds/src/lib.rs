@@ -6,8 +6,11 @@
 //! exactly the error-and-erasure capability of a Reed–Solomon code:
 //! `2·errors + erasures ≤ n − k`. This crate implements, from scratch:
 //!
-//! * [`gf256`] — arithmetic in GF(2⁸) with compile-time tables, including a
-//!   product table for multiply-accumulate over whole slices,
+//! * [`gf256`] — arithmetic in GF(2⁸) with compile-time tables, and the
+//!   multiply-accumulate over whole slices that every parity pass and
+//!   decode solve runs: an AVX2 split-nibble shuffle kernel on x86_64 CPUs
+//!   that report AVX2 (picked at runtime; `std::arch`, no dependency), a
+//!   product-table lookup per byte everywhere else and for the tail,
 //! * [`poly`] — polynomial helpers over the field,
 //! * [`rs`] — a systematic Reed–Solomon code held as its generator rows,
 //!   with a symbol decoder that corrects both erasures (positions known)
@@ -37,6 +40,8 @@
 //! assert_eq!(code.message_of(&decoded), &[42]);
 //! # Ok::<(), safereg_mds::MdsError>(())
 //! ```
+
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod gf256;
 pub mod poly;

@@ -390,3 +390,42 @@ fn sixty_four_kib_with_a_half_element_liar_agrees_with_the_oracle() {
     assert_eq!(d.value, value);
     assert_eq!(d.located, Some(vec![7]));
 }
+
+#[test]
+fn sixty_four_kib_at_the_deployed_shape_agrees_with_the_oracle_for_up_to_two_liars() {
+    // The benchmark's `large_coded` read: a 64 KiB value at [11, 6] with
+    // element 0 missing, then zero, one and two lying elements. One
+    // erasure and two liars spend the whole budget, 2·2 + 1 = 5 = n − k.
+    let code = ReedSolomon::new(11, 6).unwrap();
+    let mut rng = DetRng::seed_from(0x64_D3F);
+    let mut data = vec![0u8; 64 * 1024];
+    rng.fill_bytes(&mut data);
+    let value = Value::from(data);
+    let cols = column_count(value.len(), 6);
+    let mut rx: Vec<(usize, Vec<u8>)> = encode_value(&code, &value)
+        .iter()
+        .map(|e| (e.index as usize, e.data.to_vec()))
+        .collect();
+    rx.remove(0);
+    // With element 0 gone, element `pos` sits at `rx[pos - 1]`. A parity
+    // liar over a column range, then a systematic liar over its whole
+    // element.
+    let liars = [(2, some_columns(&mut rng, cols)), (8, 0..cols)];
+    for count in 0..=liars.len() {
+        if count > 0 {
+            let (pos, columns) = &liars[count - 1];
+            corrupt(&mut rng, &mut rx[pos - 1].1, columns.clone());
+        }
+        let views: Vec<ElementView<'_>> = rx
+            .iter()
+            .map(|(index, data)| ElementView {
+                index: *index,
+                data,
+            })
+            .collect();
+        let d = agrees_with_oracle(&code, value.len(), &views).expect("within capability");
+        assert_eq!(d.value, value, "{count} liars");
+        let located: Vec<usize> = liars[..count].iter().map(|(pos, _)| *pos).collect();
+        assert_eq!(d.located, Some(located), "{count} liars");
+    }
+}

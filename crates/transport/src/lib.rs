@@ -19,6 +19,8 @@
 //! TCP runtime: it exists to be *measured against* under controlled
 //! delays, which the simulator does better; see DESIGN.md.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod chaos;
 pub mod frame;
 pub mod poll;

@@ -215,6 +215,8 @@ struct WakeFd {
 impl WakeFd {
     #[cfg(target_os = "linux")]
     fn new() -> io::Result<WakeFd> {
+        // SAFETY: `eventfd` takes two integers and touches no memory of
+        // ours; a negative return is handled below.
         let fd = unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
@@ -229,6 +231,7 @@ impl WakeFd {
     #[cfg(not(target_os = "linux"))]
     fn new() -> io::Result<WakeFd> {
         let mut fds = [0i32; 2];
+        // SAFETY: `fds` is two writable `i32`s, exactly what `pipe` fills.
         if unsafe { sys::pipe(fds.as_mut_ptr()) } < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -249,11 +252,16 @@ impl WakeFd {
         // EAGAIN (counter saturated / pipe full) still leaves the fd
         // readable, which is all a wake needs; other errors have no
         // recovery path worth taking here.
+        // SAFETY: `buf` points at `len` readable bytes that outlive the
+        // call: the 8-byte `one` for an eventfd, the 1-byte literal for a
+        // pipe. `write_fd` is open until `Drop`, which needs `&mut self`.
         let _ = unsafe { sys::write(self.write_fd, buf, len) };
     }
 
     fn drain(&self) {
         let mut buf = [0u8; 64];
+        // SAFETY: `buf` is `buf.len()` writable bytes, and `read_fd` is open
+        // until `Drop`, which needs `&mut self`.
         let _ = unsafe { sys::read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
     }
 }
@@ -261,6 +269,8 @@ impl WakeFd {
 #[cfg(unix)]
 impl Drop for WakeFd {
     fn drop(&mut self) {
+        // SAFETY: this `WakeFd` owns both fds, nothing else closes them,
+        // and `drop` runs once; an eventfd's single fd is closed once.
         unsafe {
             sys::close(self.read_fd);
             if self.write_fd != self.read_fd {
@@ -337,6 +347,8 @@ impl Poller {
         let backend = match kind {
             #[cfg(target_os = "linux")]
             PollBackend::Epoll => {
+                // SAFETY: `epoll_create1` takes one integer and touches no
+                // memory of ours; a negative return is handled below.
                 let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
                 if epfd < 0 {
                     return Err(io::Error::last_os_error());
@@ -401,6 +413,8 @@ impl Poller {
                     events: epoll_bits(interest),
                     data: token,
                 };
+                // SAFETY: `ev` is a live `EpollEvent` the kernel only reads
+                // for the duration of the call; a bad fd is an error return.
                 check(unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, fd, &mut ev) })
             }
             Backend::Poll { table, .. } => {
@@ -429,6 +443,7 @@ impl Poller {
                     events: epoll_bits(interest),
                     data: token,
                 };
+                // SAFETY: as in `register_fd`: `ev` is live for the call.
                 check(unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fd, &mut ev) })
             }
             Backend::Poll { table, .. } => {
@@ -449,6 +464,8 @@ impl Poller {
             #[cfg(target_os = "linux")]
             Backend::Epoll { epfd, .. } => {
                 let mut ev = sys::EpollEvent { events: 0, data: 0 };
+                // SAFETY: `ev` is live for the call; kernels before 2.6.9
+                // require a non-null event even for `EPOLL_CTL_DEL`.
                 check(unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) })
             }
             Backend::Poll { table, .. } => {
@@ -477,6 +494,8 @@ impl Poller {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll { epfd, buf } => {
+                // SAFETY: `buf` is `buf.len()` initialised `EpollEvent`s the
+                // kernel may overwrite, and it returns at most that many.
                 let n = unsafe {
                     sys::epoll_wait(*epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
                 };
@@ -525,6 +544,8 @@ impl Poller {
                     }
                     tokens
                 };
+                // SAFETY: `buf` is `buf.len()` initialised `PollFd`s; the
+                // kernel writes only their `revents` fields.
                 let n = unsafe { sys::poll(buf.as_mut_ptr(), buf.len(), timeout_ms) };
                 if n < 0 {
                     let err = io::Error::last_os_error();
@@ -560,6 +581,8 @@ impl Drop for Poller {
     fn drop(&mut self) {
         #[cfg(target_os = "linux")]
         if let Backend::Epoll { epfd, .. } = &self.backend {
+            // SAFETY: the poller owns `epfd`, nothing else closes it, and
+            // `drop` runs once.
             unsafe {
                 sys::close(*epfd);
             }

@@ -28,6 +28,23 @@ if [ -n "$oversized" ]; then
     exit 1
 fi
 
+# Unsafe-lint gate: a crate whose source holds an `unsafe` block, fn or
+# impl must deny both unsafe lints at its root, so clippy below rejects
+# any unsafe operation without a `// SAFETY:` note. Every offender is
+# named.
+echo "==> unsafe-lint gate: crates with unsafe code deny the unsafe lints"
+unlinted=""
+for src in crates/*/src; do
+    grep -rqE '\bunsafe[[:space:]]*(\{|fn\b|impl\b)' "$src" || continue
+    grep -qF '#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]' \
+        "$src/lib.rs" 2>/dev/null || unlinted+="  $src/lib.rs"$'\n'
+done
+if [ -n "$unlinted" ]; then
+    echo "ci.sh: crates with unsafe code but without the unsafe-lint deny:" >&2
+    printf '%s' "$unlinted" >&2
+    exit 1
+fi
+
 run cargo build --release --offline
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo test -q --offline
