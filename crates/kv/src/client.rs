@@ -7,15 +7,20 @@
 //! physical fleet ids at the transport boundary. One transport serves all
 //! shards — the per-server connections are keyed by physical id, so `s`
 //! shards over `n` servers reuse `n` sockets instead of opening `s × n`.
+//!
+//! Each `put`/`get` is a [`KvOp`], a state machine with no I/O of its own:
+//! the client drives it one pass at a time through [`KvTransport::round`],
+//! sleeps the backoff it asks for, and applies the epochs it adopts.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 use safereg_common::buf::Bytes;
 use safereg_common::config::{QuorumConfig, TransportConfig};
 use safereg_common::epoch::EpochConfig;
 use safereg_common::ids::{ClientId, ReaderId, ServerId, WriterId};
-use safereg_common::msg::{ClientToServer, Envelope, Message, OpId, Payload, ServerToClient};
+use safereg_common::msg::{ClientToServer, Envelope, Message, Payload, ServerToClient};
 use safereg_common::shard::{ShardId, ShardMap};
 use safereg_common::tag::Tag;
 use safereg_common::trace::{Phase, TraceCtx};
@@ -52,6 +57,35 @@ impl std::fmt::Display for Unreachable {
 
 impl std::error::Error for Unreachable {}
 
+/// One request of a [`KvTransport::round`]: a register message for the
+/// op's key (sent by the client its op id names), addressed to one
+/// **physical** server of the key's shard.
+#[derive(Debug, Clone)]
+pub struct KvSend {
+    /// The physical server the message goes to.
+    pub to: ServerId,
+    /// The shard of the op's key.
+    pub shard: ShardId,
+    /// The register message.
+    pub msg: ClientToServer,
+    /// The causal trace context the exchange carries.
+    pub trace: TraceCtx,
+}
+
+/// What one exchange gave: the server's replies, or [`Unreachable`].
+pub type Reply = Result<Vec<ServerToClient>, Unreachable>;
+
+/// What a [`KvTransport::round`] does after its callback takes a reply.
+#[derive(Debug)]
+pub enum Flow {
+    /// Send these follow-up requests (possibly none) and go on.
+    Send(Vec<KvSend>),
+    /// The request got no usable answer: hand it back in the retry set.
+    Retry,
+    /// The op needs nothing more from this round.
+    Stop,
+}
+
 /// Transport used by the KV client: delivers one register message for one
 /// key of one shard to one **physical** server and returns that server's
 /// responses.
@@ -78,6 +112,32 @@ pub trait KvTransport {
         msg: &ClientToServer,
         trace: TraceCtx,
     ) -> Result<Vec<ServerToClient>, Unreachable>;
+
+    /// Runs one pass of an op on `key`: sends `sends`, hands each outcome
+    /// to `on_reply` and does what its [`Flow`] says, and returns the
+    /// requests it answered [`Flow::Retry`] — the pass's retry set. The
+    /// default is one [`exchange`](KvTransport::exchange) at a time from a
+    /// LIFO stack, follow-ups on top, stopping at [`Flow::Stop`]. A
+    /// callback rather than the op, so that a wrapping transport can see
+    /// every reply and still delegate to its inner transport's `round`.
+    fn round(
+        &mut self,
+        key: &[u8],
+        sends: Vec<KvSend>,
+        on_reply: &mut dyn FnMut(&KvSend, Reply) -> Flow,
+    ) -> Vec<KvSend> {
+        let (mut stack, mut retry) = (sends, Vec::new());
+        while let Some(send) = stack.pop() {
+            let from = send.msg.op().client;
+            let outcome = self.exchange(from, send.to, send.shard, key, &send.msg, send.trace);
+            match on_reply(&send, outcome) {
+                Flow::Send(more) => stack.extend(more),
+                Flow::Retry => retry.push(send),
+                Flow::Stop => break,
+            }
+        }
+        retry
+    }
 
     /// Switches the transport to a newly adopted membership: re-stamp
     /// outgoing frames, connect joiners, drop leavers. The default is a
@@ -148,7 +208,7 @@ struct ShardStats {
 /// A key-value client: one writer identity, one reader identity, the
 /// shard routing table, and the per-key reader-local pairs.
 pub struct KvClient {
-    map: ShardMap,
+    map: Arc<ShardMap>,
     /// The per-shard quorum configuration (`m`, `f`).
     cfg: QuorumConfig,
     writer: WriterId,
@@ -159,8 +219,8 @@ pub struct KvClient {
     /// newer configuration.
     epoch: u32,
     mode: KvMode,
-    code: Option<ReedSolomon>,
-    /// Per-key `(t_local, v_local)` (Fig. 2 line 1, one per register).
+    code: Option<Arc<ReedSolomon>>,
+    /// Per-key `(t_local, v_local)` (Fig. 2 line 1), replicated mode only.
     local: BTreeMap<Bytes, (Tag, Value)>,
     /// Retry/backoff policy for unreachable servers.
     policy: TransportConfig,
@@ -220,7 +280,7 @@ impl KvClient {
             KvMode::Replicated => None,
             KvMode::Coded => {
                 let k = cfg.mds_k().expect("coded KV needs per-shard m > 5f");
-                Some(ReedSolomon::new(cfg.n(), k).expect("valid code"))
+                Some(Arc::new(ReedSolomon::new(cfg.n(), k).expect("valid code")))
             }
         };
         // Eager registration: every per-shard series exists (at zero) from
@@ -237,7 +297,7 @@ impl KvClient {
             })
             .collect();
         KvClient {
-            map,
+            map: Arc::new(map),
             cfg,
             writer,
             reader,
@@ -330,57 +390,13 @@ impl KvClient {
         value: impl Into<Value>,
     ) -> Result<Tag, KvError> {
         self.seq += 1;
-        let value: Value = value.into();
-        let shard = self.map.shard_of(key);
-        let root = TraceCtx::for_op(&OpId::new(self.writer, self.seq), self.policy.trace_sample);
-        let me = span::node::client(ClientId::Writer(self.writer));
-        let started = self.note_start(root, me);
-        let mut evidence = SlowEvidence::default();
-        let mut hops = 0u32;
-        // Each epoch adoption re-issues the protocol op (same sequence
-        // number, same trace root) against the new membership — the shard
-        // ring depends only on seed and count, so the key's shard is
-        // stable across epochs.
-        let out = loop {
-            let mut op = match self.mode {
-                KvMode::Replicated => {
-                    WriteOp::replicated(self.writer, self.seq, self.cfg, value.clone())
-                }
-                KvMode::Coded => WriteOp::coded(
-                    self.writer,
-                    self.seq,
-                    self.cfg,
-                    self.code.as_ref().expect("coded client holds a code"),
-                    &value,
-                ),
-            };
-            match self.drive_dyn(transport, shard, key, &mut op, root, &mut evidence)? {
-                Some(out) => break out,
-                None if hops < MAX_EPOCH_HOPS => hops += 1,
-                None => {
-                    return Err(KvError::QuorumUnavailable {
-                        responded: 0,
-                        needed: self.cfg.response_quorum(),
-                        unreachable: 0,
-                    })
-                }
-            }
-        };
-        self.note_op(shard, None);
-        if root.is_sampled() {
-            let now = wall_micros();
-            span::record_global_end(
-                root.with_phase(Phase::ClientOp),
-                now,
-                now.saturating_sub(started),
-                me,
-                None,
-            );
-        }
-        match out {
-            OpOutput::Written { tag } => Ok(tag),
-            OpOutput::Read { .. } => unreachable!("write op yields a write outcome"),
-        }
+        let (w, seq, cfg) = (self.writer, self.seq, self.cfg);
+        let (value, code) = (value.into(), self.code.clone());
+        let out = self.run(transport, key, || match &code {
+            None => WriteOp::replicated(w, seq, cfg, value.clone()),
+            Some(code) => WriteOp::coded(w, seq, cfg, code, &value),
+        })?;
+        Ok(out.tag())
     }
 
     /// Reads the value under `key` (`v_0`, the empty value, when the key
@@ -407,335 +423,316 @@ impl KvClient {
         key: &[u8],
     ) -> Result<(Value, Tag), KvError> {
         self.seq += 1;
-        let shard = self.map.shard_of(key);
-        let local = self
-            .local
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| (Tag::ZERO, Value::initial()));
-        let root = TraceCtx::for_op(&OpId::new(self.reader, self.seq), self.policy.trace_sample);
-        let me = span::node::client(ClientId::Reader(self.reader));
-        let started = self.note_start(root, me);
-        let mut evidence = SlowEvidence::default();
-        let mut hops = 0u32;
-        let (out, path) = loop {
-            let mut replicated;
-            let mut coded;
-            let op: &mut dyn ClientOp = match self.mode {
-                KvMode::Replicated => {
-                    replicated = BsrReadOp::new(self.reader, self.seq, self.cfg, local.clone());
-                    &mut replicated
-                }
-                KvMode::Coded => {
-                    coded = BcsrReadOp::new(
-                        self.reader,
-                        self.seq,
-                        self.cfg,
-                        self.code.clone().expect("coded client holds a code"),
-                    );
-                    &mut coded
-                }
+        let (r, s, cfg) = (self.reader, self.seq, self.cfg);
+        let initial = || (Tag::ZERO, Value::initial());
+        let local = self.local.get(key).cloned().unwrap_or_else(initial);
+        let out = match self.code.clone() {
+            Some(rs) => self.run(transport, key, || BcsrReadOp::new(r, s, cfg, (*rs).clone())),
+            None => self.run(transport, key, || BsrReadOp::new(r, s, cfg, local.clone())),
+        };
+        let OpOutput::Read { value, tag } = out? else {
+            unreachable!("read op yields a read outcome")
+        };
+        // Only a replicated read (Fig. 2) keeps the reader-local pair; a
+        // coded read (Fig. 5) has none.
+        if self.code.is_none() {
+            let entry = self.local.entry(Bytes::copy_from_slice(key));
+            let entry = entry.or_insert_with(initial);
+            if (tag, &value) > (entry.0, &entry.1) {
+                *entry = (tag, value.clone());
+            }
+        }
+        Ok((value, tag))
+    }
+
+    /// Runs one op: a [`KvTransport::round`] per pass with backoff between
+    /// them, and each epoch the op adopts applied to the client and the
+    /// transport, at most [`MAX_EPOCH_HOPS`] times past the first.
+    fn run<O: ClientOp>(
+        &mut self,
+        transport: &mut impl KvTransport,
+        key: &[u8],
+        mint: impl Fn() -> O,
+    ) -> Result<OpOutput, KvError> {
+        let mut op = KvOp::new(self, key, mint);
+        let me = span::node::client(op.op.op_id().client);
+        let started = op.trace.is_sampled().then(wall_micros).unwrap_or(0);
+        if op.trace.is_sampled() {
+            let reg = safereg_obs::global();
+            reg.counter(safereg_obs::names::TRACE_SAMPLED_OPS).inc();
+            let root = op.trace.with_phase(Phase::ClientOp);
+            span::record_global(root, SpanKind::Start, started, 0, me, 0);
+        }
+        let out = loop {
+            let sends = op.start();
+            let retry = transport.round(key, sends, &mut |send, reply| op.on_reply(send, reply));
+            // `round` held the transport: report the pass's suspects now.
+            for server in op.suspects.drain(..) {
+                transport.suspect(server);
+            }
+            if let Some(out) = op.op.output() {
+                break out;
+            }
+            let Some(config) = op.adopted.take() else {
+                std::thread::sleep(op.end_pass(retry)?);
+                continue;
             };
-            match self.drive_dyn(transport, shard, key, &mut *op, root, &mut evidence)? {
-                Some(out) => break (out, op.read_path()),
-                None if hops < MAX_EPOCH_HOPS => hops += 1,
-                None => {
-                    return Err(KvError::QuorumUnavailable {
-                        responded: 0,
-                        needed: self.cfg.response_quorum(),
-                        unreachable: 0,
-                    })
-                }
+            self.map = Arc::clone(&op.map);
+            self.epoch = config.epoch;
+            transport.reconfigure(&config);
+            if op.hops > MAX_EPOCH_HOPS {
+                return Err(KvError::QuorumUnavailable {
+                    responded: 0,
+                    needed: self.cfg.response_quorum(),
+                    unreachable: 0,
+                });
             }
         };
-        self.note_op(shard, path);
+        let path = op.op.read_path();
+        self.note_op(op.shard, path);
         // Every non-fast read gets a concrete cause, sampled or not — the
         // per-cause counters are the histogram the trace bench reports;
         // the exemplar trace id only exists when the op was sampled.
-        let cause = match path {
-            Some(ReadPath::Slow) => {
-                let cause = span::attribute_slow_read(&evidence);
-                span::count_slow_cause(cause, root.id);
-                Some(cause)
+        let cause = (path == Some(ReadPath::Slow)).then(|| {
+            let cause = span::attribute_slow_read(&op.evidence);
+            span::count_slow_cause(cause, op.trace.id);
+            cause
+        });
+        if op.trace.is_sampled() {
+            let (now, root) = (wall_micros(), op.trace.with_phase(Phase::ClientOp));
+            span::record_global_end(root, now, now.saturating_sub(started), me, cause);
+        }
+        Ok(out)
+    }
+}
+
+/// One `put`/`get` as a resumable, sans-io state machine: the protocol op
+/// plus the key's shard and its logical→physical translation, retry
+/// passes, epoch votes, the `vouched` cross-check and slow-read evidence.
+/// [`on_reply`](KvOp::on_reply) stops a round once the op has its output
+/// or has moved to an epoch it `adopted`.
+pub(crate) struct KvOp<O, M> {
+    op: O,
+    /// Mints `op` afresh (same seq, same trace root) after an epoch hop.
+    mint: M,
+    cfg: QuorumConfig,
+    policy: TransportConfig,
+    /// Replicated mode only: coded replicas hold different fragments.
+    vouch: bool,
+    map: Arc<ShardMap>,
+    epoch: u32,
+    shard: ShardId,
+    trace: TraceCtx,
+    attempt: Attempt,
+    suspects: Vec<ServerId>,
+    /// Accumulates across epoch hops; exchanges are timed if sampled.
+    evidence: SlowEvidence,
+    adopted: Option<EpochConfig>,
+    hops: u32,
+    /// When the current exchange began (sampled ops only).
+    rpc_start: u64,
+}
+
+/// What an op starts afresh on each attempt (one more per epoch hop).
+#[derive(Default)]
+struct Attempt {
+    retry: Option<Vec<KvSend>>,
+    pass: u32,
+    /// Replies from reachable servers, over every phase.
+    responded: usize,
+    unreachable: BTreeSet<ServerId>,
+    /// `(epoch, digest)` → the distinct servers redirecting there.
+    votes: BTreeMap<(u32, u64), (BTreeSet<ServerId>, EpochConfig)>,
+    vouched: BTreeMap<Tag, (Payload, ServerId)>,
+}
+
+impl<O: ClientOp, M: Fn() -> O> KvOp<O, M> {
+    fn new(c: &KvClient, key: &[u8], mint: M) -> Self {
+        let op = mint();
+        KvOp {
+            trace: TraceCtx::for_op(&op.op_id(), c.policy.trace_sample),
+            op,
+            mint,
+            cfg: c.cfg,
+            policy: c.policy,
+            vouch: c.mode == KvMode::Replicated,
+            map: Arc::clone(&c.map),
+            epoch: c.epoch,
+            shard: c.map.shard_of(key),
+            attempt: Attempt::default(),
+            suspects: Vec::new(),
+            evidence: SlowEvidence::default(),
+            adopted: None,
+            hops: 0,
+            rpc_start: 0,
+        }
+    }
+
+    /// The sends that open a pass: an attempt's first requests, or the retry
+    /// set after a backoff.
+    fn start(&mut self) -> Vec<KvSend> {
+        self.rpc_start = self.trace.is_sampled().then(wall_micros).unwrap_or(0);
+        if let Some(retry) = self.attempt.retry.take() {
+            return retry;
+        }
+        let envs = self.op.start();
+        self.sends(envs)
+    }
+
+    /// Takes one exchange's outcome; the next exchange starts when it returns.
+    fn on_reply(&mut self, send: &KvSend, reply: Reply) -> Flow {
+        if self.trace.is_sampled() {
+            let (start, dur) = (self.rpc_start, wall_micros().saturating_sub(self.rpc_start));
+            let ev = &mut self.evidence;
+            ev.rpc_max_us = ev.rpc_max_us.max(dur);
+            if ev.rpc_min_us == 0 || dur < ev.rpc_min_us {
+                ev.rpc_min_us = dur;
             }
-            _ => None,
+            let node = span::node::client(send.msg.op().client);
+            let to = u32::from(send.to.0);
+            span::record_global(send.trace, SpanKind::Segment, start, dur, node, to);
+        }
+        let flow = self.take(send, reply);
+        self.rpc_start = self.trace.is_sampled().then(wall_micros).unwrap_or(0);
+        flow
+    }
+
+    fn take(&mut self, send: &KvSend, reply: Reply) -> Flow {
+        let attempt = &mut self.attempt;
+        let replies = match reply {
+            Ok(replies) => replies,
+            Err(err) => {
+                let unreachable = safereg_obs::names::KV_EXCHANGE_UNREACHABLE;
+                safereg_obs::global().counter(unreachable).inc();
+                attempt.unreachable.insert(err.server);
+                return Flow::Retry;
+            }
         };
-        if root.is_sampled() {
-            let now = wall_micros();
-            span::record_global_end(
-                root.with_phase(Phase::ClientOp),
-                now,
-                now.saturating_sub(started),
-                me,
-                cause,
-            );
-        }
-        match out {
-            OpOutput::Read { value, tag } => {
-                let entry = self
-                    .local
-                    .entry(Bytes::copy_from_slice(key))
-                    .or_insert_with(|| (Tag::ZERO, Value::initial()));
-                if (tag, &value) > (entry.0, &entry.1) {
-                    *entry = (tag, value.clone());
-                }
-                Ok((value, tag))
+        attempt.unreachable.remove(&send.to);
+        let (mut redirected, mut proto) = (false, Vec::with_capacity(replies.len()));
+        for reply in replies {
+            let ServerToClient::WrongEpoch { config, .. } = reply else {
+                proto.push(reply);
+                continue;
+            };
+            redirected = true;
+            // Only *newer* views gather votes: a leaver redirecting with its
+            // stale config must never win back a client.
+            if config.epoch > self.epoch {
+                let slot = attempt.votes.entry((config.epoch, config.digest()));
+                slot.or_insert((BTreeSet::new(), config)).0.insert(send.to);
             }
-            OpOutput::Written { .. } => unreachable!("read op yields a read outcome"),
         }
+        if self.adopt() {
+            return Flow::Stop;
+        }
+        if proto.is_empty() {
+            // Silence is retried: re-asking is idempotent for a correct
+            // server. A redirect is not silence, just epoch skew.
+            self.evidence.silent += u32::from(!redirected);
+            return Flow::Retry;
+        }
+        self.attempt.responded += 1;
+        let from = self.map.logical_of(self.shard, send.to);
+        let from = from.expect("a shard replica");
+        let mut sends = Vec::new();
+        for reply in proto {
+            if let (true, ServerToClient::DataResp { tag, payload, .. }) = (self.vouch, &reply) {
+                let first = self.attempt.vouched.entry(*tag);
+                let first = first.or_insert_with(|| (payload.clone(), send.to));
+                // Same tag, different value: one of the two vouchers lies,
+                // and the client cannot tell which.
+                if first.0 != *payload {
+                    self.suspects.extend([first.1, send.to]);
+                }
+            }
+            let envs = self.op.on_message(from, &reply);
+            sends.extend(self.sends(envs));
+            if self.op.output().is_some() {
+                let ev = &mut self.evidence;
+                ev.retry_passes = self.attempt.pass;
+                ev.unreachable = self.attempt.unreachable.len() as u32;
+                ev.validation_failures = u64::from(self.op.validation_failures());
+                return Flow::Stop;
+            }
+        }
+        Flow::Send(sends)
     }
 
-    /// Opens the client-side root span for a sampled op; returns the
-    /// wall-clock start stamp (0 when unsampled, never read back).
-    fn note_start(&self, root: TraceCtx, me: u32) -> u64 {
-        if !root.is_sampled() {
-            return 0;
-        }
-        safereg_obs::global()
-            .counter(safereg_obs::names::TRACE_SAMPLED_OPS)
-            .inc();
-        let now = wall_micros();
-        span::record_global(
-            root.with_phase(Phase::ClientOp),
-            SpanKind::Start,
-            now,
-            0,
-            me,
-            0,
-        );
-        now
-    }
-
-    /// Drives one sans-io operation over the transport until it completes
-    /// or a newer membership is adopted. The op addresses logical replica
-    /// indices `0 .. m−1`; this loop translates them to the shard's
-    /// physical replicas on send and back on receive, so the protocol
-    /// crates stay shard-oblivious.
-    ///
-    /// Returns `Ok(None)` when `WrongEpoch` redirects from at least
-    /// `f + 1` distinct servers converged on the same newer configuration:
-    /// the client has already switched its map, epoch, and transport, and
-    /// the caller must re-issue the op against the new membership. A
-    /// single Byzantine replica cannot trigger this — nor can it forge a
-    /// digest `f` honest servers also vouch for.
-    ///
-    /// `evidence` accumulates across re-issues — retry passes, unreachable
-    /// servers, reachable silence, validation failures, adoptions, and
-    /// (only when `trace` is sampled, so the untraced path never reads a
-    /// clock per RPC) the spread between fastest and slowest exchange.
-    fn drive_dyn(
-        &mut self,
-        transport: &mut impl KvTransport,
-        shard: ShardId,
-        key: &[u8],
-        op: &mut dyn ClientOp,
-        trace: TraceCtx,
-        evidence: &mut SlowEvidence,
-    ) -> Result<Option<OpOutput>, KvError> {
+    /// Moves to the first configuration `f + 1` servers vouch for (so no
+    /// `f` Byzantine ones can force it), re-minting the protocol op. A fleet
+    /// the ring cannot place is unusable: its votes are dropped.
+    fn adopt(&mut self) -> bool {
+        let (threshold, votes) = (self.cfg.witness_threshold(), &mut self.attempt.votes);
+        let found = votes.iter().find(|(_, (v, _))| v.len() >= threshold);
+        let Some((&slot, config)) = found.map(|(s, (_, c))| (s, c.clone())) else {
+            return false;
+        };
+        let Ok(map) = self.map.for_fleet(config.ids()) else {
+            votes.remove(&slot);
+            return false;
+        };
+        // The shard ring depends only on seed and count, so the key's shard
+        // is the same in every epoch.
+        self.map = Arc::new(map);
+        self.epoch = config.epoch;
+        self.evidence.reconfig += 1;
+        self.hops += 1;
         let reg = safereg_obs::global();
-        let rpc_trace = trace.with_phase(Phase::Rpc);
-        let me_node = span::node::client(op.op_id().client);
-        let mut queue: Vec<Envelope> = op.start();
-        let mut responded = 0usize;
-        // The retry set: envelopes whose server was unreachable this
-        // pass, plus reachable servers that returned *nothing*. An empty
-        // reply set means the response was lost or failed to
-        // authenticate in flight — indistinguishable from a Byzantine
-        // server, but re-asking is idempotent for a correct one and
-        // merely wastes a bounded pass on a faulty one, so we re-ask.
-        let mut failed: Vec<Envelope> = Vec::new();
-        let mut unreachable: BTreeSet<ServerId> = BTreeSet::new();
-        // Membership votes: `(epoch, digest)` → the distinct physical
-        // servers vouching for that configuration via `WrongEpoch`.
-        let mut votes: BTreeMap<(u32, u64), (BTreeSet<ServerId>, EpochConfig)> = BTreeMap::new();
-        // Quorum cross-check (replicated mode only — coded replicas hold
-        // *different* fragments at one tag by design): the first full
-        // value vouched per tag within this operation (an O(1) `Bytes`
-        // clone); a contradicting second voucher makes both parties
-        // suspects.
-        let mut vouched: BTreeMap<Tag, (Payload, ServerId)> = BTreeMap::new();
-        let mut pass: u32 = 0;
-        let done = |op: &mut dyn ClientOp, evidence: &mut SlowEvidence, pass, unr: usize| {
-            evidence.retry_passes = pass;
-            evidence.unreachable = unr as u32;
-            evidence.validation_failures = u64::from(op.validation_failures());
-        };
-        loop {
-            while let Some(env) = queue.pop() {
-                if let Some(out) = op.output() {
-                    done(op, evidence, pass, unreachable.len());
-                    return Ok(Some(out));
-                }
-                let (to, msg) = match (&env.dst, &env.msg) {
-                    (dst, Message::ToServer(m)) => match dst.as_server() {
-                        Some(s) => (s, m),
-                        None => continue,
-                    },
-                    _ => continue,
-                };
-                let from = env
-                    .src
-                    .as_client()
-                    .expect("client ops originate at clients");
-                let phys = self
-                    .map
-                    .physical(shard, to)
-                    .expect("ops address the shard's m replicas");
-                let rpc_start = if rpc_trace.is_sampled() {
-                    wall_micros()
-                } else {
-                    0
-                };
-                let outcome = transport.exchange(from, phys, shard, key, msg, rpc_trace);
-                if rpc_trace.is_sampled() {
-                    let now = wall_micros();
-                    let dur = now.saturating_sub(rpc_start);
-                    evidence.rpc_max_us = evidence.rpc_max_us.max(dur);
-                    evidence.rpc_min_us = if evidence.rpc_min_us == 0 {
-                        dur
-                    } else {
-                        evidence.rpc_min_us.min(dur)
-                    };
-                    span::record_global(
-                        rpc_trace,
-                        SpanKind::Segment,
-                        rpc_start,
-                        dur,
-                        span::node::client(from),
-                        u32::from(phys.0),
-                    );
-                }
-                match outcome {
-                    Ok(replies) => {
-                        unreachable.remove(&phys);
-                        let mut redirected = false;
-                        let mut proto = Vec::with_capacity(replies.len());
-                        for reply in replies {
-                            match reply {
-                                ServerToClient::WrongEpoch { config, .. } => {
-                                    redirected = true;
-                                    // Only *newer* views gather votes: a
-                                    // leaver redirecting with its stale
-                                    // config must never win back a client.
-                                    if config.epoch > self.epoch {
-                                        let slot = (config.epoch, config.digest());
-                                        votes
-                                            .entry(slot)
-                                            .or_insert_with(|| (BTreeSet::new(), config))
-                                            .0
-                                            .insert(phys);
-                                    }
-                                }
-                                other => proto.push(other),
-                            }
-                        }
-                        let threshold = self.cfg.witness_threshold();
-                        let adopt = votes
-                            .iter()
-                            .find(|(_, (voters, _))| voters.len() >= threshold)
-                            .map(|(slot, (_, config))| (*slot, config.clone()));
-                        if let Some((slot, config)) = adopt {
-                            match self.map.for_fleet(config.ids()) {
-                                Ok(map) => {
-                                    self.map = map;
-                                    self.epoch = config.epoch;
-                                    transport.reconfigure(&config);
-                                    evidence.reconfig += 1;
-                                    reg.counter(safereg_obs::names::KV_EPOCH_ADOPTIONS).inc();
-                                    done(op, evidence, pass, unreachable.len());
-                                    return Ok(None);
-                                }
-                                // A vouched-for fleet the ring cannot place
-                                // (fewer members than a shard needs) is
-                                // unusable; drop its votes and carry on.
-                                Err(_) => {
-                                    votes.remove(&slot);
-                                }
-                            }
-                        }
-                        if proto.is_empty() {
-                            if !redirected {
-                                // Reachable silence: a dropped or corrupted
-                                // response. Epoch skew (`redirected`) is
-                                // *not* silence — the server answered; it
-                                // just cannot serve this stamp.
-                                evidence.silent += 1;
-                            }
-                            failed.push(env);
-                            continue;
-                        }
-                        responded += 1;
-                        for reply in proto {
-                            if self.mode == KvMode::Replicated {
-                                if let ServerToClient::DataResp { tag, payload, .. } = &reply {
-                                    match vouched.get(tag) {
-                                        Some((first_payload, first))
-                                            if first_payload != payload =>
-                                        {
-                                            // Same tag, different value: one
-                                            // of the two vouchers is lying,
-                                            // and the client cannot tell
-                                            // which — suspicion for both.
-                                            transport.suspect(*first);
-                                            transport.suspect(phys);
-                                        }
-                                        Some(_) => {}
-                                        None => {
-                                            vouched.insert(*tag, (payload.clone(), phys));
-                                        }
-                                    }
-                                }
-                            }
-                            queue.extend(op.on_message(to, &reply));
-                            if let Some(out) = op.output() {
-                                done(op, evidence, pass, unreachable.len());
-                                return Ok(Some(out));
-                            }
-                        }
-                    }
-                    Err(err) => {
-                        reg.counter(safereg_obs::names::KV_EXCHANGE_UNREACHABLE)
-                            .inc();
-                        unreachable.insert(err.server);
-                        failed.push(env);
-                    }
-                }
-            }
-            if let Some(out) = op.output() {
-                done(op, evidence, pass, unreachable.len());
-                return Ok(Some(out));
-            }
-            if failed.is_empty() || pass >= self.policy.retry_budget {
-                break;
-            }
-            // Deterministic jitter roll: the KV client is synchronous, so
-            // the roll only needs to vary across passes and operations.
-            let roll = self
-                .seq
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(u64::from(pass));
-            let wait = self.policy.backoff.delay(pass, roll);
-            reg.histogram(safereg_obs::names::KV_BACKOFF_WAIT_MS)
-                .record(wait.as_millis() as u64);
-            if trace.is_sampled() {
-                span::record_global(
-                    trace.with_phase(Phase::Backoff),
-                    SpanKind::Retry,
-                    wall_micros(),
-                    wait.as_micros() as u64,
-                    me_node,
-                    pass + 1,
-                );
-            }
-            std::thread::sleep(wait);
-            queue = std::mem::take(&mut failed);
-            pass += 1;
+        reg.counter(safereg_obs::names::KV_EPOCH_ADOPTIONS).inc();
+        self.op = (self.mint)();
+        self.attempt = Attempt::default();
+        self.adopted = Some(config);
+        true
+    }
+
+    /// Ends a pass that neither completed nor adopted: the backoff to sleep
+    /// before resending `retry`, or the op's error once nothing is left to
+    /// retry or the retry budget is spent.
+    fn end_pass(&mut self, retry: Vec<KvSend>) -> Result<Duration, KvError> {
+        let attempt = &mut self.attempt;
+        if retry.is_empty() || attempt.pass >= self.policy.retry_budget {
+            return Err(KvError::QuorumUnavailable {
+                responded: attempt.responded,
+                needed: self.cfg.response_quorum(),
+                unreachable: attempt.unreachable.len(),
+            });
         }
-        Err(KvError::QuorumUnavailable {
-            responded,
-            needed: self.cfg.response_quorum(),
-            unreachable: unreachable.len(),
-        })
+        // Deterministic jitter roll: the KV client is synchronous, so the
+        // roll only needs to vary across passes and operations.
+        let roll = self.op.op_id().seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let roll = roll.wrapping_add(u64::from(attempt.pass));
+        let wait = self.policy.backoff.delay(attempt.pass, roll);
+        let waits = safereg_obs::global().histogram(safereg_obs::names::KV_BACKOFF_WAIT_MS);
+        waits.record(wait.as_millis() as u64);
+        attempt.pass += 1;
+        if self.trace.is_sampled() {
+            let root = self.trace.with_phase(Phase::Backoff);
+            let us = wait.as_micros() as u64;
+            let node = span::node::client(self.op.op_id().client);
+            span::record_global(root, SpanKind::Retry, wall_micros(), us, node, attempt.pass);
+        }
+        attempt.retry = Some(retry);
+        Ok(wait)
+    }
+
+    /// Translates protocol envelopes, addressed to logical replica indices
+    /// `0 .. m−1`, into sends to the shard's physical replicas.
+    fn sends(&self, envs: Vec<Envelope>) -> Vec<KvSend> {
+        let (shard, trace) = (self.shard, self.trace.with_phase(Phase::Rpc));
+        let send = |env: Envelope| {
+            let (Some(to), Message::ToServer(msg)) = (env.dst.as_server(), env.msg) else {
+                return None;
+            };
+            let to = self.map.physical(shard, to).expect("a shard replica");
+            Some(KvSend {
+                to,
+                shard,
+                msg,
+                trace,
+            })
+        };
+        envs.into_iter().filter_map(send).collect()
     }
 }
 
@@ -865,6 +862,33 @@ mod tests {
             client.get(&mut cluster, key.as_bytes()).unwrap();
         }
         assert_eq!(count() - before, 20, "every op lands in some shard counter");
+    }
+
+    #[test]
+    fn only_replicated_reads_keep_a_reader_local_pair() {
+        let cfg = QuorumConfig::new(8, 1).unwrap();
+        for (mut cluster, mut client, kept) in [
+            (
+                InMemKvCluster::new_coded(cfg),
+                KvClient::new_coded(cfg, WriterId(0), ReaderId(0)),
+                0,
+            ),
+            (
+                InMemKvCluster::new(cfg),
+                KvClient::new(cfg, WriterId(0), ReaderId(0)),
+                4,
+            ),
+        ] {
+            for key in [&b"a"[..], b"b", b"c"] {
+                client.put(&mut cluster, key, vec![7u8; 600]).unwrap();
+                assert_eq!(
+                    client.get(&mut cluster, key).unwrap().as_bytes(),
+                    &[7u8; 600][..]
+                );
+            }
+            assert!(client.get(&mut cluster, b"unwritten").unwrap().is_initial());
+            assert_eq!(client.local.len(), kept);
+        }
     }
 
     /// An in-memory cluster behind a transport that can make one replica

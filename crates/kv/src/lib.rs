@@ -32,7 +32,7 @@ pub mod server;
 pub mod tcp;
 
 pub use audit::{AuditLog, Charge, Evidence, Verdict};
-pub use client::{KvClient, KvError, KvTransport, Unreachable};
+pub use client::{Flow, KvClient, KvError, KvSend, KvTransport, Reply, Unreachable};
 pub use cluster::InMemKvCluster;
 pub use server::{entry_digest, key_digest, KvMode, KvServer};
 pub use tcp::{

@@ -30,7 +30,7 @@ use safereg_common::tag::Tag;
 use safereg_common::trace::{Phase, TraceCtx};
 use safereg_common::value::Value;
 use safereg_core::behavior::{ByzRole, ServerBehavior};
-use safereg_core::server::ServerNode;
+use safereg_core::server::{HistoryRetention, ServerNode};
 use safereg_crypto::chain::{ChainLink, LinkKind, ResponseChain};
 use safereg_crypto::keychain::KeyChain;
 use safereg_crypto::sha256::Sha256;
@@ -239,9 +239,12 @@ pub fn key_digest(key: &[u8]) -> u64 {
 /// chain restarting `seq` at 0 is distinguishable from a forked one.
 static INCARNATIONS: AtomicU64 = AtomicU64::new(0);
 
-/// A fresh per-key register in the representation `mode` dictates.
+/// A fresh per-key register in the representation `mode` dictates. It
+/// keeps only its top `(tag, payload)` pair: the KV client sends only
+/// `QueryTag`, `PutData` and `QueryData`, all answered from `max L`, so any
+/// longer history would be memory no reply reads.
 fn fresh_node(id: ServerId, cfg: QuorumConfig, mode: KvMode) -> ServerNode {
-    match mode {
+    let node = match mode {
         KvMode::Replicated => ServerNode::new_replicated(id, cfg),
         KvMode::Coded => {
             let k = cfg.mds_k().expect("checked at construction");
@@ -252,7 +255,8 @@ fn fresh_node(id: ServerId, cfg: QuorumConfig, mode: KvMode) -> ServerNode {
                 .expect("element per server");
             ServerNode::with_initial(id, cfg, Payload::Coded(initial))
         }
-    }
+    };
+    node.with_retention(HistoryRetention::Window(1))
 }
 
 /// One replica of the key-value store: a register group per shard the
@@ -917,6 +921,56 @@ mod tests {
         let stale = EpochConfig::genesis(map.fleet().iter().copied());
         assert!(s.apply_config(stale, map.clone()).is_empty());
         assert_eq!(s.epoch(), 1, "epoch never goes backwards");
+    }
+
+    /// A KV register keeps one pair (`HistoryRetention::Window(1)`), and on
+    /// every message the KV path sends — lower-tag, duplicate and
+    /// transfer-installed puts included — it answers exactly like a
+    /// register that keeps every pair.
+    #[test]
+    fn a_one_pair_register_answers_like_a_full_history() {
+        let cfg = QuorumConfig::minimal_bcsr(1).unwrap();
+        for mode in [KvMode::Replicated, KvMode::Coded] {
+            let mut top = fresh_node(ServerId(2), cfg, mode);
+            let mut all = top.clone().with_retention(HistoryRetention::All);
+            let mut rng = DetRng::seed_from(40);
+            for seq in 0..2_000u64 {
+                let writer = WriterId(rng.index(3) as u16);
+                let tag = Tag::new(rng.range_u64(0..40), writer);
+                let payload = Payload::Full(Value::from(vec![rng.index(4) as u8; 8]));
+                let (from, op) = match rng.index(6) {
+                    0 => (
+                        ClientId::Writer(TRANSFER_WRITER),
+                        OpId::new(TRANSFER_WRITER, tag.num),
+                    ),
+                    1 | 2 => (ClientId::Reader(ReaderId(1)), OpId::new(ReaderId(1), seq)),
+                    _ => (ClientId::Writer(writer), OpId::new(writer, seq)),
+                };
+                let msg = match (from, rng.index(2)) {
+                    (ClientId::Reader(_), 0) => ClientToServer::QueryTag { op },
+                    (ClientId::Reader(_), _) => ClientToServer::QueryData { op },
+                    _ => ClientToServer::PutData { op, tag, payload },
+                };
+                assert_eq!(
+                    top.handle(from, &msg),
+                    all.handle(from, &msg),
+                    "{mode:?} #{seq}: {msg:?}"
+                );
+                assert_eq!(top.log_len(), 1, "{mode:?} #{seq}");
+            }
+            assert!(all.log_len() > 30, "the reference kept its history");
+        }
+    }
+
+    #[test]
+    fn a_key_stores_one_value_however_often_it_is_written() {
+        let cfg = QuorumConfig::minimal_bsr(1).unwrap();
+        let s = KvServer::new(ServerId(0), cfg);
+        let value = "v".repeat(1_000);
+        for num in 1..=100 {
+            put(&s, b"k", num, &value);
+        }
+        assert_eq!(s.storage_bytes(), 1_000);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 #   ./scripts/ci.sh
 #
 # Mirrors ROADMAP.md's tier-1 gate (`cargo build --release && cargo test -q`)
-# with --offline added, plus formatting and the full-workspace test sweep
-# (a bare `cargo test` at the root only tests the facade package).
+# with --offline added, plus formatting and the full-workspace test sweep.
+# The root package is a workspace member, so `cargo test --workspace` runs
+# tier-1's root tests too (a bare `cargo test` at the root would run only
+# those).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,7 +49,6 @@ fi
 
 run cargo build --release --offline
 run cargo clippy --offline --workspace --all-targets -- -D warnings
-run cargo test -q --offline
 run cargo test --workspace -q --offline
 
 # The benchmark package is outside the workspace and consumes the public
