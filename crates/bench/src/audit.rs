@@ -20,20 +20,21 @@
 //! deliberately registers the forged writer id as legitimate, so the
 //! conviction *must* come from cross-reader equivocation pooling — the
 //! hardest detection path — rather than the inadmissible-tag shortcut.
-
-use std::time::Duration;
+//! Each leg, and the post-eviction workload behind a sync `enforce`, is
+//! one [`Schedule`] run by the [`Executor`].
 
 use safereg_common::codec::Wire;
 use safereg_common::config::QuorumConfig;
-use safereg_common::ids::{ReaderId, ServerId, WriterId};
+use safereg_common::ids::{ServerId, WriterId};
 use safereg_core::behavior::ByzRole;
-use safereg_kv::{AuditLog, Charge, Evidence, KvClient, KvMode, TcpKvCluster, TcpKvTransport};
+use safereg_kv::{AuditLog, Charge, Evidence, KvMode, TcpKvCluster};
 use safereg_obs::names;
 use safereg_transport::chaos::{FaultPlan, FaultSpec};
 
 use crate::cli::Report;
 use crate::json::Json;
-use crate::ops::{retry, scenario_transport, set_role_everywhere};
+use crate::ops::scenario_transport;
+use crate::schedule::{replay, Act, Event, Executor, Schedule, Scope};
 
 /// Knobs for one audit run.
 #[derive(Debug, Clone)]
@@ -211,79 +212,57 @@ const EQUIVOCATOR: ServerId = ServerId(2);
 /// conviction must come from equivocation pooling, not tag admissibility.
 const EQUIVOCATOR_FORGED_WRITER: WriterId = WriterId(8888);
 
-/// Two audited clients (one writing, both reading) over one shared log.
-struct Workload {
-    a: (KvClient, TcpKvTransport),
-    b: (KvClient, TcpKvTransport),
-    keys: Vec<Vec<u8>>,
-    seq: u64,
-    completed: u64,
-    failures: u64,
-}
-
-impl Workload {
-    /// One workload round: a put every fourth round, then one read from
-    /// each reader *back to back on the same key* — consecutive same-key
-    /// reads are what hands an equivocator two chances to tell one story.
-    fn round(&mut self, i: u64) {
-        let kidx = (i as usize) % self.keys.len();
-        let key = self.keys[kidx].clone();
-        if i.is_multiple_of(4) {
-            self.seq += 1;
-            let value = format!("audit:w{}", self.seq).into_bytes();
-            self.one(|wl| wl.a.0.put(&mut wl.a.1, &key, value.clone()).map(|_| ()));
-        }
-        self.one(|wl| wl.a.0.get(&mut wl.a.1, &key).map(|_| ()));
-        self.one(|wl| wl.b.0.get(&mut wl.b.1, &key).map(|_| ()));
-    }
-
-    /// Runs one operation with retries, counting completion or failure.
-    fn one(&mut self, mut op: impl FnMut(&mut Self) -> Result<(), safereg_kv::KvError>) {
-        match retry(OP_RETRIES, Duration::from_millis(5), || op(self)) {
-            Some(()) => self.completed += 1,
-            None => self.failures += 1,
-        }
-    }
-}
-
-/// Builds the two audited clients for `cluster`, all feeding `audit`.
-fn workload(cluster: &TcpKvCluster, audit: &std::sync::Arc<AuditLog>, keys: usize) -> Workload {
-    let tconfig = scenario_transport();
-    let make = |w: u16, r: u16| {
-        let mut client = KvClient::sharded(cluster.map().clone(), WriterId(w), ReaderId(r));
-        client.set_policy(tconfig);
-        let mut transport = cluster.transport_with(tconfig);
-        transport.set_audit(audit.clone());
-        (client, transport)
+/// The audit generator: the Fabricator leg, the Equivocator leg, the
+/// post-eviction workload (a sync `enforce` first) and the chaos leg, which
+/// runs on its own cluster. Each leg is `rounds` workload rounds: a put by
+/// client 1 every fourth round, then a read from client 1, a barrier, and
+/// a read from client 2 on the same key — consecutive same-key reads are
+/// what hands an equivocator two chances to tell one story.
+pub(crate) fn legs(cfg: &AuditConfig) -> [Schedule; 4] {
+    let keys = cfg.keys.max(1);
+    let rounds = || {
+        (0..cfg.ops as usize).flat_map(move |i| {
+            let k = i % keys;
+            let put = (i % 4 == 0).then_some(Event::Put(1, k));
+            let barrier = Event::Sync(Act::Barrier);
+            let reads = [Event::Get(1, k), barrier, Event::Get(2, k)];
+            put.into_iter().chain(reads)
+        })
     };
-    Workload {
-        a: make(1, 1),
-        b: make(2, 2),
-        keys: (0..keys.max(1))
-            .map(|k| format!("audit-k{k}").into_bytes())
-            .collect(),
-        seq: 0,
-        completed: 0,
-        failures: 0,
-    }
+    let set = |sid, role| Event::Sync(Act::SetRole(sid, Scope::Served, role, cfg.seed));
+    let leg = |sid: ServerId, role: ByzRole| {
+        let mut s = Schedule::new(cfg.seed);
+        s.extend([set(sid, role)]);
+        s.extend(rounds());
+        s.extend([set(sid, ByzRole::Correct)]);
+        s
+    };
+    let mut enforce = Schedule::new(cfg.seed);
+    enforce.extend([Event::Sync(Act::Enforce)]);
+    enforce.extend(rounds());
+    let mut chaos = Schedule::new(cfg.seed);
+    chaos.extend(rounds());
+    [
+        leg(FABRICATOR, ByzRole::Fabricator),
+        leg(EQUIVOCATOR, ByzRole::Equivocator),
+        enforce,
+        chaos,
+    ]
 }
 
-/// Drives one leg of the workload and folds the outcome into a
-/// [`LegStat`], judging `accused` against the log's verdict.
+/// Runs one leg and folds its record into a [`LegStat`], judging
+/// `accused` against the log's verdict.
 fn run_leg(
-    wl: &mut Workload,
+    exec: &mut Executor,
+    cluster: &mut TcpKvCluster,
     audit: &AuditLog,
-    label: &'static str,
-    accused: Option<ServerId>,
+    leg: (&'static str, Option<ServerId>, &Schedule),
     rounds: u64,
 ) -> LegStat {
+    let (label, accused, schedule) = leg;
     let reg = safereg_obs::global();
     let evidence0 = reg.counter(names::KV_AUDIT_EVIDENCE).get();
-    let completed0 = wl.completed;
-    let failures0 = wl.failures;
-    for i in 0..rounds {
-        wl.round(i);
-    }
+    let record = exec.run(cluster, schedule);
     let (verdict, convicted) = match accused {
         Some(sid) => match audit.verdict(sid) {
             safereg_kv::Verdict::Convicted(_) => {
@@ -309,8 +288,8 @@ fn run_leg(
         label,
         accused: accused.map(|s| s.0),
         rounds,
-        ops: wl.completed - completed0,
-        failures: wl.failures - failures0,
+        ops: record.completed(),
+        failures: record.failed(),
         evidence: reg.counter(names::KV_AUDIT_EVIDENCE).get() - evidence0,
         verdict,
         convicted,
@@ -336,7 +315,6 @@ fn roundtrip_verifies(evidence: &[Evidence], cluster: &TcpKvCluster, audit: &Aud
 ///
 /// Panics when a cluster cannot be started — an environment failure, not
 /// an audit outcome.
-#[allow(clippy::too_many_lines)]
 pub fn audit_run(cfg: &AuditConfig) -> AuditReport {
     let reg = safereg_obs::global();
     let fa0 = reg.counter(names::KV_AUDIT_FALSE_ACCUSATIONS).get();
@@ -354,34 +332,28 @@ pub fn audit_run(cfg: &AuditConfig) -> AuditReport {
     // Ground truth for the false-accusation counter: replicas that stay
     // honest through both injected legs.
     audit.expect_correct([ServerId(0), ServerId(1), ServerId(4)]);
-    let mut wl = workload(&cluster, &audit, cfg.keys);
+    let keys: Vec<Vec<u8>> = (0..cfg.keys.max(1))
+        .map(|k| format!("audit-k{k}").into_bytes())
+        .collect();
+    let executor = |audit: &std::sync::Arc<AuditLog>| {
+        Executor::new(keys.clone(), OP_RETRIES, scenario_transport()).audited(audit.clone())
+    };
+    let mut exec = executor(&audit);
+    let schedules = legs(cfg);
+    let [fabricator, equivocator, enforce, chaos] = &schedules;
     let mut legs = Vec::with_capacity(3);
 
     // Leg 1 — Fabricator: forged tags carry an unregistered writer id, so
     // every attested lie is a self-signed inadmissible-tag confession.
-    set_role_everywhere(&cluster, FABRICATOR, ByzRole::Fabricator, cfg.seed);
-    legs.push(run_leg(
-        &mut wl,
-        &audit,
-        "fabricator",
-        Some(FABRICATOR),
-        cfg.ops,
-    ));
-    set_role_everywhere(&cluster, FABRICATOR, ByzRole::Correct, cfg.seed);
+    let leg = ("fabricator", Some(FABRICATOR), fabricator);
+    legs.push(run_leg(&mut exec, &mut cluster, &audit, leg, cfg.ops));
 
     // Leg 2 — Equivocator, with its forged writer id *registered*: the
     // inadmissible-tag shortcut is closed, so conviction must come from
     // two readers pooling contradictory authentic links at one tag.
     audit.register_writers([EQUIVOCATOR_FORGED_WRITER]);
-    set_role_everywhere(&cluster, EQUIVOCATOR, ByzRole::Equivocator, cfg.seed);
-    legs.push(run_leg(
-        &mut wl,
-        &audit,
-        "equivocator",
-        Some(EQUIVOCATOR),
-        cfg.ops,
-    ));
-    set_role_everywhere(&cluster, EQUIVOCATOR, ByzRole::Correct, cfg.seed);
+    let leg = ("equivocator", Some(EQUIVOCATOR), equivocator);
+    legs.push(run_leg(&mut exec, &mut cluster, &audit, leg, cfg.ops));
 
     // Offline checks on everything filed so far: the log's own reverify
     // pass, plus an explicit wire round trip per record.
@@ -396,17 +368,14 @@ pub fn audit_run(cfg: &AuditConfig) -> AuditReport {
         .any(|e| e.charge == Charge::Equivocation && e.accused == EQUIVOCATOR);
 
     // Consequence: quarantine + evict every convicted replica, then keep
-    // the workload running against the successor membership.
-    let evicted = cluster
-        .enforce_verdicts(&audit)
-        .expect("evict convicted replicas");
+    // the workload running against the successor membership. Each
+    // conviction, in id order, is replaced by the next fresh id.
+    let fleet0 = cluster.map().fleet().to_vec();
+    let post = exec.run(&mut cluster, enforce);
+    let fleet = cluster.map().fleet();
+    let evicted = fleet0.iter().filter(|s| !fleet.contains(s));
+    let evicted = evicted.zip(fleet.iter().filter(|s| !fleet0.contains(s)));
     let epoch_after_eviction = cluster.epoch();
-    let post0 = (wl.completed, wl.failures);
-    for i in 0..cfg.ops {
-        wl.round(i);
-    }
-    let (post_eviction_ops, post_eviction_failures) =
-        (wl.completed - post0.0, wl.failures - post0.1);
 
     let suspicion_correct_max = [ServerId(0), ServerId(1), ServerId(4)]
         .iter()
@@ -426,7 +395,7 @@ pub fn audit_run(cfg: &AuditConfig) -> AuditReport {
         delay_micros: (50, 500),
         classes: None,
     };
-    let chaos_cluster = TcpKvCluster::builder(KvMode::Replicated, b"audit-chaos")
+    let mut chaos_cluster = TcpKvCluster::builder(KvMode::Replicated, b"audit-chaos")
         .quorum(q)
         .config(scenario_transport())
         .chaos(FaultPlan::new(cfg.seed, chaos_spec))
@@ -435,17 +404,18 @@ pub fn audit_run(cfg: &AuditConfig) -> AuditReport {
     let chaos_audit = chaos_cluster.audit_log();
     chaos_audit.register_writers([WriterId(1), WriterId(2)]);
     chaos_audit.expect_correct(q.servers());
-    let mut chaos_wl = workload(&chaos_cluster, &chaos_audit, cfg.keys);
+    let leg = ("chaos-corruption", None, chaos);
+    let mut chaos_exec = executor(&chaos_audit);
     legs.push(run_leg(
-        &mut chaos_wl,
+        &mut chaos_exec,
+        &mut chaos_cluster,
         &chaos_audit,
-        "chaos-corruption",
-        None,
+        leg,
         cfg.ops,
     ));
     let chaos_convictions = chaos_audit.convictions().len() as u64;
 
-    AuditReport {
+    let report = AuditReport {
         seed: cfg.seed,
         legs,
         convictions: audit
@@ -461,12 +431,16 @@ pub fn audit_run(cfg: &AuditConfig) -> AuditReport {
         offline_reverify_ok,
         offline_roundtrip_ok,
         quarantines: reg.counter(names::KV_AUDIT_QUARANTINES).get() - quarantines0,
-        evicted: evicted.into_iter().map(|(a, b)| (a.0, b.0)).collect(),
+        evicted: evicted.map(|(a, b)| (a.0, b.0)).collect(),
         epoch_after_eviction,
-        post_eviction_ops,
-        post_eviction_failures,
+        post_eviction_ops: post.completed(),
+        post_eviction_failures: post.failed(),
         suspicion_correct_max,
+    };
+    if !report.ok() {
+        replay(AuditReport::NAME, cfg.seed, &schedules);
     }
+    report
 }
 
 #[cfg(test)]

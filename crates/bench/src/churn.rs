@@ -8,41 +8,40 @@
 //! * a two-shard replicated cluster performs one **add**, one **remove**
 //!   and one **replace** — three epoch bumps, each a single-replica step
 //!   as the quorum-intersection argument demands (DESIGN.md §11) — or,
-//!   in `--continuous` mode, a seeded [`DetRng`] arrival/departure
-//!   process: joiners arrive under fresh ids and only joiners depart or
-//!   get swapped, so base members (the Fabricator included) stay and
-//!   live faults never exceed `f` per shard, with inter-arrival gaps
-//!   drawn in operations so the schedule replays from the seed;
+//!   in `--continuous` mode, steps drawn from the one arrival/departure
+//!   process ([`Arrivals`]): joiners arrive under fresh ids and only
+//!   joiners depart or get swapped, so base members (the Fabricator
+//!   included) stay and live faults never exceed `f` per shard, with
+//!   inter-arrival gaps drawn in operations so the schedule replays from
+//!   the seed;
 //! * a **Fabricator** plays its role on a surviving replica throughout —
 //!   the joiner arrives, the leaver drains, and clients adopt successor
-//!   configs all while one replica forges tags (the role is re-asserted
-//!   after every step, since a re-placed group restarts honest);
+//!   configs all while one replica forges tags (its role is
+//!   [`Scope::Served`], so each step re-applies it to a group newly placed
+//!   on the replica before the step ends);
 //! * one client drives a put/get workload across every boundary, judged
-//!   online by a [`CheckedKeys`] checker per key — the verdict must stay
-//!   clean and every operation must terminate (bounded retries, zero
-//!   abandoned ops);
-//! * throughput and p99 latency are sampled **before**, **during** and
-//!   **after** each step, so `BENCH_churn.json` records what an epoch
-//!   change costs the workload;
+//!   online per key — the verdict must stay clean and every operation must
+//!   terminate (bounded retries, zero abandoned ops);
+//! * each step is one [`Schedule`]: the before ops, a sync barrier, the
+//!   step as an async event with as many ops again beside it, a sync
+//!   barrier, and the after ops. An op is *before* the step when it ended
+//!   before the step started, *after* when it started after the step
+//!   ended, and *during* otherwise (the first op issued after the step
+//!   started at least), so `BENCH_churn.json` records what an epoch change
+//!   costs the workload;
 //! * a separate coded (`n = 5f + 3`, BCSR) leg replaces the
 //!   smallest-id replica — relabeling every survivor's logical slot —
 //!   and asserts by digest that the joiner's fragment was rebuilt by
 //!   decoding `m − f` old slices and re-encoding its own, again with a
 //!   Fabricator answering the transfer reads.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
 use safereg_checker::Violation;
 use safereg_common::config::QuorumConfig;
 use safereg_common::ids::{ReaderId, ServerId, WriterId};
-use safereg_common::msg::{OpId, Payload};
-use safereg_common::rng::DetRng;
+use safereg_common::msg::Payload;
 use safereg_common::shard::ShardMap;
-use safereg_common::value::Value;
 use safereg_core::behavior::ByzRole;
-use safereg_kv::{entry_digest, KvClient, KvMode, TcpKvCluster, TcpKvTransport};
+use safereg_kv::{entry_digest, KvClient, KvMode, TcpKvCluster};
 use safereg_mds::rs::ReedSolomon;
 use safereg_mds::stripe::encode_value;
 use safereg_obs::names;
@@ -50,7 +49,8 @@ use safereg_transport::chaos::{FaultPlan, FaultSpec};
 
 use crate::cli::Report;
 use crate::json::Json;
-use crate::ops::{scenario_transport, set_role_everywhere, CheckedKeys};
+use crate::ops::scenario_transport;
+use crate::schedule::{replay, Act, Arrivals, Event, Executor, OpSpan, Record, Schedule, Scope};
 
 /// Knobs for one churn run.
 #[derive(Debug, Clone)]
@@ -58,21 +58,18 @@ pub struct ChurnConfig {
     /// Master seed: Byzantine forgery streams, the shard placement, and
     /// (in continuous mode) the arrival/departure process.
     pub seed: u64,
-    /// Operations per measured before/after phase (the during phase runs
-    /// as many as fit while the reconfiguration is in flight).
+    /// Operations before each step, beside it, and after it; the ops
+    /// beside it fall into the during or the after phase by time.
     pub ops_per_phase: u64,
     /// Register-group shards for the replicated leg.
     pub shards: u16,
     /// Distinct keys the workload cycles through.
     pub keys: usize,
     /// Continuous mode: instead of the fixed add/remove/replace ladder,
-    /// [`ChurnConfig::events`] membership events are drawn from a seeded
-    /// [`DetRng`] arrival/departure process — joiners arrive under fresh
-    /// ids, only joiners ever depart (base members, including the live
-    /// Fabricator, stay), so the per-shard fault count never exceeds `f`.
-    /// Inter-arrival times are drawn in *operations*: each event's
-    /// "before" phase length is a DetRng draw, so the schedule replays
-    /// exactly from the seed.
+    /// [`ChurnConfig::events`] membership events are drawn from the seeded
+    /// arrival/departure process ([`Arrivals`]), with `ops_per_phase` as
+    /// the mean gap in operations, so the schedule replays exactly from
+    /// the seed.
     pub continuous: bool,
     /// Membership events in continuous mode (ignored by the ladder).
     pub events: u64,
@@ -106,10 +103,11 @@ pub struct PhaseStat {
     pub ops_per_sec: f64,
     /// 99th-percentile op latency in microseconds.
     pub p99_micros: u64,
-    /// `kv.epoch.adoptions` delta over the phase: clients that switched
-    /// membership mid-operation on `f + 1` matching redirect votes.
+    /// Operations of the phase during which the client switched
+    /// membership on `f + 1` matching redirect votes.
     pub adoptions: u64,
-    /// `kv.epoch.stale_frames` delta: frames servers bounced.
+    /// `kv.epoch.stale_frames` delta over the step: frames servers
+    /// bounced (counted in the during phase).
     pub stale_frames: u64,
 }
 
@@ -210,83 +208,114 @@ const OP_RETRIES: usize = 8;
 /// and the replace, so the role overlaps every epoch change.
 const FABRICATOR: ServerId = ServerId(3);
 
-/// Mutable workload state threaded through every phase.
-struct Workload {
-    client: KvClient,
-    transport: TcpKvTransport,
-    keys: Vec<Vec<u8>>,
-    checked: CheckedKeys,
-    /// Next OpId sequence per identity (writes, reads).
-    seq: (u64, u64),
+/// The workload's one client.
+const CLIENT: u16 = 1;
+
+/// The churn generator: one schedule per membership step — the fixed
+/// add/remove/replace ladder, or steps drawn from [`Arrivals`] with
+/// `ops_per_phase` as the mean gap. Each schedule runs the step's before
+/// ops, the step beside as many ops again, and the after ops, with a sync
+/// barrier on either side of the step's ops (the step starts once the
+/// before ops have finished, the after ops once the step has); the first
+/// also makes the Fabricator a [`Scope::Served`] role.
+pub(crate) fn steps(cfg: &ChurnConfig) -> Vec<Schedule> {
+    let n = cfg.ops_per_phase.max(1);
+    let acts: Vec<(u64, Act)> = if cfg.continuous {
+        let mut arrivals = Arrivals::new(cfg.seed ^ 0xC027_17EE, n);
+        (0..cfg.events.max(1))
+            .map(|_| arrivals.next_event())
+            .collect()
+    } else {
+        vec![
+            (n, Act::Add(ServerId(5))),
+            (n, Act::Remove(ServerId(0))),
+            (n, Act::Replace(ServerId(1), ServerId(6))),
+        ]
+    };
+    let keys = cfg.keys.max(1);
+    let ops = |count: u64| {
+        (0..count as usize).map(move |i| match i % 2 {
+            0 => Event::Put(CLIENT, i % keys),
+            _ => Event::Get(CLIENT, i % keys),
+        })
+    };
+    let forger = Act::SetRole(FABRICATOR, Scope::Served, ByzRole::Fabricator, cfg.seed);
+    let mut out = Vec::with_capacity(acts.len());
+    for (before, act) in acts {
+        let mut s = Schedule::new(cfg.seed);
+        if out.is_empty() {
+            s.extend([Event::Sync(forger)]);
+        }
+        let barrier = Event::Sync(Act::Barrier);
+        s.extend(ops(before));
+        s.extend([barrier, Event::Async(act)]);
+        s.extend(ops(n));
+        s.extend([barrier]);
+        s.extend(ops(n));
+        out.push(s);
+    }
+    out
 }
 
-impl Workload {
-    /// One terminated logical operation (alternating put/get by `i`),
-    /// judged by the key's checker. Returns the op latency in micros.
-    fn one_op(&mut self, i: u64) -> u64 {
-        let kidx = (i as usize) % self.keys.len();
-        let key = &self.keys[kidx];
-        let started = Instant::now();
-        if i.is_multiple_of(2) {
-            self.seq.0 += 1;
-            let value = Value::from(format!("churn:w{}", self.seq.0).into_bytes());
-            let op = OpId::new(WriterId(1), self.seq.0);
-            self.checked.write(kidx, op, &value, || {
-                self.client.put(&mut self.transport, key, value.clone())
-            });
-        } else {
-            self.seq.1 += 1;
-            let op = OpId::new(ReaderId(1), self.seq.1);
-            self.checked.read(kidx, op, || {
-                self.client.get_with_tag(&mut self.transport, key)
-            });
-        }
-        started.elapsed().as_micros() as u64
+/// A step's name in the phase labels.
+fn step_label(i: usize, act: Act, continuous: bool) -> String {
+    match (continuous, act) {
+        (false, Act::Add(_)) => "add".into(),
+        (false, Act::Remove(_)) => "remove".into(),
+        (false, _) => "replace".into(),
+        (true, Act::Add(s)) => format!("e{i}:arrival(s{})", s.0),
+        (true, Act::Remove(s)) => format!("e{i}:departure(s{})", s.0),
+        (true, Act::Replace(old, new)) => format!("e{i}:swap(s{}->s{})", old.0, new.0),
+        (true, _) => format!("e{i}"),
     }
+}
 
-    /// Drives ops until `count` is reached or `stop` flips (at least one
-    /// op either way) and folds the window into a [`PhaseStat`].
-    fn run_phase(
-        &mut self,
-        label: &str,
-        epoch_after: u32,
-        count: u64,
-        stop: Option<&AtomicBool>,
-    ) -> PhaseStat {
-        let reg = safereg_obs::global();
-        let adoptions0 = reg.counter(names::KV_EPOCH_ADOPTIONS).get();
-        let stale0 = reg.counter(names::KV_EPOCH_STALE_FRAMES).get();
-        let completed0 = self.checked.completed();
-        let failures0 = self.checked.failures();
-        let started = Instant::now();
-        let mut latencies = Vec::new();
-        let mut i = 0u64;
-        loop {
-            latencies.push(self.one_op(i));
-            i += 1;
-            let done = match stop {
-                Some(flag) => flag.load(Ordering::Acquire) || i >= count,
-                None => i >= count,
-            };
-            if done {
-                break;
-            }
-        }
-        let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-        latencies.sort_unstable();
-        let p99 = latencies[((latencies.len() * 99) / 100).min(latencies.len() - 1)];
-        let ops = self.checked.completed() - completed0;
-        PhaseStat {
-            label: label.into(),
-            epoch: epoch_after,
-            ops,
-            failures: self.checked.failures() - failures0,
-            ops_per_sec: ops as f64 / elapsed,
-            p99_micros: p99,
-            adoptions: reg.counter(names::KV_EPOCH_ADOPTIONS).get() - adoptions0,
-            stale_frames: reg.counter(names::KV_EPOCH_STALE_FRAMES).get() - stale0,
-        }
+/// Folds one step's record into its before, during and after phases:
+/// ops that ended before the step started, that overlap it, and that
+/// started after it ended — save the first op issued after the step
+/// started, which is always *during*. Stale frames only bounce around
+/// the flip, so the step's whole `stale` delta goes to the during phase.
+fn phases(label: &str, record: &Record, epochs: (u32, u32), stale: u64) -> Vec<PhaseStat> {
+    let step = record.events.iter().find(|e| e.act.is_membership());
+    let step = step.expect("every churn schedule holds one step");
+    let first_beside = record.ops.iter().position(|o| o.start >= step.start);
+    let mut split: [Vec<&OpSpan>; 3] = Default::default();
+    for (i, o) in record.ops.iter().enumerate() {
+        let phase = match (o.end < step.start, o.start > step.end) {
+            (true, _) => 0,
+            (_, true) if Some(i) != first_beside => 2,
+            _ => 1,
+        };
+        split[phase].push(o);
     }
+    let names = ["before", "during", "after"];
+    let at_epoch = [epochs.0, epochs.0 + 1, epochs.1];
+    split
+        .iter()
+        .enumerate()
+        .map(|(i, ops)| {
+            let mut latencies: Vec<u64> = ops
+                .iter()
+                .map(|o| (o.end - o.start).as_micros() as u64)
+                .collect();
+            latencies.sort_unstable();
+            let p99 =
+                latencies.get((latencies.len() * 99 / 100).min(latencies.len().saturating_sub(1)));
+            let first = ops.iter().map(|o| o.start).min().unwrap_or_default();
+            let last = ops.iter().map(|o| o.end).max().unwrap_or_default();
+            let done = ops.iter().filter(|o| o.tag.is_some()).count() as u64;
+            PhaseStat {
+                label: format!("{label}:{}", names[i]),
+                epoch: at_epoch[i],
+                ops: done,
+                failures: ops.len() as u64 - done,
+                ops_per_sec: done as f64 / (last.saturating_sub(first)).as_secs_f64().max(1e-9),
+                p99_micros: p99.copied().unwrap_or(0),
+                adoptions: ops.iter().filter(|o| o.adopted).count() as u64,
+                stale_frames: if i == 1 { stale } else { 0 },
+            }
+        })
+        .collect()
 }
 
 /// Coded leg: a BCSR cluster (`n = 8, f = 1, k = 3`) replaces its
@@ -333,16 +362,15 @@ fn coded_fragment_check(seed: u64) -> (bool, u16) {
 }
 
 /// Runs the churn scenario: single-replica reconfiguration steps (the
-/// fixed add/remove/replace ladder, or a seeded arrival/departure
-/// process in [continuous](ChurnConfig::continuous) mode) on a live
-/// two-shard replicated cluster with a Fabricator active throughout,
-/// then the coded fragment-rebuild check.
+/// fixed add/remove/replace ladder, or the arrival/departure process in
+/// [continuous](ChurnConfig::continuous) mode) on a live two-shard
+/// replicated cluster with a Fabricator active throughout, then the coded
+/// fragment-rebuild check.
 ///
 /// # Panics
 ///
 /// Panics when the cluster cannot be started — an environment failure,
 /// not a churn outcome.
-#[allow(clippy::too_many_lines)]
 pub fn churn_run(cfg: &ChurnConfig) -> ChurnReport {
     let q = QuorumConfig::minimal_bsr(1).expect("n = 5, f = 1 is valid");
     let tconfig = scenario_transport();
@@ -357,182 +385,60 @@ pub fn churn_run(cfg: &ChurnConfig) -> ChurnReport {
 
     // Calm chaos proxies front every replica: mild jitter without drops,
     // so each epoch step crosses a perturbed (but live) network.
-    let cluster = TcpKvCluster::builder(KvMode::Replicated, b"churn-harness")
+    let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"churn-harness")
         .shards(map.clone())
         .config(tconfig)
         .chaos(FaultPlan::new(cfg.seed, FaultSpec::calm()))
         .start()
         .expect("start churn cluster");
-    set_role_everywhere(&cluster, FABRICATOR, ByzRole::Fabricator, cfg.seed);
-    let cluster = Mutex::new(cluster);
+    let keys = (0..cfg.keys.max(1)).map(|k| format!("churn-k{k}").into_bytes());
+    let mut exec = Executor::new(keys.collect(), OP_RETRIES, tconfig);
 
-    let mut wl = Workload {
-        client: KvClient::sharded(map.clone(), WriterId(1), ReaderId(1)),
-        transport: cluster
-            .lock()
-            .expect("cluster lock")
-            .transport_with(tconfig),
-        keys: (0..cfg.keys.max(1))
-            .map(|k| format!("churn-k{k}").into_bytes())
-            .collect(),
-        checked: CheckedKeys::new(cfg.keys.max(1), OP_RETRIES),
-        seq: (0, 0),
-    };
-    wl.client.set_policy(tconfig);
-
-    // One step = (label, membership change, before-phase length). The
-    // ladder is the fixed trio: the add targets a fresh id, the remove
-    // drains an original member (never the Fabricator), the replace
-    // swaps another for a joiner. Continuous mode draws the steps from a
-    // seeded arrival/departure process instead: joiners arrive under
-    // fresh ids and only joiners depart or get swapped — base members
-    // (the Fabricator included) stay, so live faults never exceed `f`
-    // per shard — with inter-arrival gaps drawn in operations.
-    type Step = (
-        String,
-        Box<dyn FnOnce(&mut TcpKvCluster) -> std::io::Result<()> + Send>,
-        u64,
-    );
-    let steps: Vec<Step> = if cfg.continuous {
-        let mut rng = DetRng::seed_from(cfg.seed ^ 0xC027_17EE);
-        let mut next_id = 100u16;
-        let mut joiners: Vec<ServerId> = Vec::new();
-        (0..cfg.events.max(1))
-            .map(|i| {
-                // Arrive when nobody can depart; cap the fleet at +2 so
-                // departures stay available; otherwise draw uniformly.
-                let kind = if joiners.is_empty() {
-                    0
-                } else if joiners.len() >= 2 {
-                    1 + rng.index(2)
-                } else {
-                    rng.index(3)
-                };
-                let gap = cfg.ops_per_phase / 2 + rng.range_u64(1..cfg.ops_per_phase.max(2));
-                match kind {
-                    0 => {
-                        let sid = ServerId(next_id);
-                        next_id += 1;
-                        joiners.push(sid);
-                        (
-                            format!("e{i}:arrival(s{})", sid.0),
-                            Box::new(move |cl: &mut TcpKvCluster| cl.add_replica(sid)) as _,
-                            gap,
-                        )
-                    }
-                    1 => {
-                        let sid = joiners.swap_remove(rng.index(joiners.len()));
-                        (
-                            format!("e{i}:departure(s{})", sid.0),
-                            Box::new(move |cl: &mut TcpKvCluster| cl.remove_replica(sid)) as _,
-                            gap,
-                        )
-                    }
-                    _ => {
-                        let idx = rng.index(joiners.len());
-                        let old = joiners[idx];
-                        let new = ServerId(next_id);
-                        next_id += 1;
-                        joiners[idx] = new;
-                        (
-                            format!("e{i}:swap(s{}->s{})", old.0, new.0),
-                            Box::new(move |cl: &mut TcpKvCluster| cl.replace_replica(old, new))
-                                as _,
-                            gap,
-                        )
-                    }
-                }
-            })
-            .collect()
-    } else {
-        vec![
-            (
-                "add".into(),
-                Box::new(|cl: &mut TcpKvCluster| cl.add_replica(ServerId(5))) as _,
-                cfg.ops_per_phase,
-            ),
-            (
-                "remove".into(),
-                Box::new(|cl: &mut TcpKvCluster| cl.remove_replica(ServerId(0))) as _,
-                cfg.ops_per_phase,
-            ),
-            (
-                "replace".into(),
-                Box::new(|cl: &mut TcpKvCluster| cl.replace_replica(ServerId(1), ServerId(6))) as _,
-                cfg.ops_per_phase,
-            ),
-        ]
-    };
-    let expected_steps = steps.len() as u32;
-
-    let mut phases = Vec::with_capacity(steps.len() * 3);
-    let mut applied = 0u32;
-    for (name, step, before_ops) in steps {
-        let epoch_before = cluster.lock().expect("cluster lock").epoch();
-        phases.push(wl.run_phase(&format!("{name}:before"), epoch_before, before_ops, None));
-
-        // The reconfiguration runs on its own thread while the workload
-        // keeps hammering the register — the "during" window is exactly
-        // the epoch change in flight, redirects and transfer included.
-        let stop = AtomicBool::new(false);
-        let cap = cfg.ops_per_phase * 50;
-        let step_ok = std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                let mut cl = cluster.lock().expect("cluster lock");
-                let r = step(&mut cl);
-                stop.store(true, Ordering::Release);
-                r
-            });
-            phases.push(wl.run_phase(
-                &format!("{name}:during"),
-                epoch_before + 1,
-                cap,
-                Some(&stop),
-            ));
-            handle.join().expect("reconfig thread")
+    let schedules = steps(cfg);
+    let (mut phase_stats, mut applied) = (Vec::with_capacity(schedules.len() * 3), 0);
+    let (mut attempted, mut completed) = (0, 0);
+    for (i, schedule) in schedules.iter().enumerate() {
+        let (epoch0, stale0) = (
+            cluster.epoch(),
+            reg.counter(names::KV_EPOCH_STALE_FRAMES).get(),
+        );
+        let record = exec.run(&mut cluster, schedule);
+        let stale = reg.counter(names::KV_EPOCH_STALE_FRAMES).get() - stale0;
+        let act = schedule.events.iter().find_map(|e| match *e {
+            Event::Async(act) => Some(act),
+            _ => None,
         });
-        if step_ok.is_ok() {
-            applied += 1;
-        }
-        // A step restarts re-placed groups honest; the point of the
-        // scenario is a forger that stays live across every step.
-        let epoch_after = {
-            let cl = cluster.lock().expect("cluster lock");
-            set_role_everywhere(&cl, FABRICATOR, ByzRole::Fabricator, cfg.seed);
-            cl.epoch()
-        };
-        phases.push(wl.run_phase(
-            &format!("{name}:after"),
-            epoch_after,
-            cfg.ops_per_phase,
-            None,
-        ));
+        let label = step_label(i, act.expect("one step"), cfg.continuous);
+        phase_stats.extend(phases(&label, &record, (epoch0, cluster.epoch()), stale));
+        applied += record.membership_applied() as u32;
+        attempted += record.ops.len() as u64;
+        completed += record.completed();
     }
 
-    let violations = wl.checked.close().violations;
+    let violations = exec.close().violations;
     if !violations.is_empty() {
         safereg_obs::dump_flight("violation");
     }
 
-    let final_epoch = cluster.lock().expect("cluster lock").epoch();
+    let final_epoch = cluster.epoch();
     let (coded_digest_ok, coded_joiner_logical) = coded_fragment_check(cfg.seed);
 
-    ChurnReport {
+    let report = ChurnReport {
         seed: cfg.seed,
         mode: if cfg.continuous {
             "continuous"
         } else {
             "ladder"
         },
-        expected_steps,
+        expected_steps: schedules.len() as u32,
         steps: applied,
         final_epoch,
         byz_role: ByzRole::Fabricator.label(),
-        phases,
+        phases: phase_stats,
         violations,
-        ops_attempted: wl.checked.attempted(),
-        ops_completed: wl.checked.completed(),
-        failures: wl.checked.failures(),
+        ops_attempted: attempted,
+        ops_completed: completed,
+        failures: attempted - completed,
         transfer_keys: reg.counter(names::KV_TRANSFER_KEYS).get() - transfer0,
         reconfig_slow_reads: reg
             .counter(&names::slow_cause_counter("reconfig_transfer"))
@@ -540,7 +446,11 @@ pub fn churn_run(cfg: &ChurnConfig) -> ChurnReport {
             - slow0,
         coded_digest_ok,
         coded_joiner_logical,
+    };
+    if !report.ok() {
+        replay(ChurnReport::NAME, cfg.seed, &schedules);
     }
+    report
 }
 
 #[cfg(test)]
@@ -566,6 +476,8 @@ mod tests {
                 p.label, p.epoch, p.ops, p.ops_per_sec, p.p99_micros, p.adoptions
             );
         }
+        // A step counts only once the Fabricator is back on every group the
+        // step placed on it, so no op starts after the step with it honest.
         assert_eq!(report.steps, 3, "a reconfiguration step failed");
         assert_eq!(report.final_epoch, 3);
         assert!(
@@ -583,7 +495,7 @@ mod tests {
         assert!(report.ok(), "{report:?}");
     }
 
-    /// Continuous mode: a DetRng arrival/departure process replaces the
+    /// Continuous mode: the arrival/departure process replaces the
     /// ladder — every drawn event applies, the verdict stays clean, and
     /// the schedule is a pure function of the seed (same seed, same
     /// phase labels).

@@ -33,10 +33,15 @@
 //! | [`audit`] | every injected Byzantine replica convicted, nobody else | `BENCH_audit.json` |
 //! | [`runtime`] | reactor latency and thread count at high connection counts | `BENCH_runtime.json` |
 //!
-//! The scenarios share one flag parser and verdict path ([`cli`]), one
-//! JSON writer ([`json`]) and one retry helper ([`ops`]). (Client
-//! self-healing under a seeded network adversary is tier-1:
-//! `tests/chaos_torture.rs`.)
+//! `soak`, `churn`, `audit` and `trace`'s two TCP legs are data: each is a
+//! generator of [`schedule::Schedule`]s (seeded event lists whose text
+//! form a failed verdict prints) and a verdict folded from what the one
+//! [`schedule::Executor`] recorded; `churn --continuous` and
+//! `soak --continuous` share one arrival/departure process,
+//! [`schedule::Arrivals`]. The scenarios share one flag parser and
+//! verdict path ([`cli`]), one JSON writer ([`json`]) and one transport
+//! policy and per-key checker bookkeeping ([`ops`]). (Client self-healing
+//! under a seeded network adversary is tier-1: `tests/chaos_torture.rs`.)
 //!
 //! Run everything: `cargo run -p safereg-bench --bin paper_harness`.
 
@@ -50,6 +55,7 @@ pub mod experiments;
 pub mod json;
 pub mod ops;
 pub mod runtime;
+pub mod schedule;
 pub mod search;
 pub mod shard;
 pub mod soak;

@@ -1,8 +1,6 @@
-//! What the deployed-stack scenarios do to a cluster: the one transport
-//! policy they run with, retried client operations, the per-key checker
-//! bookkeeping that judges each one in the checked scenarios
-//! ([`soak`](crate::soak), [`churn`](crate::churn)), and live role
-//! rotation.
+//! What the deployed-stack scenarios run with: the one transport policy
+//! and the per-key checker bookkeeping that judges every op the
+//! [`Executor`](crate::schedule::Executor) runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -11,30 +9,9 @@ use std::time::Duration;
 use safereg_checker::{Violation, WinHandle, WindowedChecker};
 use safereg_common::config::TransportConfig;
 use safereg_common::history::Instant;
-use safereg_common::ids::ServerId;
 use safereg_common::msg::OpId;
 use safereg_common::tag::Tag;
 use safereg_common::value::Value;
-use safereg_core::behavior::ByzRole;
-use safereg_kv::TcpKvCluster;
-
-/// Runs `op` up to `attempts` times, sleeping `pause` between failed
-/// tries, and returns the first success.
-pub fn retry<T, E>(
-    attempts: usize,
-    pause: Duration,
-    mut op: impl FnMut() -> Result<T, E>,
-) -> Option<T> {
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(pause);
-        }
-        if let Ok(v) = op() {
-            return Some(v);
-        }
-    }
-    None
-}
 
 /// The transport policy of every live-cluster scenario: the
 /// [`aggressive`](TransportConfig::aggressive) preset with a 50 ms
@@ -54,18 +31,10 @@ pub fn scenario_transport() -> TransportConfig {
     }
 }
 
-/// Sets `role` live on every register group `sid` serves, seeding each
-/// group's forgeries with `seed ^ group`.
-pub fn set_role_everywhere(cluster: &TcpKvCluster, sid: ServerId, role: ByzRole, seed: u64) {
-    for g in cluster.map().shards_of_server(sid) {
-        cluster.set_shard_role(sid, g, role, seed ^ u64::from(g.0));
-    }
-}
-
 /// Pause between the attempts of one checked operation.
 const RETRY_PAUSE: Duration = Duration::from_millis(10);
 
-/// One [`WindowedChecker`] per key, one logical clock and the op tallies,
+/// One [`WindowedChecker`] per key and one logical clock,
 /// shared by every client thread of a checked run.
 ///
 /// Each logical operation is begun on its key's checker, retried (every
@@ -79,9 +48,6 @@ pub struct CheckedKeys {
     /// checker lock, so per key the feed order matches the instant order.
     clock: AtomicU64,
     attempts: usize,
-    attempted: AtomicU64,
-    completed: AtomicU64,
-    failures: AtomicU64,
 }
 
 /// What the checkers concluded once a run is over.
@@ -104,83 +70,84 @@ impl CheckedKeys {
             checkers: (0..keys).map(|_| Mutex::default()).collect(),
             clock: AtomicU64::new(1),
             attempts,
-            attempted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
         }
     }
 
-    /// Logical write `op` of `value` to key `kidx`, attempted through `put`.
+    /// Logical write `op` of `value` to key `kidx`, attempted through
+    /// `put`; the written tag, or `None` when every attempt failed.
     pub fn write<E>(
         &self,
         kidx: usize,
         op: OpId,
         value: &Value,
         put: impl FnMut() -> Result<Tag, E>,
-    ) {
+    ) -> Option<Tag> {
         self.judge(
             kidx,
             |c, at| c.begin_write(op, value.clone(), at),
             put,
-            |c, h, tag, at| c.complete_write(h, tag, at),
-        );
+            |c, h, tag, at| {
+                c.complete_write(h, tag, at);
+                tag
+            },
+        )
     }
 
-    /// Logical read `op` of key `kidx`, attempted through `get`.
-    pub fn read<E>(&self, kidx: usize, op: OpId, get: impl FnMut() -> Result<(Value, Tag), E>) {
+    /// Logical read `op` of key `kidx`, attempted through `get`; the read
+    /// tag, or `None` when every attempt failed.
+    pub fn read<E>(
+        &self,
+        kidx: usize,
+        op: OpId,
+        get: impl FnMut() -> Result<(Value, Tag), E>,
+    ) -> Option<Tag> {
         self.judge(
             kidx,
             |c, at| c.begin_read(op, at),
             get,
-            |c, h, (value, tag), at| c.complete_read(h, value, tag, at),
-        );
+            |c, h, (value, tag), at| {
+                c.complete_read(h, value, tag, at);
+                tag
+            },
+        )
     }
 
     fn judge<T, E>(
         &self,
         kidx: usize,
         begin: impl FnOnce(&mut WindowedChecker, Instant) -> WinHandle,
-        attempt: impl FnMut() -> Result<T, E>,
-        complete: impl FnOnce(&mut WindowedChecker, WinHandle, T, Instant),
-    ) {
-        self.attempted.fetch_add(1, Ordering::Relaxed);
+        mut attempt: impl FnMut() -> Result<T, E>,
+        complete: impl FnOnce(&mut WindowedChecker, WinHandle, T, Instant) -> Tag,
+    ) -> Option<Tag> {
         let h = begin(
             &mut self.lock(kidx),
             self.clock.fetch_add(1, Ordering::Relaxed),
         );
-        let out = retry(self.attempts, RETRY_PAUSE, attempt);
-        let mut c = self.lock(kidx);
-        let at = self.clock.fetch_add(1, Ordering::Relaxed);
-        match out {
-            Some(v) => {
-                complete(&mut c, h, v, at);
-                self.completed.fetch_add(1, Ordering::Relaxed);
+        let mut out = None;
+        for tries in 0..self.attempts {
+            if tries > 0 {
+                std::thread::sleep(RETRY_PAUSE);
             }
-            None => {
-                c.abandon(h);
-                self.failures.fetch_add(1, Ordering::Relaxed);
+            if let Ok(v) = attempt() {
+                out = Some(v);
+                break;
             }
         }
+        let mut c = self.lock(kidx);
+        let at = self.clock.fetch_add(1, Ordering::Relaxed);
+        let tag = match out {
+            Some(v) => Some(complete(&mut c, h, v, at)),
+            None => {
+                c.abandon(h);
+                None
+            }
+        };
         c.prune();
+        tag
     }
 
     fn lock(&self, kidx: usize) -> MutexGuard<'_, WindowedChecker> {
         self.checkers[kidx].lock().expect("checker lock")
-    }
-
-    /// Logical operations begun so far.
-    pub fn attempted(&self) -> u64 {
-        self.attempted.load(Ordering::Relaxed)
-    }
-
-    /// Logical operations completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Logical operations abandoned after every attempt failed.
-    pub fn failures(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
     }
 
     /// Prunes every checker and collects the verdicts.

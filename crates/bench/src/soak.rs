@@ -1,54 +1,50 @@
 //! Memory-bounded soak: the live TCP kv stack under rotating Byzantine
 //! replicas, server-side chaos and crash/restarts, checked incrementally.
 //!
-//! `N` writer and `M` reader threads hammer a chaos-fronted
-//! [`TcpKvCluster`] for several *epochs*, and in every epoch
+//! `N` writer and `M` reader clients hammer a chaos-fronted
+//! [`TcpKvCluster`] for several *epochs*. Each epoch is one [`Schedule`]
+//! from the soak's generator, run by the [`Executor`]:
 //!
 //! * up to `f` replicas play a live Byzantine role from
 //!   [`ByzRole::FAULTY`], rotating both the afflicted replica and the role
 //!   each epoch ([`ByzRole::for_epoch`]);
 //! * every replica's accept path runs behind a server-side
 //!   [`ChaosProxy`](safereg_transport::chaos::ChaosProxy) whose
-//!   [`FaultPlan`] seed rotates per epoch (`seed ^ epoch`);
-//! * a supervisor kills and respawns the Byzantine replicas mid-epoch —
-//!   never more than `f` faulty at any instant, since the restarted
-//!   replica *is* the faulty one;
-//! * with [`SoakConfig::continuous`], the supervisor additionally drives
-//!   a seeded arrival/departure membership process: a couple of
-//!   reconfigurations per epoch at [`DetRng`]-drawn gaps, where joiners
-//!   take fresh ids and only joiners ever depart — so the rotating
-//!   Byzantine host is always a base member and faults stay ≤ `f`.
+//!   [`FaultPlan`] seed rotates per epoch (`seed ^ epoch`, a sync
+//!   `set-plan` at the epoch boundary);
+//! * an async event an eighth of the way into the epoch kills and respawns
+//!   the Byzantine replicas — never more than `f` faulty at any instant,
+//!   since the restarted replica *is* the faulty one;
+//! * with [`SoakConfig::continuous`], the one arrival/departure process
+//!   ([`Arrivals`]) adds two membership events per epoch: joiners take
+//!   fresh ids and only joiners ever depart, so the rotating Byzantine
+//!   host is always a base member and faults stay ≤ `f`.
 //!
-//! Safety is judged online by one windowed checker per key
-//! ([`CheckedKeys`]), so memory
+//! Safety is judged online by one windowed checker per key, so memory
 //! stays flat no matter how many operations run: reads are checked at
-//! completion and forgotten, superseded writes are pruned. A watchdog
-//! snapshots `VmRSS` and the completed-op counter per epoch; the run fails
-//! on monotone RSS growth beyond a slack or on an epoch that completed
-//! nothing. Rebuilding every epoch's [`FaultPlan`] from its seed must
-//! reproduce the identical fault schedule ([`FaultPlan::fingerprint`]),
-//! so any failure is replayable from the `--seed` alone.
+//! completion and forgotten, superseded writes are pruned. The executor
+//! samples `VmRSS` after every epoch; the run fails on monotone RSS growth
+//! beyond a slack or on an epoch that completed nothing. Rebuilding every
+//! epoch's [`FaultPlan`] from its seed must reproduce the identical fault
+//! schedule ([`FaultPlan::fingerprint`]), and the epoch schedules are a
+//! function of the configuration, so any failure is replayable from the
+//! `--seed` alone.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use safereg_checker::Violation;
 use safereg_common::config::QuorumConfig;
-use safereg_common::ids::{ReaderId, ServerId, WriterId};
-use safereg_common::msg::OpId;
-use safereg_common::rng::DetRng;
+use safereg_common::ids::ServerId;
 use safereg_common::shard::ShardMap;
-use safereg_common::value::Value;
 use safereg_core::behavior::ByzRole;
-use safereg_kv::{KvClient, KvMode, TcpKvCluster};
+use safereg_kv::{KvMode, TcpKvCluster};
 use safereg_obs::names;
 use safereg_transport::chaos::{Direction, FaultPlan, FaultSpec};
 
 use crate::cli::Report;
 use crate::json::Json;
-use crate::ops::{scenario_transport, set_role_everywhere, CheckedKeys};
-use crate::runtime::proc_status;
+use crate::ops::scenario_transport;
+use crate::schedule::{replay, Act, Arrivals, Event, Executor, Schedule, Scope};
 
 /// Knobs for one soak run.
 #[derive(Debug, Clone)]
@@ -82,10 +78,8 @@ pub struct SoakConfig {
     /// the target has elapsed, so one flag turns the smoke run into an
     /// overnight burn-in without retuning `ops`/`epochs`.
     pub minutes: u64,
-    /// Layer a seeded arrival/departure process on top of the workload:
-    /// each epoch the supervisor also fires a couple of membership
-    /// reconfigurations at [`DetRng`]-drawn inter-arrival gaps — a fresh
-    /// replica joins when no joiner is live, otherwise a joiner departs.
+    /// Layer the seeded arrival/departure process ([`Arrivals`]) on top
+    /// of the workload: two membership events per epoch at drawn gaps.
     /// Joiners take ids from 100 upward and only joiners ever leave, so
     /// the base membership (and the Byzantine victim rotation over it)
     /// is untouched and live faults stay ≤ `f` per shard.
@@ -226,11 +220,6 @@ impl Report for SoakReport {
     }
 }
 
-/// Growth slack for the RSS watchdog: strictly-monotone growth below this
-/// total is tolerated (allocator warmup, thread stacks), above it the run
-/// is flagged as leaking.
-const RSS_SLACK_KIB: u64 = 8 * 1024;
-
 /// Pins glibc to its main malloc arena for the rest of the process.
 ///
 /// The restart ladder churns server threads, and glibc answers each
@@ -258,8 +247,194 @@ fn pin_malloc_arena() {
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
 fn pin_malloc_arena() {}
 
+/// Growth slack for the RSS watchdog: strictly monotone growth below this
+/// total is tolerated (allocator warmup, thread stacks), above it the run
+/// is flagged as leaking.
+const RSS_SLACK_KIB: u64 = 8 * 1024;
+
+/// The RSS watchdog over the per-epoch `VmRSS` samples: false on strictly
+/// monotone growth beyond the slack.
+fn rss_bounded(rss: &[u64]) -> bool {
+    let strictly_up = rss.len() >= 2 && rss.windows(2).all(|w| w[1] > w[0]);
+    let growth = rss
+        .last()
+        .unwrap_or(&0)
+        .saturating_sub(*rss.first().unwrap_or(&0));
+    !(strictly_up && growth > RSS_SLACK_KIB)
+}
+
 /// Soak-level attempts per logical operation.
 const OP_RETRIES: usize = 4;
+
+/// Reader clients are numbered from here; writers from 0.
+const READERS: u16 = 100;
+
+/// The client that re-writes every key at a sharded epoch boundary.
+const SCRUB: u16 = 250;
+
+/// The soak's generator: one schedule per epoch. It follows the placement
+/// through the membership events it draws, so every per-group role names
+/// a group the replica serves when the event runs.
+#[derive(Debug)]
+struct Epochs {
+    cfg: SoakConfig,
+    n: usize,
+    byz_n: usize,
+    quota: u64,
+    base: ShardMap,
+    map: ShardMap,
+    arrivals: Option<Arrivals>,
+    /// The fleet once every drawn membership event has applied.
+    fleet: Vec<ServerId>,
+    /// Last epoch's Byzantine replicas.
+    byz: Vec<ServerId>,
+}
+
+impl Epochs {
+    fn new(cfg: &SoakConfig, map: &ShardMap) -> Epochs {
+        let q = map.shard_config();
+        let epochs = cfg.epochs.max(1) as u64;
+        let clients = (cfg.writers.max(1) + cfg.readers.max(1)) as u64;
+        Epochs {
+            cfg: cfg.clone(),
+            n: q.n(),
+            byz_n: cfg.byz.min(q.f()),
+            quota: (cfg.ops / (epochs * clients)).max(1),
+            base: map.clone(),
+            map: map.clone(),
+            arrivals: None,
+            fleet: map.fleet().to_vec(),
+            byz: Vec::new(),
+        }
+    }
+
+    /// Epoch `e`: a sync boundary (plan seed, restores, scrub, conversions)
+    /// then the workload, with the mid-epoch restart and, in continuous
+    /// mode, two membership events running beside it.
+    fn epoch(&mut self, e: usize) -> Schedule {
+        let (n, eseed, sharded) = (self.n, self.cfg.seed ^ e as u64, self.map.num_shards() > 1);
+        let mut s = Schedule::new(eseed);
+        s.extend([Event::Sync(Act::SetPlan(Some(eseed)))]);
+        let restore = |sid, scope| Event::Sync(Act::SetRole(sid, scope, ByzRole::Correct, 0));
+        // Restores run before conversions so the faulty set never exceeds
+        // `f` replicas at any instant.
+        if sharded && self.byz_n > 0 {
+            // The restored replica missed every write of the epoch it spent
+            // Byzantine, so before the next victim converts, a scrub
+            // re-writes every key while *zero* replicas are faulty; only
+            // then does the victim turn Byzantine, with a different live
+            // role per register group it serves.
+            for sid in std::mem::take(&mut self.byz) {
+                s.extend([restore(sid, Scope::Served)]);
+            }
+            s.extend((0..self.cfg.keys.max(1)).map(|k| Event::Put(SCRUB, k)));
+            let victim = ServerId((e % n) as u16);
+            s.extend(self.victim_roles(victim, e, Event::Sync));
+            self.byz = vec![victim];
+        } else if sharded {
+            self.byz.clear();
+        } else {
+            let next: Vec<ServerId> = (0..self.byz_n)
+                .map(|i| ServerId(((e + i) % n) as u16))
+                .collect();
+            for sid in self.byz.iter().filter(|s| !next.contains(s)) {
+                s.extend([restore(*sid, Scope::Respawn)]);
+            }
+            for (i, sid) in next.iter().enumerate() {
+                let role = ByzRole::for_epoch(e as u64, i);
+                s.extend([Event::Sync(Act::SetRole(*sid, Scope::Respawn, role, eseed))]);
+            }
+            self.byz = next;
+        }
+
+        let (writers, keys) = (self.cfg.writers.max(1), self.cfg.keys.max(1));
+        let mut ops = Vec::new();
+        for i in 0..self.quota as usize {
+            ops.extend((0..writers).map(|w| Event::Put(w as u16, (w + i) % keys)));
+            ops.extend(
+                (0..self.cfg.readers.max(1))
+                    .map(|r| Event::Get(READERS + r as u16, (r + i) % keys)),
+            );
+        }
+        // Kill and respawn the faulty replicas in place (same role, same
+        // seed, same address), or one correct replica when none is faulty.
+        let mid = ops.len() / 8;
+        let mut at: Vec<(usize, Event)> = Vec::new();
+        if self.byz.is_empty() {
+            at.push((mid, Event::Async(Act::Restart(ServerId((e % n) as u16)))));
+        } else if sharded {
+            let victim = self.byz[0];
+            at.push((mid, Event::Async(Act::Restart(victim))));
+            at.extend(
+                self.victim_roles(victim, e, Event::Async)
+                    .map(|ev| (mid, ev)),
+            );
+        } else {
+            for (i, sid) in self.byz.iter().enumerate() {
+                let act =
+                    Act::SetRole(*sid, Scope::Respawn, ByzRole::for_epoch(e as u64, i), eseed);
+                at.push((mid, Event::Async(act)));
+            }
+        }
+        if self.cfg.continuous {
+            // Two events per epoch, drawn to land after the restart.
+            let mean_gap = (ops.len() - mid) as u64 / 3;
+            let seed = self.cfg.seed ^ 0x50A7_C027;
+            let arrivals = self
+                .arrivals
+                .get_or_insert_with(|| Arrivals::new(seed, mean_gap));
+            let mut pos = mid as u64;
+            for _ in 0..2 {
+                let (gap, act) = arrivals.next_event();
+                pos += gap;
+                act.step_fleet(&mut self.fleet);
+                at.push((pos as usize, Event::Async(act)));
+            }
+            let fleet = self.fleet.clone();
+            self.map = self
+                .base
+                .for_fleet(fleet)
+                .expect("m = n fits a grown fleet");
+        }
+        s.interleave(ops, at);
+        s
+    }
+
+    /// The victim's per-group roles in epoch `e`, one event per group.
+    fn victim_roles(
+        &self,
+        victim: ServerId,
+        e: usize,
+        mode: fn(Act) -> Event,
+    ) -> impl Iterator<Item = Event> {
+        let eseed = self.cfg.seed ^ e as u64;
+        self.map.shards_of_server(victim).into_iter().map(move |g| {
+            let role = ByzRole::for_epoch(e as u64, g.0 as usize);
+            mode(Act::SetRole(
+                victim,
+                Scope::Shard(g),
+                role,
+                eseed ^ u64::from(g.0),
+            ))
+        })
+    }
+}
+
+/// The first `count` epoch schedules of `cfg`.
+pub(crate) fn epochs(cfg: &SoakConfig, count: usize) -> Vec<Schedule> {
+    let mut gen = Epochs::new(cfg, &placement(cfg));
+    (0..count).map(|e| gen.epoch(e)).collect()
+}
+
+/// The soak's placement: one `n = 4f + 1`, `f = 1` group, or
+/// `cfg.shards` groups at that point over the same fleet.
+fn placement(cfg: &SoakConfig) -> ShardMap {
+    let q = QuorumConfig::minimal_bsr(1).expect("n = 5, f = 1 is valid");
+    match cfg.shards.max(1) {
+        1 => ShardMap::single(q),
+        s => ShardMap::new(cfg.seed, s, q.servers().collect(), q).expect("m = n fits the fleet"),
+    }
+}
 
 /// Runs the soak against an `n = 4f + 1`, `f = 1` replicated deployment
 /// (each of `cfg.shards` register groups runs that same `(m, f)` point
@@ -267,22 +442,13 @@ const OP_RETRIES: usize = 4;
 ///
 /// # Panics
 ///
-/// Panics when the cluster cannot be started or a replica cannot be
-/// respawned — environment failures, not soak outcomes.
-#[allow(clippy::too_many_lines)]
+/// Panics when the cluster cannot be started — an environment failure,
+/// not a soak outcome.
 pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
     pin_malloc_arena();
-    let q = QuorumConfig::minimal_bsr(1).expect("n = 5, f = 1 is valid");
-    let n = q.n();
-    let byz_n = cfg.byz.min(q.f());
-    let epochs = cfg.epochs.max(1);
+    let map = placement(cfg);
+    let q = map.shard_config();
     let tconfig = scenario_transport();
-    let shards = cfg.shards.max(1);
-    let map = if shards == 1 {
-        ShardMap::single(q)
-    } else {
-        ShardMap::new(cfg.seed, shards, q.servers().collect(), q).expect("m = n fits the fleet")
-    };
 
     let reg = safereg_obs::global();
     let evictions_base = reg.counter(names::SERVER_EVICTIONS).get();
@@ -299,281 +465,56 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
         })
         .collect();
 
-    let cluster = TcpKvCluster::builder(KvMode::Replicated, b"soak-harness")
+    let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"soak-harness")
         .shards(map.clone())
         .config(tconfig)
         .chaos(FaultPlan::new(cfg.seed, FaultSpec::mild()))
         .start()
         .expect("start soak cluster");
-    let cluster = Mutex::new(cluster);
-
-    let keys: Vec<Vec<u8>> = (0..cfg.keys.max(1))
-        .map(|k| format!("soak-k{k}").into_bytes())
-        .collect();
-    let checked = CheckedKeys::new(keys.len(), OP_RETRIES);
-
-    // Clients persist across epochs: a fresh client would restart its
-    // sequence numbers, and the replicas would rightly ignore the stale
-    // tags — which the checker would then flag as failed writes.
-    let client = |w: u16, r: u16| {
-        let mut c = KvClient::sharded(map.clone(), WriterId(w), ReaderId(r));
-        c.set_policy(tconfig);
-        let transport = cluster
-            .lock()
-            .expect("cluster lock")
-            .transport_with(tconfig);
-        (c, transport)
-    };
-    let mut writer_clients: Vec<_> = (0..cfg.writers.max(1) as u16)
-        .map(|w| client(w, 100 + w))
-        .collect();
-    let mut reader_clients: Vec<_> = (0..cfg.readers.max(1) as u16)
-        .map(|r| client(200 + r, r))
-        .collect();
-    // Dedicated writer for the sharded boundary scrub (see the epoch loop);
-    // its own identity keeps its sequence numbers off the workload writers'.
-    let mut scrub = client(250, 250);
-
-    let threads = (writer_clients.len() + reader_clients.len()) as u64;
-    let quota = (cfg.ops / (epochs as u64 * threads)).max(1);
-
-    let mut stats: Vec<EpochStat> = Vec::with_capacity(epochs);
-    let mut current_byz: Vec<ServerId> = Vec::new();
-    let mut epoch_seeds: Vec<u64> = Vec::with_capacity(epochs);
-
-    // `--continuous` bookkeeping. Joiners arrive under fresh ids (100+)
-    // and only joiners ever depart, so the base membership — and with it
-    // the Byzantine victim rotation over ids `0..n` — is never
-    // reconfigured away: the at-most-one faulty host is always a base
-    // member and every joiner is honest, keeping live faults ≤ `f` per
-    // shard throughout.
-    let joiners: Mutex<Vec<ServerId>> = Mutex::new(Vec::new());
-    let next_join_id = AtomicU64::new(100);
-    let reconfig_events = AtomicU64::new(0);
+    let keys = (0..cfg.keys.max(1)).map(|k| format!("soak-k{k}").into_bytes());
+    let mut exec = Executor::new(keys.collect(), OP_RETRIES, tconfig);
 
     // `--minutes` trades the fixed epoch count for a wall-clock target:
-    // the loop keeps rotating further epochs (fresh seeds, same quota)
-    // until the deadline passes, with at least `epochs` always run.
-    let soak_started = std::time::Instant::now();
-    let deadline = (cfg.minutes > 0).then(|| Duration::from_secs(cfg.minutes * 60));
-    let mut e = 0usize;
-    loop {
-        let eseed = cfg.seed ^ e as u64;
-        epoch_seeds.push(eseed);
-
-        // Epoch boundary: rotate the fault-plan seed and the Byzantine
-        // assignment. Restores run before conversions so the faulty set
-        // never exceeds `f` replicas at any instant — a restore's
-        // restart-in-place is a transient fault of an already-faulty
-        // replica, and only then does a fresh replica turn Byzantine.
-        let byz_now: Vec<(ServerId, &'static str)> = {
-            let mut cl = cluster.lock().expect("cluster lock");
-            cl.set_plan(Some(FaultPlan::new(eseed, FaultSpec::mild())));
-            if map.num_shards() == 1 {
-                let next: Vec<(ServerId, ByzRole)> = (0..byz_n)
-                    .map(|i| {
-                        (
-                            ServerId(((e + i) % n) as u16),
-                            ByzRole::for_epoch(e as u64, i),
-                        )
-                    })
-                    .collect();
-                for sid in current_byz.drain(..) {
-                    if !next.iter().any(|(s, _)| *s == sid) {
-                        cl.set_role(sid, ByzRole::Correct, 0)
-                            .expect("restore replica");
-                    }
-                }
-                for (sid, role) in &next {
-                    cl.set_role(*sid, *role, eseed).expect("convert replica");
-                }
-                current_byz = next.iter().map(|(s, _)| *s).collect();
-                next.iter().map(|(s, r)| (*s, r.label())).collect()
-            } else if byz_n == 0 {
-                current_byz.clear();
-                Vec::new()
-            } else {
-                // Sharded rotation, step 1 of 3: restore last epoch's
-                // victim to honest service (live — its register state is
-                // frozen at whatever it held before turning Byzantine).
-                for sid in current_byz.drain(..) {
-                    set_role_everywhere(&cl, sid, ByzRole::Correct, 0);
-                }
-                Vec::new()
+    // further epochs (fresh seeds, same quota) run until the deadline
+    // passes, with at least `epochs` always run.
+    let mut gen = Epochs::new(cfg, &map);
+    let started = Instant::now();
+    let deadline = Duration::from_secs(cfg.minutes * 60);
+    let (mut stats, mut epoch_seeds) = (Vec::new(), Vec::new());
+    let (mut attempted, mut completed, mut reconfig_events) = (0, 0, 0);
+    while stats.len() < cfg.epochs.max(1) || started.elapsed() < deadline {
+        let e = stats.len();
+        let schedule = gen.epoch(e);
+        let record = exec.run(&mut cluster, &schedule);
+        epoch_seeds.push(schedule.seed);
+        attempted += record.ops.len() as u64;
+        completed += record.completed();
+        reconfig_events += record.membership_applied();
+        // The epoch's Byzantine replicas: its boundary conversions that
+        // applied (a sync event that failed has already panicked).
+        let byz = record.events.iter().filter_map(|ev| match ev.act {
+            Act::SetRole(sid, _, role, _)
+                if ev.sync && ev.result.is_ok() && role != ByzRole::Correct =>
+            {
+                Some((sid, role.label()))
             }
-        };
-        // Sharded rotation, steps 2 and 3. The restored replica missed
-        // every write of the epoch it spent Byzantine, so before the next
-        // victim converts, a scrub re-writes every key: the amnesiac
-        // catches up while *zero* replicas are faulty, keeping each
-        // shard's effective fault count at `f` across the boundary (the
-        // same replenish-between-state-losses invariant the single-group
-        // soak documents on `SoakConfig::keys`). Only then does the new
-        // victim turn Byzantine — with a different live role per register
-        // group it serves, so roles rotate independently per shard while
-        // all faulty groups still share one physical host.
-        let byz_now: Vec<(ServerId, &'static str)> = if map.num_shards() > 1 && byz_n > 0 {
-            let (scrub_client, scrub_transport) = &mut scrub;
-            for (kidx, key) in keys.iter().enumerate() {
-                let value = Value::from(format!("scrub:e{e}:{kidx}").into_bytes());
-                let op = OpId::new(
-                    WriterId(250),
-                    e as u64 * keys.len() as u64 + kidx as u64 + 1,
-                );
-                checked.write(kidx, op, &value, || {
-                    scrub_client.put(scrub_transport, key, value.clone())
-                });
-            }
-            let cl = cluster.lock().expect("cluster lock");
-            let victim = ServerId((e % n) as u16);
-            let mut labels = Vec::new();
-            for g in cl.map().shards_of_server(victim) {
-                let role = ByzRole::for_epoch(e as u64, g.0 as usize);
-                assert!(
-                    cl.set_shard_role(victim, g, role, eseed ^ u64::from(g.0)),
-                    "victim must serve its placed shard"
-                );
-                labels.push((victim, role.label()));
-            }
-            current_byz = vec![victim];
-            labels
-        } else {
-            byz_now
-        };
-
-        let epoch_completed_base = checked.completed();
-        let epoch_failures_base = checked.failures();
-        let epoch_started = std::time::Instant::now();
-
-        let keys = &keys;
-        let checked = &checked;
-        let cluster_ref = &cluster;
-        let supervisor_byz = current_byz.clone();
-        let joiners = &joiners;
-        let next_join_id = &next_join_id;
-        let reconfig_events = &reconfig_events;
-        let continuous = cfg.continuous;
-
-        std::thread::scope(|s| {
-            // Crash/restart supervisor: mid-epoch, kill and respawn the
-            // Byzantine replicas in place (same role, same seed, same
-            // advertised address). The faulty set is unchanged, so the
-            // run never has more than `f` faulty replicas; with no
-            // Byzantine replicas configured, one correct replica takes
-            // the crash instead (`≤ f` either way).
-            s.spawn(move || {
-                std::thread::sleep(Duration::from_millis(200));
-                let mut cl = cluster_ref.lock().expect("cluster lock");
-                if supervisor_byz.is_empty() {
-                    let _ = cl.restart(ServerId((e % n) as u16));
-                } else if cl.map().num_shards() == 1 {
-                    for (i, sid) in supervisor_byz.iter().enumerate() {
-                        let _ = cl.set_role(*sid, ByzRole::for_epoch(e as u64, i), eseed);
-                    }
-                } else {
-                    // Crash-recover the (already faulty) victim, then put
-                    // its per-shard roles back: the faulty set never grows
-                    // beyond the one host, in any shard.
-                    for sid in supervisor_byz {
-                        let _ = cl.restart(sid);
-                        for g in cl.map().shards_of_server(sid) {
-                            cl.set_shard_role(
-                                sid,
-                                g,
-                                ByzRole::for_epoch(e as u64, g.0 as usize),
-                                eseed ^ u64::from(g.0),
-                            );
-                        }
-                    }
-                }
-                drop(cl);
-
-                // Continuous churn: a seeded arrival/departure process
-                // replaces the fixed membership — a couple of events per
-                // epoch at DetRng-drawn gaps, replayable from the epoch
-                // seed. Arrivals mint fresh ids; departures only ever
-                // pick a joiner, so the base fleet stays put and the
-                // faulty-host count never exceeds `f` in any shard.
-                if continuous {
-                    let mut rng = DetRng::seed_from(eseed ^ 0x50A7_C027);
-                    for _ in 0..2 {
-                        std::thread::sleep(Duration::from_millis(rng.range_u64(60..200)));
-                        let mut cl = cluster_ref.lock().expect("cluster lock");
-                        let mut js = joiners.lock().expect("joiners lock");
-                        let applied = if js.is_empty() {
-                            let sid = ServerId(next_join_id.fetch_add(1, Ordering::Relaxed) as u16);
-                            cl.add_replica(sid).map(|()| js.push(sid)).is_ok()
-                        } else {
-                            let idx = rng.index(js.len());
-                            match cl.remove_replica(js[idx]) {
-                                Ok(()) => {
-                                    js.swap_remove(idx);
-                                    true
-                                }
-                                Err(_) => false,
-                            }
-                        };
-                        if applied {
-                            reconfig_events.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-
-            for (w, (client, transport)) in writer_clients.iter_mut().enumerate() {
-                s.spawn(move || {
-                    for i in 0..quota {
-                        let kidx = (w + i as usize) % keys.len();
-                        let value = Value::from(format!("w{w}:e{e}:{i}").into_bytes());
-                        let op = OpId::new(WriterId(w as u16), e as u64 * quota + i + 1);
-                        checked.write(kidx, op, &value, || {
-                            client.put(transport, &keys[kidx], value.clone())
-                        });
-                    }
-                });
-            }
-
-            for (r, (client, transport)) in reader_clients.iter_mut().enumerate() {
-                s.spawn(move || {
-                    for i in 0..quota {
-                        let kidx = (r + i as usize) % keys.len();
-                        let op = OpId::new(ReaderId(r as u16), e as u64 * quota + i + 1);
-                        checked.read(kidx, op, || client.get_with_tag(transport, &keys[kidx]));
-                    }
-                });
-            }
+            _ => None,
         });
-
         stats.push(EpochStat {
             epoch: e,
-            byz: byz_now,
-            ops_completed: checked.completed() - epoch_completed_base,
-            failures: checked.failures() - epoch_failures_base,
-            millis: epoch_started.elapsed().as_millis() as u64,
-            rss_kib: proc_status("VmRSS:"),
+            byz: byz.collect(),
+            ops_completed: record.completed(),
+            failures: record.failed(),
+            millis: record.elapsed.as_millis() as u64,
+            rss_kib: record.rss_kib,
             evictions: reg.counter(names::SERVER_EVICTIONS).get() - evictions_base,
             restarts: reg.counter(names::SERVER_RESTARTS).get() - restarts_base,
         });
-        e += 1;
-        let done = match deadline {
-            Some(d) => e >= epochs && soak_started.elapsed() >= d,
-            None => e >= epochs,
-        };
-        if done {
-            break;
-        }
     }
-
-    let judged = checked.close();
+    let judged = exec.close();
 
     let rss: Vec<u64> = stats.iter().map(|s| s.rss_kib).collect();
-    let strictly_up = rss.len() >= 2 && rss.windows(2).all(|w| w[1] > w[0]);
-    let growth = rss
-        .last()
-        .copied()
-        .unwrap_or(0)
-        .saturating_sub(rss.first().copied().unwrap_or(0));
-    let rss_bounded = !(strictly_up && growth > RSS_SLACK_KIB);
+    let rss_bounded = rss_bounded(&rss);
     let progressed = stats.iter().all(|s| s.ops_completed > 0);
 
     // Flight-recorder hooks: a watchdog trip or a checker violation spills
@@ -592,7 +533,7 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
     let schedule_reproducible = epoch_seeds.iter().all(|&es| {
         let a = FaultPlan::new(es, FaultSpec::mild());
         let b = FaultPlan::new(es, FaultSpec::mild());
-        (0..n as u16).all(|s| {
+        (0..q.n() as u16).all(|s| {
             dirs.iter().all(|&d| {
                 (0..2).all(|conn| {
                     a.fingerprint(ServerId(s), conn, d, 128)
@@ -618,24 +559,32 @@ pub fn soak_run(cfg: &SoakConfig) -> SoakReport {
         })
         .collect();
 
-    SoakReport {
+    let report = SoakReport {
         seed: cfg.seed,
         shards: map.num_shards(),
         shard_stats,
-        ops_attempted: checked.attempted(),
-        ops_completed: checked.completed(),
-        failures: checked.failures(),
+        ops_attempted: attempted,
+        ops_completed: completed,
+        failures: attempted - completed,
         violations: judged.violations,
         reads_checked: judged.reads_checked,
         peak_window: judged.peak_window,
         pruned: judged.pruned,
-        epochs: stats,
         rss_bounded,
         progressed,
         schedule_reproducible,
         continuous: cfg.continuous,
-        reconfig_events: reconfig_events.into_inner(),
+        reconfig_events,
+        epochs: stats,
+    };
+    if !report.ok() {
+        replay(
+            SoakReport::NAME,
+            cfg.seed,
+            &epochs(cfg, report.epochs.len()),
+        );
     }
+    report
 }
 
 #[cfg(test)]

@@ -33,19 +33,18 @@ use safereg_common::ids::{ReaderId, ServerId, WriterId};
 use safereg_common::msg::OpId;
 use safereg_common::shard::ShardMap;
 use safereg_common::trace::Phase;
-use safereg_common::value::Value;
 use safereg_core::behavior::ByzRole;
 use safereg_kv::{InMemKvCluster, KvClient, KvMode, TcpKvCluster};
 use safereg_obs::names;
 use safereg_obs::span::SlowCause;
-use safereg_obs::trace::wall_micros;
 use safereg_obs::{dump_flight, flight, violation_trees, SpanLog};
 use safereg_simnet::workload::{ByzKind, Protocol, WorkloadSpec};
 use safereg_transport::chaos::{FaultPlan, FaultSpec};
 
 use crate::cli::Report;
 use crate::json::Json;
-use crate::ops::{retry, scenario_transport};
+use crate::ops::scenario_transport;
+use crate::schedule::{replay, value_of, Act, Event, Executor, Schedule, Scope};
 
 /// Per-cause slot of the slow-read histogram.
 #[derive(Debug, Clone)]
@@ -206,23 +205,54 @@ struct ChaosLeg {
     phases: Vec<PhaseStat>,
 }
 
+/// A respawning role change of a whole replica.
+fn role(sid: u16, role: ByzRole, seed: u64) -> Event {
+    Event::Sync(Act::SetRole(ServerId(sid), Scope::Respawn, role, seed))
+}
+
+/// The trace generator's two legs.
+///
+/// Chaos leg: replica 4 turns Fabricator, then 24 put/get pairs over three
+/// keys. Then four honest replicas crash-recover one at a time (never more
+/// than f = 1 down at once). The amnesiac respawn (`set-role` to correct)
+/// is deliberate — a `restart` would pull the register state back from a
+/// quorum and keep reads fast; skipping the pull means afterwards no
+/// f + 1 = 2 replicas still witness the reader's cached pair, so the six
+/// reads that follow are forced onto the slow path and must carry a
+/// concrete cause.
+///
+/// Violation leg: a healthy write, then `2 > f` replicas turn silent so
+/// the next read starves.
+pub(crate) fn legs(seed: u64) -> [Schedule; 2] {
+    let mut chaos = Schedule::new(seed);
+    chaos.extend([role(4, ByzRole::Fabricator, seed)]);
+    chaos.extend((0..24).flat_map(|i| [Event::Put(0, i % 3), Event::Get(0, i % 3)]));
+    chaos.extend((0..4).map(|sid| role(sid, ByzRole::Correct, 0)));
+    chaos.extend((0..6).map(|_| Event::Get(0, 0)));
+    let mut violation = Schedule::new(seed);
+    violation.extend([Event::Put(VIOLATION_CLIENT, 0)]);
+    violation.extend([3, 4].map(|sid| role(sid, ByzRole::Silent, seed)));
+    violation.extend([Event::Get(VIOLATION_CLIENT, 0)]);
+    [chaos, violation]
+}
+
+/// The violation leg's client, whose op ids the span trees are found by.
+const VIOLATION_CLIENT: u16 = 50;
+
 /// Runs the attribution leg: an `n = 5, f = 1` TCP cluster with one
 /// Fabricator replica behind mild chaos proxies, sampling at 1000 ‰. The
 /// forged tags fail validation on every read, so the workload is
 /// slow-read-heavy by construction.
-fn chaos_leg(seed: u64) -> ChaosLeg {
+fn chaos_leg(schedule: &Schedule) -> ChaosLeg {
     let reg = safereg_obs::global();
     let q = QuorumConfig::minimal_bsr(1).expect("n = 5, f = 1 is valid");
     let tconfig = trace_transport();
     let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"trace-bench")
         .shards(ShardMap::single(q))
         .config(tconfig)
-        .chaos(FaultPlan::new(seed, FaultSpec::mild()))
+        .chaos(FaultPlan::new(schedule.seed, FaultSpec::mild()))
         .start()
         .expect("start trace cluster");
-    cluster
-        .set_role(ServerId(4), ByzRole::Fabricator, seed)
-        .expect("convert replica");
 
     let slow_before = reg.counter(&names::shard_reads_counter(0, "slow")).get();
     let sampled_before = reg.counter(names::TRACE_SAMPLED_OPS).get();
@@ -235,42 +265,8 @@ fn chaos_leg(seed: u64) -> ChaosLeg {
         .map(|p| reg.histogram(&names::trace_phase_hist(p.as_str())).count())
         .collect();
 
-    let mut client = KvClient::sharded(cluster.map().clone(), WriterId(0), ReaderId(0));
-    client.set_policy(tconfig);
-    let mut transport = cluster.transport_with(tconfig);
-
-    let pause = Duration::from_millis(5);
-    let mut attempted = 0u64;
-    let mut completed = 0u64;
-    for i in 0..24u32 {
-        let key = format!("trace-k{}", i % 3).into_bytes();
-        attempted += 2;
-        let put = retry(4, pause, || {
-            client.put(&mut transport, &key, format!("v{i}").into_bytes())
-        });
-        let get = retry(4, pause, || client.get_with_tag(&mut transport, &key));
-        completed += u64::from(put.is_some()) + u64::from(get.is_some());
-    }
-
-    // Slow-read phase: crash-recover four honest replicas one at a time
-    // (never more than f = 1 down at once — a restart is a transient
-    // crash). The amnesiac respawn (`set_role` to Correct) is deliberate —
-    // `restart()` would pull the register state back from a quorum and
-    // keep reads fast; skipping the pull means afterwards no f + 1 = 2
-    // replicas still witness the reader's cached pair, so every following
-    // read is forced onto the slow path and must carry a concrete cause.
-    for sid in [ServerId(0), ServerId(1), ServerId(2), ServerId(3)] {
-        cluster
-            .set_role(sid, ByzRole::Correct, 0)
-            .expect("respawn replica");
-    }
-    for _ in 0..6 {
-        attempted += 1;
-        let get = retry(4, pause, || {
-            client.get_with_tag(&mut transport, b"trace-k0")
-        });
-        completed += u64::from(get.is_some());
-    }
+    let keys = (0..3).map(|k| format!("trace-k{k}").into_bytes()).collect();
+    let record = Executor::new(keys, 4, tconfig).run(&mut cluster, schedule);
 
     let causes: Vec<CauseCount> = SlowCause::ALL
         .iter()
@@ -293,8 +289,8 @@ fn chaos_leg(seed: u64) -> ChaosLeg {
         })
         .collect();
     ChaosLeg {
-        attempted,
-        completed,
+        attempted: record.ops.len() as u64,
+        completed: record.completed(),
         slow_reads: reg.counter(&names::shard_reads_counter(0, "slow")).get() - slow_before,
         causes,
         sampled_ops: reg.counter(names::TRACE_SAMPLED_OPS).get() - sampled_before,
@@ -302,46 +298,38 @@ fn chaos_leg(seed: u64) -> ChaosLeg {
     }
 }
 
-/// Runs the violation leg: a healthy write, then `2 > f` replicas turned
-/// silent so the next read starves. The checker flags the incomplete read;
-/// its span tree is rebuilt from the flight ring by recomputing the trace
-/// id from the violating [`OpId`] — the spans were recorded *during* the
+/// Runs the violation leg. The checker flags the incomplete read; its
+/// span tree is rebuilt from the flight ring by recomputing the trace id
+/// from the violating [`OpId`] — the spans were recorded *during* the
 /// doomed read, nothing is re-run.
-fn violation_leg(seed: u64) -> (usize, usize, usize) {
+fn violation_leg(schedule: &Schedule) -> (usize, usize, usize) {
     let q = QuorumConfig::minimal_bsr(1).expect("n = 5, f = 1 is valid");
-    let tconfig = trace_transport();
     let mut cluster = TcpKvCluster::builder(KvMode::Replicated, b"trace-violation")
         .quorum(q)
         .start()
         .expect("start cluster");
-    let mut client = KvClient::new(q, WriterId(50), ReaderId(51));
-    client.set_policy(tconfig);
-    let mut transport = cluster.transport_with(tconfig);
+    // One attempt per op: the executor's op count is then the client's
+    // own sequence number, so the history's op ids are the ones the
+    // tracing layer derived span ids from.
+    let keys = vec![b"trace-v".to_vec()];
+    let record = Executor::new(keys, 1, trace_transport()).run(&mut cluster, schedule);
+    let [put, get] = &record.ops[..] else {
+        unreachable!("the violation leg runs two ops");
+    };
+    let us = |d: Duration| d.as_micros() as u64;
     let mut history = History::new();
-
-    // Op 1: a healthy write. The client's internal sequence numbers are
-    // deterministic (one per operation), so the history can be recorded
-    // under the exact OpIds the tracing layer derives span ids from.
-    let value = Value::from(format!("doomed-{seed}").into_bytes());
-    let h = history.begin_write(OpId::new(WriterId(50), 1), value.clone(), wall_micros());
-    let tag = client
-        .put(&mut transport, b"trace-v", value)
-        .expect("healthy write completes");
-    history.complete_write(h, tag, wall_micros());
-
-    // 2 > f replicas go silent: the read quorum (n - f = 4) is forever
-    // out of reach, so op 2 must starve.
-    for sid in [ServerId(3), ServerId(4)] {
-        cluster
-            .set_role(sid, ByzRole::Silent, seed)
-            .expect("convert replica");
-    }
-    let read_op = OpId::new(ReaderId(51), 2);
-    history.begin_read(read_op, wall_micros());
+    let (c, tag) = (VIOLATION_CLIENT, put.tag.expect("healthy write completes"));
+    let h = history.begin_write(
+        OpId::new(WriterId(c), put.seq),
+        value_of(c, put.seq),
+        us(put.start),
+    );
+    history.complete_write(h, tag, us(put.end));
     assert!(
-        client.get_with_tag(&mut transport, b"trace-v").is_err(),
+        get.tag.is_none(),
         "a read cannot complete with 2 > f silent replicas"
     );
+    history.begin_read(OpId::new(ReaderId(c), get.seq), us(get.start));
 
     let summary = CheckSummary::check_all(&history);
     let violations = &summary.liveness;
@@ -409,15 +397,17 @@ pub fn trace_run(seed: u64) -> TraceReport {
     let b = sim_stream(seed, 1000);
     let unsampled = sim_stream(seed, 0);
 
-    let chaos = chaos_leg(seed);
-    let (violations_found, violation_tree_spans, flight_records_dumped) = violation_leg(seed);
+    let schedules = legs(seed);
+    let chaos = chaos_leg(&schedules[0]);
+    let (violations_found, violation_tree_spans, flight_records_dumped) =
+        violation_leg(&schedules[1]);
 
     let (off, on, off2) = interleaved_best(16, 6_000);
     let spread = (off - off2).abs() / off.max(off2).max(1.0);
     let on_cost = ((off.max(off2) - on) / off.max(off2).max(1.0)).max(0.0);
 
     let attributed: u64 = chaos.causes.iter().map(|c| c.count).sum();
-    TraceReport {
+    let report = TraceReport {
         seed,
         sim_span_lines: a.lines().count(),
         sim_first_line: a.lines().next().unwrap_or_default().to_string(),
@@ -438,7 +428,11 @@ pub fn trace_run(seed: u64) -> TraceReport {
         ops_per_sec_on: on,
         overhead_off_permille: (spread * 1000.0) as u64,
         overhead_on_permille: (on_cost * 1000.0) as u64,
+    };
+    if !report.ok() {
+        replay(TraceReport::NAME, seed, &schedules);
     }
+    report
 }
 
 #[cfg(test)]
@@ -461,7 +455,7 @@ mod tests {
     /// The violation leg finds the starved read and rebuilds its spans.
     #[test]
     fn violation_leg_dumps_the_starved_reads_span_tree() {
-        let (violations, tree_spans, _) = violation_leg(0xDEAD);
+        let (violations, tree_spans, _) = violation_leg(&legs(0xDEAD)[1]);
         assert!(violations >= 1, "the starved read must be flagged");
         assert!(tree_spans > 0, "the violating op's spans must be found");
     }

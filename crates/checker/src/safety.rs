@@ -102,15 +102,7 @@ pub(crate) fn check_one_read(
         .copied()
         .filter(|w| w.is_complete() && w.precedes(read))
         .collect();
-    let admissible: Vec<&OpRecord> = preceding
-        .iter()
-        .copied()
-        .filter(|w| {
-            !preceding.iter().any(|between| {
-                !std::ptr::eq(*between, *w) && w.precedes(between) && between.precedes(read)
-            })
-        })
-        .collect();
+    let admissible = admissible(&preceding);
 
     if admissible.is_empty() {
         // No write precedes the read: only v0 is admissible.
@@ -152,12 +144,80 @@ pub(crate) fn check_one_read(
     None
 }
 
+/// The writes of `preceding` (the completed predecessors of one read) that
+/// no other one falls entirely between them and the read. `w` is
+/// superseded exactly when some predecessor was invoked after `w`
+/// completed, that is when `w` completed before the latest invocation
+/// among them — so one `max` keeps the filter linear.
+fn admissible<'a>(preceding: &[&'a OpRecord]) -> Vec<&'a OpRecord> {
+    let Some(latest) = preceding.iter().map(|w| w.invoked_at).max() else {
+        return Vec::new();
+    };
+    let superseded = |w: &OpRecord| w.completed_at.is_some_and(|done| done < latest);
+    preceding
+        .iter()
+        .copied()
+        .filter(|w| !superseded(w))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use safereg_common::ids::{ReaderId, WriterId};
     use safereg_common::msg::OpId;
+    use safereg_common::rng::DetRng;
     use safereg_common::value::Value;
+
+    /// The pairwise filter the linear one replaced, kept as its oracle:
+    /// `w` is superseded by any other predecessor that follows it.
+    fn admissible_pairwise<'a>(preceding: &[&'a OpRecord]) -> Vec<&'a OpRecord> {
+        preceding
+            .iter()
+            .copied()
+            .filter(|w| {
+                !preceding
+                    .iter()
+                    .any(|between| !std::ptr::eq(*between, *w) && w.precedes(between))
+            })
+            .collect()
+    }
+
+    /// Random histories of up to a dozen writes — overlapping, zero-length,
+    /// sharing instants, some never completing — and one read: both filters
+    /// pick the same admissible writes for it.
+    #[test]
+    fn linear_filter_matches_the_pairwise_oracle() {
+        let mut rng = DetRng::seed_from(0x5AFE);
+        for trial in 0..4_000u64 {
+            let mut h = History::new();
+            for w in 0..rng.range_u64(0..12) {
+                let invoked = rng.range_u64(0..20);
+                let op = OpId::new(WriterId(w as u16), trial + 1);
+                let hw = h.begin_write(op, Value::from(format!("v{w}").into_bytes()), invoked);
+                if rng.range_u64(0..4) > 0 {
+                    h.complete_write(hw, t(w + 1, w as u16), invoked + rng.range_u64(0..6));
+                }
+            }
+            let r = h.begin_read(OpId::new(ReaderId(0), trial + 1), rng.range_u64(0..30));
+            h.complete_read(r, Value::initial(), Tag::ZERO, 40);
+            let records = h.records();
+            let read = records
+                .iter()
+                .find(|r| !r.kind.is_write())
+                .expect("one read");
+            let preceding: Vec<&OpRecord> = records
+                .iter()
+                .filter(|w| w.kind.is_write() && w.is_complete() && w.precedes(read))
+                .collect();
+            let ids = |ws: Vec<&OpRecord>| ws.iter().map(|w| w.op).collect::<Vec<_>>();
+            assert_eq!(
+                ids(admissible(&preceding)),
+                ids(admissible_pairwise(&preceding)),
+                "trial {trial}"
+            );
+        }
+    }
 
     fn t(num: u64, w: u16) -> Tag {
         Tag::new(num, WriterId(w))

@@ -160,7 +160,7 @@ pub enum KvError {
     /// The operation could not reach a quorum of `m − f` servers within
     /// its key's shard.
     QuorumUnavailable {
-        /// Servers that responded.
+        /// Servers that answered the phase the operation failed in.
         responded: usize,
         /// Responses needed.
         needed: usize,
@@ -538,7 +538,9 @@ pub(crate) struct KvOp<O, M> {
 struct Attempt {
     retry: Option<Vec<KvSend>>,
     pass: u32,
-    /// Replies from reachable servers, over every phase.
+    /// The message kind of the phase the op is in.
+    phase: Option<std::mem::Discriminant<ClientToServer>>,
+    /// Servers that answered the current phase.
     responded: usize,
     unreachable: BTreeSet<ServerId>,
     /// `(epoch, digest)` → the distinct servers redirecting there.
@@ -576,7 +578,21 @@ impl<O: ClientOp, M: Fn() -> O> KvOp<O, M> {
             return retry;
         }
         let envs = self.op.start();
-        self.sends(envs)
+        let sends = self.sends(envs);
+        self.enter_phase(&sends);
+        sends
+    }
+
+    /// Starts counting answers afresh when `sends` open a new phase.
+    fn enter_phase(&mut self, sends: &[KvSend]) {
+        let Some(first) = sends.first() else {
+            return;
+        };
+        let phase = Some(std::mem::discriminant(&first.msg));
+        if self.attempt.phase != phase {
+            self.attempt.phase = phase;
+            self.attempt.responded = 0;
+        }
     }
 
     /// Takes one exchange's outcome; the next exchange starts when it returns.
@@ -632,7 +648,9 @@ impl<O: ClientOp, M: Fn() -> O> KvOp<O, M> {
             self.evidence.silent += u32::from(!redirected);
             return Flow::Retry;
         }
-        self.attempt.responded += 1;
+        // A late answer to an earlier phase does not count toward this one.
+        let current = self.attempt.phase == Some(std::mem::discriminant(&send.msg));
+        self.attempt.responded += usize::from(current);
         let from = self.map.logical_of(self.shard, send.to);
         let from = from.expect("a shard replica");
         let mut sends = Vec::new();
@@ -656,6 +674,7 @@ impl<O: ClientOp, M: Fn() -> O> KvOp<O, M> {
                 return Flow::Stop;
             }
         }
+        self.enter_phase(&sends);
         Flow::Send(sends)
     }
 

@@ -45,10 +45,12 @@ type TransferEntry = (ServerId, ShardId, Bytes, Tag, Payload);
 /// The cluster is the reconfiguration orchestrator: [`add_replica`],
 /// [`remove_replica`] and [`replace_replica`] perform rolling membership
 /// changes (one replica per step, epoch bumped per step) with cross-epoch
-/// state transfer — every re-placed or joining register group is rebuilt
-/// from a quorum of the *old* epoch before the fleet flips, so quorum
-/// intersection holds across the boundary while reads and writes keep
-/// running.
+/// state transfer while reads and writes keep running. Coded groups are
+/// rebuilt from a quorum of the *old* epoch before the fleet flips;
+/// replicated groups pull *after* the flip, from a quorum of the new
+/// epoch in which the empty joiner already votes. That leaves a
+/// one-replica swap with only `f` honest witnesses of an old write when
+/// one replica is Byzantine (ROADMAP item 1).
 ///
 /// [`add_replica`]: TcpKvCluster::add_replica
 /// [`remove_replica`]: TcpKvCluster::remove_replica
@@ -273,15 +275,14 @@ impl TcpKvCluster {
         }
     }
 
-    /// Restarts a crashed replica on its **old advertised address**,
-    /// pulling its register state back from a quorum of its peers before
-    /// returning — a crash-recover server is *not* allowed to rejoin
-    /// amnesiac. Without the pull, a restarted replica mid-epoch answers
-    /// `ZERO` tags; paired with `f` Byzantine replicas that is enough to
-    /// starve a later read of its `f + 1` witnesses or (worse) vouch for a
-    /// stale tag. A chaos-fronted replica gets a fresh proxy with the same
-    /// plan on the same address. Restarting always restores the replica to
-    /// [`ByzRole::Correct`].
+    /// Restarts a crashed replica on its **old advertised address**, then
+    /// pulls its register state back from a quorum and installs it. The
+    /// respawned host serves from the moment it binds, so until the
+    /// install it answers `ZERO` tags, and it votes in its own
+    /// re-hydration read; with `f` Byzantine replicas that can lose a
+    /// completed write (ROADMAP item 1). A chaos-fronted replica gets a
+    /// fresh proxy with the same plan on the same address. Restarting
+    /// always restores the replica to [`ByzRole::Correct`].
     ///
     /// # Errors
     ///

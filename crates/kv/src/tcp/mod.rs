@@ -387,10 +387,11 @@ mod tests {
 
             cluster.crash(ServerId(2));
             cluster.restart(ServerId(2)).unwrap();
-            // The restart pulled `(tag, payload)` back from a quorum before
-            // the replica serves again: it can never vouch for the
-            // pre-crash tag (or an empty register) in a read quorum — the
-            // StaleRead hazard an amnesiac restart would reintroduce.
+            // Once `restart` returns, the replica holds `(tag, payload)`
+            // again. It served (and voted in its own re-hydration read)
+            // before the install, so this schedule only passes because it
+            // has no Byzantine replica and no missed write; ROADMAP item 1
+            // has one that loses the write.
             assert_eq!(
                 cluster.payload_digest(ServerId(2), g, b"k"),
                 Some(expected),

@@ -205,9 +205,6 @@ impl TcpKvTransport {
             link.failures = link.failures.saturating_add(1);
             link.set_state(to, STATE_OPEN);
             let wait = backoff.delay(link.failures.saturating_sub(1), roll);
-            safereg_obs::global()
-                .histogram(safereg_obs::names::KV_BACKOFF_WAIT_MS)
-                .record(wait.as_millis() as u64);
             link.next_retry_at = Some(std::time::Instant::now() + wait);
         }
         Unreachable { server: to }

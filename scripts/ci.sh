@@ -12,9 +12,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Step timings go to fd 3, the script's stdout, so neither a smoke's
+# captured output nor its silenced stderr swallows them.
+exec 3>&1
+ci_started=$SECONDS
+
 run() {
     echo "==> $*"
+    local started=$SECONDS
     "$@"
+    echo "    ($(( SECONDS - started )) s)" >&3
 }
 
 run cargo fmt --check
@@ -66,7 +73,10 @@ harness_bin="$(cd "${CARGO_TARGET_DIR:-target}" && pwd)/release/paper_harness"
 smoke_dir=target/ci-smoke
 mkdir -p "$smoke_dir"
 harness() {
-    (cd "$smoke_dir" && "$harness_bin" "$@")
+    local started=$SECONDS status=0
+    (cd "$smoke_dir" && "$harness_bin" "$@") || status=$?
+    echo "    (harness $1: $(( SECONDS - started )) s)" >&3
+    return "$status"
 }
 
 # Observability smoke: a contended simnet scenario must emit the
@@ -218,4 +228,4 @@ grep -q '<redacted>' crates/crypto/src/keychain.rs ||
 grep -q '"<redacted>"' crates/kv/src/audit.rs ||
     { echo "ci.sh: AuditLog Debug no longer redacts its keychain" >&2; exit 1; }
 
-echo "ci.sh: all checks passed"
+echo "ci.sh: all checks passed in $(( SECONDS - ci_started )) s"
