@@ -6,7 +6,9 @@ use crate::sha256::{Kernel, Sha256, DIGEST_LEN};
 
 const BLOCK_LEN: usize = 64;
 
-/// Streaming HMAC-SHA-256.
+/// Streaming HMAC-SHA-256. A keyed instance holds the inner and outer
+/// hashes after their pad blocks, so a clone reuses the keying and
+/// [`finalize`](Self::finalize) costs one compression past the message.
 ///
 /// # Examples
 ///
@@ -17,10 +19,17 @@ const BLOCK_LEN: usize = 64;
 /// assert!(HmacSha256::verify(b"key", b"message", &mac));
 /// assert!(!HmacSha256::verify(b"key", b"tampered", &mac));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacSha256 {
+    /// Redacted: a keyed state forges as well as its key.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "HmacSha256(<redacted>)")
+    }
 }
 
 impl HmacSha256 {
@@ -48,10 +57,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::with_kernel(kernel);
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            opad_key: opad,
-        }
+        let mut outer = Sha256::with_kernel(kernel);
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -61,10 +69,8 @@ impl HmacSha256 {
 
     /// Completes the MAC.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let mut outer = Sha256::with_kernel(self.inner.kernel());
-        let inner_digest = self.inner.finalize();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 
@@ -80,7 +86,14 @@ impl HmacSha256 {
     /// Comparison is branch-free over all 32 bytes so a forger learns
     /// nothing from timing.
     pub fn verify(key: &[u8], data: &[u8], mac: &[u8]) -> bool {
-        let expect = HmacSha256::mac(key, data);
+        let mut h = HmacSha256::new(key);
+        h.update(data);
+        h.finalize_matches(mac)
+    }
+
+    /// Completes the MAC and compares it with `mac` in constant time.
+    pub fn finalize_matches(self, mac: &[u8]) -> bool {
+        let expect = self.finalize();
         if mac.len() != DIGEST_LEN {
             return false;
         }

@@ -8,6 +8,8 @@
 //! endpoint of — it still cannot forge traffic between two other processes,
 //! which is the property the paper's signature assumption provides.
 
+use std::collections::BTreeMap;
+
 use safereg_common::codec::Wire;
 use safereg_common::ids::{NodeId, ServerId};
 
@@ -90,6 +92,52 @@ impl KeyChain {
     }
 }
 
+/// Each link's keyed HMAC state, derived from a [`KeyChain`] on first use
+/// and kept: a MAC under a ring pays neither [`KeyChain::pair_key`] nor
+/// the keying. Hosts and client transports each keep one for their frames.
+///
+/// # Examples
+///
+/// ```
+/// use safereg_common::ids::{NodeId, ServerId, WriterId};
+/// use safereg_crypto::hmac::HmacSha256;
+/// use safereg_crypto::keychain::{KeyChain, KeyRing};
+///
+/// let chain = KeyChain::from_master_seed(b"deployment-42");
+/// let (s, w): (NodeId, NodeId) = (ServerId(0).into(), WriterId(1).into());
+/// let mut ring = KeyRing::new(&chain);
+/// let mut mac = ring.link(s, w).clone();
+/// mac.update(b"PUT-DATA");
+/// // The MAC a fresh HMAC under the pair key gives, in either direction.
+/// let key = chain.pair_key(w, s);
+/// assert_eq!(mac.finalize(), HmacSha256::mac(key.as_bytes(), b"PUT-DATA"));
+/// ```
+#[derive(Debug)]
+pub struct KeyRing {
+    chain: KeyChain,
+    links: BTreeMap<(NodeId, NodeId), HmacSha256>,
+}
+
+impl KeyRing {
+    /// An empty ring over `chain`; links are derived as they are used.
+    pub fn new(chain: &KeyChain) -> KeyRing {
+        KeyRing {
+            chain: chain.clone(),
+            links: BTreeMap::new(),
+        }
+    }
+
+    /// The HMAC state keyed for the link between `a` and `b` (in either
+    /// order); clone it to MAC a message.
+    pub fn link(&mut self, a: NodeId, b: NodeId) -> &HmacSha256 {
+        let pair = if a <= b { (a, b) } else { (b, a) };
+        let chain = &self.chain;
+        self.links
+            .entry(pair)
+            .or_insert_with(|| HmacSha256::new(chain.pair_key(a, b).as_bytes()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,6 +195,25 @@ mod tests {
         let pk = chain.pair_key(n(ServerId(0)), n(ServerId(1)));
         assert_ne!(chain.audit_key(ServerId(0)), pk);
         assert_ne!(chain.audit_key(ServerId(1)), pk);
+    }
+
+    #[test]
+    fn a_ring_macs_like_its_pair_key_and_derives_each_link_once() {
+        let chain = KeyChain::from_master_seed(b"s");
+        let mut ring = KeyRing::new(&chain);
+        let (s0, w1, r1) = (n(ServerId(0)), n(WriterId(1)), n(ReaderId(1)));
+        for (a, b) in [(s0, w1), (w1, s0), (s0, r1)] {
+            let mut mac = ring.link(a, b).clone();
+            mac.update(b"frame");
+            let want = HmacSha256::mac(chain.pair_key(a, b).as_bytes(), b"frame");
+            assert_eq!(mac.finalize(), want);
+        }
+        assert_eq!(ring.links.len(), 2);
+        let debug = format!("{ring:?}");
+        assert!(
+            debug.contains("<redacted>") && !debug.contains("state"),
+            "{debug}"
+        );
     }
 
     #[test]

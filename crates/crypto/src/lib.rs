@@ -12,6 +12,7 @@
 //!   CPU has them and portable scalar rounds otherwise,
 //! * [`hmac`]: RFC 2104 HMAC-SHA-256,
 //! * [`keychain`]: pairwise key derivation for all processes in a system,
+//!   and the per-link [`KeyRing`] of keyed HMAC states derived from it once,
 //! * [`auth`]: MAC-framed messages used by the TCP transport.
 //!
 //! DESIGN.md records this substitution (signatures → pairwise MACs) and why
@@ -44,5 +45,5 @@ pub mod sha256;
 pub use auth::{AuthCodec, AuthError};
 pub use chain::{ChainLink, LinkKind, ResponseChain};
 pub use hmac::HmacSha256;
-pub use keychain::{Key, KeyChain};
+pub use keychain::{Key, KeyChain, KeyRing};
 pub use sha256::Sha256;

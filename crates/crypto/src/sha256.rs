@@ -13,6 +13,12 @@
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
 
+/// SHA-256 of the empty string, `e3b0c442…b855`.
+pub const EMPTY_DIGEST: [u8; DIGEST_LEN] = [
+    0xe3, 0xb0, 0xc4, 0x42, 0x98, 0xfc, 0x1c, 0x14, 0x9a, 0xfb, 0xf4, 0xc8, 0x99, 0x6f, 0xb9, 0x24,
+    0x27, 0xae, 0x41, 0xe4, 0x64, 0x9b, 0x93, 0x4c, 0xa4, 0x95, 0x99, 0x1b, 0x78, 0x52, 0xb8, 0x55,
+];
+
 /// SHA-256 round constants (first 32 bits of the fractional parts of the
 /// cube roots of the first 64 primes).
 const K: [u32; 64] = [
@@ -80,6 +86,7 @@ impl Sha256 {
     }
 
     /// The kernel this hasher compresses with.
+    #[cfg(test)]
     pub(crate) fn kernel(&self) -> Kernel {
         self.kernel
     }
@@ -519,6 +526,11 @@ pub(crate) mod tests {
         } else {
             assert_eq!(picked, Kernel::Scalar);
         }
+    }
+
+    #[test]
+    fn empty_digest_is_the_digest_of_nothing() {
+        assert_eq!(Sha256::digest(b""), EMPTY_DIGEST);
     }
 
     #[test]

@@ -111,7 +111,9 @@ impl KvTransport for InMemKvCluster {
             // lock-wait and dispatch segments attach one hop below the
             // client's op, same as over TCP.
             Some(server) => {
-                Ok(server.handle_traced(from, shard, key, msg, trace.hopped(Phase::Dispatch)))
+                let trace = trace.hopped(Phase::Dispatch);
+                let responses = server.handle_traced(from, shard, key, msg, trace, None);
+                Ok(responses.into_iter().map(|(resp, _)| resp).collect())
             }
             None => Err(Unreachable { server: to }),
         }
