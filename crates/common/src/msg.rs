@@ -99,9 +99,16 @@ impl Payload {
     /// This is the quantity the storage-cost experiment (E4) sums: `1` unit
     /// for a replica versus `1/k` for a coded element.
     pub fn payload_bytes(&self) -> usize {
+        self.body().len()
+    }
+
+    /// The payload's trailing byte string: the value, or the coded
+    /// element's data. It ends the payload's wire encoding, so it is the
+    /// *tail* [`Envelope::encode_parts`] splits off.
+    pub fn body(&self) -> &Bytes {
         match self {
-            Payload::Full(v) => v.len(),
-            Payload::Coded(c) => c.data.len(),
+            Payload::Full(v) => v.bytes(),
+            Payload::Coded(c) => &c.data,
         }
     }
 }
@@ -313,6 +320,24 @@ pub enum Message {
     Peer(PeerMessage),
 }
 
+impl Message {
+    /// The body of the payload that ends this message's wire encoding —
+    /// the tail of [`Envelope::encode_parts`] — if it has one.
+    pub fn tail(&self) -> Option<&Bytes> {
+        match self {
+            Message::ToServer(ClientToServer::PutData { payload, .. })
+            | Message::ToClient(ServerToClient::DataResp { payload, .. })
+            | Message::ToClient(ServerToClient::ValueAtResp {
+                payload: Some(payload),
+                ..
+            })
+            | Message::Peer(PeerMessage::RbEcho { payload, .. })
+            | Message::Peer(PeerMessage::RbReady { payload, .. }) => Some(payload.body()),
+            _ => None,
+        }
+    }
+}
+
 impl From<ClientToServer> for Message {
     fn from(m: ClientToServer) -> Self {
         Message::ToServer(m)
@@ -379,42 +404,37 @@ impl Envelope {
     /// BCSR writer hands each server a slice of the fragment arena without
     /// the payload ever being memcpy'd after encoding.
     pub fn encode_parts(&self) -> (Vec<u8>, Option<Bytes>) {
-        fn payload_head(p: &Payload, buf: &mut Vec<u8>) -> Bytes {
+        fn payload_head(p: &Payload, buf: &mut Vec<u8>) {
             // Mirrors `Payload::encode_to` up to (and including) the u32
-            // length prefix of the trailing data, returning the data itself.
+            // length prefix of its body.
             match p {
-                Payload::Full(v) => {
-                    buf.push(0);
-                    (v.len() as u32).encode_to(buf);
-                    v.bytes().clone()
-                }
+                Payload::Full(_) => buf.push(0),
                 Payload::Coded(c) => {
                     buf.push(1);
                     c.index.encode_to(buf);
                     c.value_len.encode_to(buf);
-                    (c.data.len() as u32).encode_to(buf);
-                    c.data.clone()
                 }
             }
+            (p.body().len() as u32).encode_to(buf);
         }
 
         let mut head = Vec::with_capacity(64);
         self.src.encode_to(&mut head);
         self.dst.encode_to(&mut head);
-        let tail = match &self.msg {
+        match &self.msg {
             Message::ToServer(ClientToServer::PutData { op, tag, payload }) => {
                 head.push(0); // Message::ToServer
                 head.push(1); // ClientToServer::PutData
                 op.encode_to(&mut head);
                 tag.encode_to(&mut head);
-                Some(payload_head(payload, &mut head))
+                payload_head(payload, &mut head);
             }
             Message::ToClient(ServerToClient::DataResp { op, tag, payload }) => {
                 head.push(1); // Message::ToClient
                 head.push(2); // ServerToClient::DataResp
                 op.encode_to(&mut head);
                 tag.encode_to(&mut head);
-                Some(payload_head(payload, &mut head))
+                payload_head(payload, &mut head);
             }
             Message::ToClient(ServerToClient::ValueAtResp {
                 op,
@@ -426,28 +446,25 @@ impl Envelope {
                 op.encode_to(&mut head);
                 tag.encode_to(&mut head);
                 head.push(1); // Option::Some
-                Some(payload_head(p, &mut head))
+                payload_head(p, &mut head);
             }
             Message::Peer(PeerMessage::RbEcho { bid, tag, payload }) => {
                 head.push(2); // Message::Peer
                 head.push(0); // PeerMessage::RbEcho
                 bid.encode_to(&mut head);
                 tag.encode_to(&mut head);
-                Some(payload_head(payload, &mut head))
+                payload_head(payload, &mut head);
             }
             Message::Peer(PeerMessage::RbReady { bid, tag, payload }) => {
                 head.push(2); // Message::Peer
                 head.push(1); // PeerMessage::RbReady
                 bid.encode_to(&mut head);
                 tag.encode_to(&mut head);
-                Some(payload_head(payload, &mut head))
+                payload_head(payload, &mut head);
             }
-            _ => {
-                self.msg.encode_to(&mut head);
-                None
-            }
-        };
-        (head, tail)
+            _ => self.msg.encode_to(&mut head),
+        }
+        (head, self.msg.tail().cloned())
     }
 }
 

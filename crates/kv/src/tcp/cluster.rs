@@ -139,7 +139,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Reactor pool size per host (`0` = one reactor per hosted shard).
+    /// Reactor pool size per host (`0` = one reactor per hosted shard, at
+    /// most one per core).
     pub fn reactors(mut self, reactors: usize) -> Self {
         self.reactors = reactors;
         self
